@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .graphs import (Graph, VertexClass, classify_vertices,
+from .graphs import (Graph, PendentCycle, VertexClass, classify_vertices,
                      pendent_triangles_at)
 from .fii import FiiPartition, enumerate_fii, find_fii
 from . import density
@@ -83,6 +83,18 @@ def _all_cycles_within(g: Graph, allowed: set[int]) -> list[tuple[int, ...]]:
     return cycles
 
 
+def _two_neighbors(g: Graph, v: int) -> list[int]:
+    return sorted(u for u in g.adj[v] if g.degree(u) == 2)
+
+
+def _tri_vertices(tri_at: dict[int, list[PendentCycle]], v: int) -> list[int]:
+    """The 2-vertices of the pendent triangles at v, triangle by triangle."""
+    flat: list[int] = []
+    for tri in sorted(tri_at.get(v, ()), key=lambda t: min(t.two_vertices)):
+        flat.extend(sorted(tri.two_vertices))
+    return flat
+
+
 def scan_configs(g: Graph, ids: Iterable[str] | None = None) -> list[ConfigMatch]:
     """All occurrences of the requested configurations (default: all 15)."""
     want = tuple(ids) if ids is not None else ALL_CONFIG_IDS
@@ -92,15 +104,6 @@ def scan_configs(g: Graph, ids: Iterable[str] | None = None) -> list[ConfigMatch
     cls = classify_vertices(g)
     tri_at = pendent_triangles_at(g)
     out: list[ConfigMatch] = []
-
-    def two_neighbors(v: int) -> list[int]:
-        return sorted(u for u in g.adj[v] if g.degree(u) == 2)
-
-    def tri_vertices(v: int) -> list[int]:
-        flat: list[int] = []
-        for tri in sorted(tri_at.get(v, ()), key=lambda t: min(t.two_vertices)):
-            flat.extend(sorted(tri.two_vertices))
-        return flat
 
     if "C1" in want:
         for v in range(g.n):
@@ -124,8 +127,8 @@ def scan_configs(g: Graph, ids: Iterable[str] | None = None) -> list[ConfigMatch
     if "C5" in want:
         for x, y in g.edges():
             if cls[x] == _W.W3 and cls[y] == _W.W3:
-                x1, x2 = two_neighbors(x)[:2]
-                y3, y4 = two_neighbors(y)[:2]
+                x1, x2 = _two_neighbors(g, x)[:2]
+                y3, y4 = _two_neighbors(g, y)[:2]
                 out.append(_match("C5", x=x, y=y, x1=x1, x2=x2, y3=y3, y4=y4))
     if "C6" in want:
         for v in range(g.n):
@@ -149,7 +152,7 @@ def scan_configs(g: Graph, ids: Iterable[str] | None = None) -> list[ConfigMatch
         for v in range(g.n):
             if cls[v] != _W.W4:
                 continue
-            t1, t2 = tri_vertices(v)
+            t1, t2 = _tri_vertices(tri_at, v)
             nontri = [u for u in g.adj[v] if u not in (t1, t2)]
             for v1 in sorted(nontri):
                 if cls[v1] in _W2345:
@@ -159,7 +162,7 @@ def scan_configs(g: Graph, ids: Iterable[str] | None = None) -> list[ConfigMatch
         for v in range(g.n):
             if cls[v] != _W.W5:
                 continue
-            ts = tri_vertices(v)
+            ts = _tri_vertices(tri_at, v)
             v1 = next(u for u in g.adj[v] if u not in ts)
             if g.degree(v1) == 3 or cls[v1] in _W25:
                 out.append(_match("C9", v=v, t1=ts[0], t2=ts[1], t3=ts[2],
@@ -168,7 +171,7 @@ def scan_configs(g: Graph, ids: Iterable[str] | None = None) -> list[ConfigMatch
         for v in range(g.n):
             if g.degree(v) != 7 or len(tri_at.get(v, ())) != 3:
                 continue
-            ts = tri_vertices(v)
+            ts = _tri_vertices(tri_at, v)
             v1 = next(u for u in g.adj[v] if u not in ts)
             if cls[v1] in _W235:
                 roles = {f"t{i + 1}": t for i, t in enumerate(ts)}
@@ -200,7 +203,7 @@ def scan_configs(g: Graph, ids: Iterable[str] | None = None) -> list[ConfigMatch
         for v in range(g.n):
             if g.degree(v) != 5 or len(tri_at.get(v, ())) != 1:
                 continue
-            ts = tri_vertices(v)
+            ts = _tri_vertices(tri_at, v)
             nontri = sorted(u for u in g.adj[v] if u not in ts)
             if all(cls[u] in _W235 for u in nontri) \
                     and sum(1 for u in nontri if cls[u] == _W.W2) >= 2:
@@ -210,7 +213,7 @@ def scan_configs(g: Graph, ids: Iterable[str] | None = None) -> list[ConfigMatch
         for v in range(g.n):
             if g.degree(v) != 6 or len(tri_at.get(v, ())) != 2:
                 continue
-            ts = tri_vertices(v)
+            ts = _tri_vertices(tri_at, v)
             nontri = sorted(u for u in g.adj[v] if u not in ts)
             for u1 in nontri:
                 for u2 in nontri:
@@ -348,15 +351,6 @@ def reduction_plan(g: Graph, match: ConfigMatch) -> ReductionPlan:
     cls = classify_vertices(g)
     tri_at = pendent_triangles_at(g)
 
-    def two_neighbors(v: int) -> list[int]:
-        return sorted(u for u in g.adj[v] if g.degree(u) == 2)
-
-    def tvs(v: int) -> list[int]:
-        flat: list[int] = []
-        for tri in sorted(tri_at.get(v, ()), key=lambda t: min(t.two_vertices)):
-            flat.extend(sorted(tri.two_vertices))
-        return flat
-
     if cid == "C1":
         return ReductionPlan((match.role("v"),))
     if cid == "C2":
@@ -382,17 +376,17 @@ def reduction_plan(g: Graph, match: ConfigMatch) -> ReductionPlan:
         return ReductionPlan(tuple(sorted({match.role(r) for r in names})))
     if cid == "C6":
         v, v1, v2 = match.role("v"), match.role("v1"), match.role("v2")
-        x1, x2 = two_neighbors(v2)[:2]
+        x1, x2 = _two_neighbors(g, v2)[:2]
         return ReductionPlan(tuple(sorted({v, v1, v2, x1, x2})))
     if cid == "C7":
         v, v1, v2 = match.role("v"), match.role("v1"), match.role("v2")
-        xs = two_neighbors(v1)[:2] + two_neighbors(v2)[:2]
+        xs = _two_neighbors(g, v1)[:2] + _two_neighbors(g, v2)[:2]
         return ReductionPlan(tuple(sorted({v, v1, v2, *xs})))
     if cid == "C8":
         v, v1 = match.role("v"), match.role("v1")
         t1, t2 = match.role("t1"), match.role("t2")
         if cls[v1] == _W.W3:
-            x1, x2 = [u for u in two_neighbors(v1) if u != v][:2]
+            x1, x2 = [u for u in _two_neighbors(g, v1) if u != v][:2]
             s = {v, v1, t1, t2, x1, x2}
             z1 = _outer_neighbor(g, x1, s)
             mods = (("triangle", z1),) if z1 is not None else ()
@@ -400,10 +394,10 @@ def reduction_plan(g: Graph, match: ConfigMatch) -> ReductionPlan:
         return ReductionPlan((t1, t2))
     if cid == "C9":
         v = match.role("v")
-        return ReductionPlan(tuple(sorted({v, *tvs(v)})))
+        return ReductionPlan(tuple(sorted({v, *_tri_vertices(tri_at, v)})))
     if cid == "C10":
         v = match.role("v")
-        return ReductionPlan(tuple(sorted({v, *tvs(v)})))
+        return ReductionPlan(tuple(sorted({v, *_tri_vertices(tri_at, v)})))
     if cid == "Cp1":
         return ReductionPlan(tuple(sorted(match.role("cycle"))))
     if cid == "Cp2":
@@ -414,9 +408,9 @@ def reduction_plan(g: Graph, match: ConfigMatch) -> ReductionPlan:
                 w23 = min(u for u in g.adj[x] if cls[u] in _W23)
                 s.add(w23)
                 if cls[w23] == _W.W3:
-                    s.update(two_neighbors(w23)[:2])
+                    s.update(_two_neighbors(g, w23)[:2])
             elif cls[x] == _W.W4:
-                s.update(tvs(x))
+                s.update(_tri_vertices(tri_at, x))
         return ReductionPlan(tuple(sorted(s)))
     if cid == "Cp3":
         v = match.role("v")
@@ -446,7 +440,7 @@ def reduction_plan(g: Graph, match: ConfigMatch) -> ReductionPlan:
         if cls[u3] == _W.W5:
             s = {v, t1, t2, u1, u2, u3, *g.adj[u3]}
         elif cls[u3] == _W.W3:
-            s = {v, t1, t2, u1, u2, *two_neighbors(u3)[:2]}
+            s = {v, t1, t2, u1, u2, *_two_neighbors(g, u3)[:2]}
         else:
             s = {v, t1, t2, u1, u2, u3}
         return ReductionPlan(tuple(sorted(s)))

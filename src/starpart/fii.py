@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .graphs import Graph, balls2
-from .starcolor import Coloring, is_star_coloring
+from .starcolor import Coloring, backtrack, is_star_coloring
 from . import density
 
 F_LABEL = 0
@@ -224,7 +224,6 @@ class _Solver:
             self.t2h, self.h2t, self.j2 = lemma_forcing_patterns(g)
         else:
             self.t2h, self.h2t, self.j2 = {}, {}, ()
-        self.order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
         self.labels = [-1] * g.n
         self.parent = list(range(g.n))
         self.size = [1] * g.n
@@ -274,16 +273,12 @@ class _Solver:
         return True
 
     def _assign_prop(self, v: int, lab: int) -> bool:
-        queue: deque = deque([(v, lab)])
-        first = True
-        while queue:
-            x, lx = queue.popleft()
-            if not first:
-                self.forced += 1
-            first = False
-            if not self._assign(x, lx, queue):
-                return False
-        return True
+        queue: deque = deque()
+        ok = self._assign(v, lab, queue)
+        while ok and queue:
+            self.forced += 1
+            ok = self._assign(*queue.popleft(), queue)
+        return ok
 
     def _undo_to(self, mark: int) -> None:
         trail = self.trail
@@ -304,22 +299,20 @@ class _Solver:
                 and time.monotonic() > self.deadline:
             raise _Timeout
 
-    def _search(self, pos: int) -> bool:
-        labels = self.labels
-        order = self.order
-        n = self.g.n
-        while pos < n and labels[order[pos]] != -1:
-            pos += 1
-        if pos == n:
-            return True
-        v = order[pos]
-        for lab in range(self.k + 1):
-            self._tick()
-            mark = len(self.trail)
-            if self._assign_prop(v, lab) and self._search(pos + 1):
-                return True
-            self._undo_to(mark)
-        return False
+    def _labelings(self, order: list[int]) -> Iterator[None]:
+        """Label ``order``'s unlabeled vertices; yield at each complete labeling."""
+        order = [v for v in order if self.labels[v] == -1]
+        marks = [0] * len(order)
+
+        def place(slot: int, lab: int) -> bool:
+            v = order[slot]
+            marks[slot] = len(self.trail)
+            if self.labels[v] == -1:  # a label forced earlier is no branch
+                self._tick()
+            return self._assign_prop(v, lab)
+
+        return backtrack(len(order), self.k + 1, place,
+                         lambda slot: self._undo_to(marks[slot]))
 
     def solve(self, fixed: dict[int, int] | None = None,
               timeout_s: float | None = None,
@@ -327,20 +320,12 @@ class _Solver:
         if timeout_s is not None:
             self.deadline = time.monotonic() + timeout_s
         self.node_limit = node_limit
+        pins = sorted((fixed or {}).items()) + [(v, F_LABEL) for v in self.j2]
         try:
-            ok = True
-            if fixed:
-                for v, lab in sorted(fixed.items()):
-                    if not self._assign_prop(v, lab):
-                        ok = False
-                        break
-            if ok:
-                for v in self.j2:
-                    if not self._assign_prop(v, F_LABEL):
-                        ok = False
-                        break
-            if ok:
-                ok = self._search(0)
+            # components share no constraint: one that is exhausted proves infeasibility
+            ok = all(self._assign_prop(v, lab) for v, lab in pins) and all(
+                any(True for _ in self._labelings(order))
+                for order in _branch_orders(self.g))
         except _Timeout:
             return FiiResult("unknown", None, self.nodes, self.forced, False)
         if ok:
@@ -351,13 +336,32 @@ class _Solver:
         return FiiResult("infeasible", None, self.nodes, self.forced, True)
 
 
+def _branch_orders(g: Graph) -> list[list[int]]:
+    """One branch order per connected component: BFS from its highest-degree
+    vertex, ties broken by id, neighbors visited in id order."""
+    seen = [False] * g.n
+    orders = []
+    for comp in g.components():
+        root = max(comp, key=g.degree)  # comp is sorted: the first maximum
+        seen[root] = True
+        order = [root]
+        for v in order:  # grows while it is walked: a BFS queue
+            for w in g.adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    order.append(w)
+        orders.append(order)
+    return orders
+
+
 def find_fii(g: Graph, k: int = 2, forcing: bool = True,
              fixed: dict[int, int] | None = None,
              timeout_s: float | None = None,
              node_limit: int | None = None) -> FiiResult:
     """Find an FI_k-partition or prove none exists by exhaustion.
 
-    Branch order: vertices by (degree descending, id); labels F, I1, ..., Ik.
+    Branch order: each connected component on its own, in BFS order from its
+    highest-degree vertex (ties by id); labels F, I1, ..., Ik.
     ``fixed`` pins labels before the search (used by the lemma-extension
     machinery).  Infeasibility is only reported after full exhaustion;
     hitting ``timeout_s`` or ``node_limit`` yields status "unknown".
@@ -371,25 +375,13 @@ def find_fii(g: Graph, k: int = 2, forcing: bool = True,
 def enumerate_fii(g: Graph, k: int = 2) -> Iterator[FiiPartition]:
     """Yield every FI_k-partition (no forcing, plain backtracking).
 
-    Deterministic order; intended for oracle duty on small graphs.
+    Deterministic order (the branch orders of ``find_fii``, concatenated);
+    intended for oracle duty on small graphs.
     """
     solver = _Solver(g, k, forcing=False)
-    labels = solver.labels
-    order = solver.order
-    n = g.n
-
-    def rec(pos: int) -> Iterator[FiiPartition]:
-        if pos == n:
-            yield FiiPartition(tuple(labels), k)
-            return
-        v = order[pos]
-        for lab in range(k + 1):
-            mark = len(solver.trail)
-            if solver._assign_prop(v, lab):
-                yield from rec(pos + 1)
-            solver._undo_to(mark)
-
-    yield from rec(0)
+    order = [v for comp in _branch_orders(g) for v in comp]
+    for _ in solver._labelings(order):
+        yield FiiPartition(tuple(solver.labels), k)
 
 
 def count_fii_bruteforce(g: Graph, k: int = 2) -> int:

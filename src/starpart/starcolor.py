@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 from .graphs import Graph
 
@@ -111,6 +112,33 @@ def degeneracy_order(g: Graph) -> list[int]:
     return deletion
 
 
+def backtrack(size: int, width: int, place: Callable[[int, int], bool],
+              undo: Callable[[int], None]) -> Iterator[None]:
+    """Depth-first search over slots 0..size-1 on an explicit stack.
+
+    ``place(slot, c)`` tries choice ``c`` (0..width-1, ascending) at ``slot``
+    and says whether the partial assignment still holds; ``undo(slot)``
+    retracts the latest ``place`` at that slot, whether it held or not.
+    Yields at every complete assignment, left in place until resumed.
+    """
+    choices = [0]  # one frame per open slot: the next choice to try there
+    while choices:
+        slot = len(choices) - 1
+        c = choices[slot]
+        if slot == size or c == width:
+            if slot == size:
+                yield
+            choices.pop()
+            if choices:
+                undo(slot - 1)
+        else:
+            choices[slot] = c + 1
+            if place(slot, c):
+                choices.append(0)
+            else:
+                undo(slot)
+
+
 def _search_star_k(g: Graph, k: int, order: list[int]) -> list[int] | None:
     """Backtracking search for a star k-coloring along ``order``.
 
@@ -118,26 +146,23 @@ def _search_star_k(g: Graph, k: int, order: list[int]) -> list[int] | None:
     up to 1 + (max color used so far); the first admissible color is tried
     first, making the output deterministic.
     """
-    n = g.n
-    colors = [-1] * n
+    colors = [-1] * g.n
+    used = [0] * (g.n + 1)  # used[i]: number of colors on order[:i]
 
-    def rec(pos: int, used: int) -> bool:
-        if pos == n:
-            return True
-        v = order[pos]
-        limit = min(k, used + 1)
-        forbidden = {colors[u] for u in g.adj[v] if colors[u] >= 0}
-        for c in range(limit):
-            if c in forbidden:
-                continue
-            colors[v] = c
-            if not _p4_violation_at(g, colors, v):
-                if rec(pos + 1, max(used, c + 1)):
-                    return True
-            colors[v] = -1
-        return False
+    def place(slot: int, c: int) -> bool:
+        v = order[slot]
+        if c > used[slot] or any(colors[u] == c for u in g.adj[v]):
+            return False
+        colors[v] = c
+        used[slot + 1] = max(used[slot], c + 1)
+        return not _p4_violation_at(g, colors, v)
 
-    return list(colors) if rec(0, 0) else None
+    def undo(slot: int) -> None:
+        colors[order[slot]] = -1
+
+    for _ in backtrack(g.n, k, place, undo):
+        return colors
+    return None
 
 
 def star_chromatic_number(g: Graph, limit: int | None = None,
@@ -191,20 +216,9 @@ def greedy_star_coloring(g: Graph, order: list[int] | None = None) -> Coloring:
         order = degeneracy_order(g)
     if sorted(order) != list(range(g.n)):
         raise ValueError("order must be a permutation of the vertices")
-    colors = [-1] * g.n
-    highest = -1
-    for v in order:
-        forbidden = {colors[u] for u in g.adj[v] if colors[u] >= 0}
-        c = 0
-        while True:
-            if c not in forbidden:
-                colors[v] = c
-                if not _p4_violation_at(g, colors, v):
-                    break
-                colors[v] = -1
-            c += 1
-        highest = max(highest, c)
-    coloring = Coloring(tuple(colors), highest + 1 if g.n else 1)
+    # a fresh color always fits, so with n colors first-fit never backtracks
+    colors = _search_star_k(g, max(g.n, 1), order)
+    coloring = Coloring(tuple(colors), max(colors, default=0) + 1)
     ok, witness = is_star_coloring(g, coloring)
     assert ok, f"greedy produced an invalid coloring: {witness}"
     return coloring

@@ -43,11 +43,12 @@ def test_fii_find_infeasible_exit_1(capsys, g5_file):
 
 
 def test_star5_on_cycle(capsys, tmp_path):
-    path = tmp_path / "c7.g6"
-    path.write_text(to_graph6(gen_cycle(7)))
-    code, doc = run_json(capsys, "star5", str(path))
-    assert code == 0
-    assert doc["verified"] and len(doc["coloring"]) == 7
+    for n in (7, 2000):  # 2000 is deeper than the default recursion limit
+        path = tmp_path / f"c{n}.g6"
+        path.write_text(to_graph6(gen_cycle(n)))
+        code, doc = run_json(capsys, "star5", str(path))
+        assert code == 0
+        assert doc["verified"] and len(doc["coloring"]) == n
 
 
 def test_rho_star_seed(capsys, g5_file):

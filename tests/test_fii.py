@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from starpart.graphs import Graph, balls2
-from starpart.generators import (gen_cycle, gen_complete, gen_g5n,
+from starpart.generators import (gen_corpus, gen_cycle, gen_complete, gen_g5n,
                                  gen_mad_bounded, gen_path, gen_star,
                                  gen_tree_random)
 from starpart.fii import (FiiPartition, boundary_search, count_fii_bruteforce,
@@ -17,6 +17,14 @@ from starpart.starcolor import is_star_coloring
 def random_graph(rng, n, p):
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                      if rng.random() < p])
+
+
+def disjoint_union(graphs):
+    edges, off = [], 0
+    for g in graphs:
+        edges += [(u + off, v + off) for u, v in g.edges()]
+        off += g.n
+    return Graph(off, edges)
 
 
 # -- verification ---------------------------------------------------------------
@@ -138,10 +146,30 @@ def test_k0_is_forest_test():
 
 
 def test_g5n_infeasible_with_exhaustion():
-    for n in (1, 2):
+    for n in (1, 2, 50, 200):
         res = find_fii(gen_g5n(n), 2)
         assert res.status == "infeasible"
         assert res.exhausted
+        assert res.nodes == 0  # the forced-F pins already conflict
+
+
+def test_long_cycle_needs_no_recursion():
+    g = gen_cycle(5000)
+    res = find_fii(g, 2)
+    assert res.feasible
+    ok, _ = verify_fii(g, res.partition)
+    assert ok
+
+
+def test_components_searched_separately():
+    # each component is easy on its own; their union must stay easy
+    corpus = disjoint_union(g for _, g in gen_corpus(10, 14, Fraction(8, 3), 20240601))
+    res = find_fii(corpus, 2, node_limit=10_000)
+    assert res.feasible
+    # the K5 component alone has no partition; the stars must not be re-searched
+    res = find_fii(disjoint_union([gen_star(5)] * 6 + [gen_complete(5)]), 2)
+    assert res.status == "infeasible" and res.exhausted
+    assert res.nodes < 1000
 
 
 def test_fixed_labels_respected():

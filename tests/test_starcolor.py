@@ -99,6 +99,7 @@ def test_chi_s_forests():
     assert star_chromatic_number(gen_star(4))[0] == 2
     assert star_chromatic_number(gen_path(2))[0] == 2
     assert star_chromatic_number(Graph(1, []))[0] == 1
+    assert star_chromatic_number(gen_path(1500), force=True)[0] == 3
 
 
 def test_chi_s_limit_and_errors():
@@ -161,3 +162,13 @@ def test_greedy_examples():
     assert ok
     with pytest.raises(ValueError):
         greedy_star_coloring(gen_path(3), [0, 0, 1])
+
+
+def test_greedy_output_pinned():
+    col = greedy_star_coloring(gen_g5n(3))
+    assert col.colors == (
+        3, 1, 0, 2, 3, 2, 1, 0, 2, 3, 2, 1, 0, 2, 0, 3, 2, 3, 2, 3, 1, 3, 1, 1, 0, 1,
+        0, 3, 2, 3, 2, 3, 1, 3, 1, 1, 0, 1, 0, 3, 2, 3, 2, 3, 1, 3, 1, 1, 0, 1, 0)
+    assert col.palette_size == 4
+    col = greedy_star_coloring(gen_cycle(7))
+    assert col.colors == (2, 1, 0, 2, 0, 1, 0) and col.palette_size == 3
