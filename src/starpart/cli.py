@@ -15,8 +15,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import configs, density, discharging, fii, generators, starcolor
-from .graphs import (Graph, GraphError, parse_graph, serialize_graph, girth,
-                     classify_vertices, find_pendent_triangles, INFINITY)
+from .graphs import (FORMATS, Graph, GraphError, parse_graph, serialize_graph,
+                     girth, classify_vertices, find_pendent_triangles, INFINITY)
 
 SCHEMA = 1
 
@@ -48,6 +48,26 @@ def _load_graph(args) -> Graph:
         raise _CliError(f"bad graph input: {exc}") from exc
 
 
+def _load_list(path: str, what: str, key: str, n: int,
+               types: tuple[type, ...]) -> tuple[list, dict]:
+    """The per-vertex list of a JSON ``what`` file, given either bare or
+    under ``key`` of an object, and that object.  Any other shape, length
+    or item type is a usage error."""
+    doc = json.loads(_read_text(path))
+    obj = doc if isinstance(doc, dict) else {key: doc}
+    items = obj.get(key)
+    if not isinstance(items, list):
+        raise _CliError(f"{what} must be a JSON list or an object with a "
+                        f"{key!r} list")
+    if len(items) != n:
+        raise _CliError(f"{what} covers {len(items)} vertices, graph has {n}")
+    for x in items:
+        if isinstance(x, bool) or not isinstance(x, types):
+            raise _CliError(f"{what} entry {x!r} is not "
+                            + " or ".join(t.__name__ for t in types))
+    return items, obj
+
+
 def _frac(x: Fraction) -> int | str:
     x = Fraction(x)
     return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
@@ -61,15 +81,31 @@ def _emit(args, payload: dict, human: str) -> None:
         sys.stdout.write(human + "\n")
 
 
+def _emit_graph(args, g: Graph) -> int:
+    """Write ``g`` to ``--out`` where the subcommand has it, else print it:
+    as ``{"graph", "n", "m"}`` under ``--json``, as plain text otherwise."""
+    text = serialize_graph(g, args.out_format)
+    text += "" if text.endswith("\n") else "\n"
+    out = getattr(args, "out", None)
+    if out:
+        Path(out).write_text(text)
+        _emit(args, {"written": out, "n": g.n, "m": g.edge_count},
+              f"wrote {out} ({g.n} vertices, {g.edge_count} edges)")
+    elif args.json:
+        _emit(args, {"graph": text.strip(), "n": g.n, "m": g.edge_count}, "")
+    else:
+        sys.stdout.write(text)
+    return EXIT_OK
+
+
 def _timeout_s(args) -> float | None:
     ms = getattr(args, "timeout_ms", None)
     return ms / 1000.0 if ms else None
 
 
-# -- subcommand handlers ----------------------------------------------------
+# -- subcommand handlers: (args, input graph or None) -> exit code -------------
 
-def _cmd_mad(args) -> int:
-    g = _load_graph(args)
+def _cmd_mad(args, g: Graph) -> int:
     d = density.mad(g)
     ok83, violation = density.mad_le_8_3(g)
     payload = {"value": _frac(d.value), "witness": list(d.witness),
@@ -80,8 +116,7 @@ def _cmd_mad(args) -> int:
     return EXIT_OK
 
 
-def _cmd_rho_star(args) -> int:
-    g = _load_graph(args)
+def _cmd_rho_star(args, g: Graph) -> int:
     seed = _parse_vertices(args.seed, g.n)
     res = density.rho_star(g, seed)
     payload = {"value": res.value, "witness": list(res.minimizer),
@@ -103,16 +138,14 @@ def _parse_vertices(spec: str | None, n: int) -> list[int]:
     return vs
 
 
-def _cmd_girth(args) -> int:
-    g = _load_graph(args)
+def _cmd_girth(args, g: Graph) -> int:
     val = girth(g)
     out = "infinity" if val == INFINITY else int(val)
     _emit(args, {"girth": out}, f"girth = {out}")
     return EXIT_OK
 
 
-def _cmd_classify(args) -> int:
-    g = _load_graph(args)
+def _cmd_classify(args, g: Graph) -> int:
     cls = classify_vertices(g)
     tris = find_pendent_triangles(g)
     payload = {"classes": [c.value for c in cls],
@@ -124,19 +157,12 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _load_coloring(path: str, n: int) -> starcolor.Coloring:
-    doc = json.loads(_read_text(path))
-    colors = doc["colors"] if isinstance(doc, dict) else doc
-    if len(colors) != n:
-        raise _CliError(f"coloring covers {len(colors)} vertices, graph has {n}")
-    palette = (doc.get("palette_size") if isinstance(doc, dict) else None) \
-        or (max(colors) + 1 if colors else 1)
-    return starcolor.Coloring(tuple(colors), palette)
-
-
-def _cmd_star_verify(args) -> int:
-    g = _load_graph(args)
-    coloring = _load_coloring(args.coloring, g.n)
+def _cmd_star_verify(args, g: Graph) -> int:
+    colors, doc = _load_list(args.coloring, "coloring", "colors", g.n, (int,))
+    palette = doc.get("palette_size") or max(colors, default=0) + 1
+    if isinstance(palette, bool) or not isinstance(palette, int):
+        raise _CliError(f"palette_size {palette!r} is not int")
+    coloring = starcolor.Coloring(tuple(colors), palette)
     ok, witness = starcolor.is_star_coloring(g, coloring)
     payload = {"valid": ok,
                "violation": {"kind": witness[0], "vertices": list(witness[1])}
@@ -146,8 +172,7 @@ def _cmd_star_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VIOLATED
 
 
-def _cmd_star_color(args) -> int:
-    g = _load_graph(args)
+def _cmd_star_color(args, g: Graph) -> int:
     try:
         res = starcolor.star_chromatic_number(g, args.limit, force=args.force)
     except ValueError as exc:
@@ -162,18 +187,7 @@ def _cmd_star_color(args) -> int:
     return EXIT_OK
 
 
-def _load_partition(path: str, n: int, k: int) -> fii.FiiPartition:
-    doc = json.loads(_read_text(path))
-    labels = doc["labels"] if isinstance(doc, dict) else doc
-    if len(labels) != n:
-        raise _CliError(f"partition covers {len(labels)} vertices, graph has {n}")
-    parsed = [fii.parse_label(l, k) if isinstance(l, str) else int(l)
-              for l in labels]
-    return fii.FiiPartition(tuple(parsed), k)
-
-
-def _cmd_fii_find(args) -> int:
-    g = _load_graph(args)
+def _cmd_fii_find(args, g: Graph) -> int:
     res = fii.find_fii(g, args.k, forcing=not args.no_forcing,
                        timeout_s=_timeout_s(args))
     payload = {"status": res.status, "k": args.k, "nodes": res.nodes,
@@ -185,9 +199,10 @@ def _cmd_fii_find(args) -> int:
     return EXIT_TIMEOUT if res.status == "unknown" else EXIT_VIOLATED
 
 
-def _cmd_fii_verify(args) -> int:
-    g = _load_graph(args)
-    part = _load_partition(args.partition, g.n, args.k)
+def _cmd_fii_verify(args, g: Graph) -> int:
+    labels, _ = _load_list(args.partition, "partition", "labels", g.n, (int, str))
+    part = fii.FiiPartition(tuple(fii.parse_label(l, args.k) if isinstance(l, str)
+                                  else l for l in labels), args.k)
     ok, witness = fii.verify_fii(g, part)
     payload = {"valid": ok,
                "violation": {"kind": witness[0], "detail": list(witness[1])}
@@ -197,8 +212,7 @@ def _cmd_fii_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VIOLATED
 
 
-def _cmd_star5(args) -> int:
-    g = _load_graph(args)
+def _cmd_star5(args, g: Graph) -> int:
     res = fii.find_fii(g, 2, timeout_s=_timeout_s(args))
     if res.status == "unknown":
         _emit(args, {"status": "unknown"}, "unknown (timeout)")
@@ -216,7 +230,7 @@ def _cmd_star5(args) -> int:
     return EXIT_OK
 
 
-def _cmd_boundary(args) -> int:
+def _cmd_boundary(args, _) -> int:
     try:
         paths = sorted(Path(args.corpus).iterdir())
     except OSError as exc:
@@ -244,8 +258,7 @@ def _cmd_boundary(args) -> int:
     return EXIT_TIMEOUT if report.unknown_count else EXIT_OK
 
 
-def _cmd_config_scan(args) -> int:
-    g = _load_graph(args)
+def _cmd_config_scan(args, g: Graph) -> int:
     ids = tuple(args.ids.split(",")) if args.ids else None
     try:
         matches = configs.scan_configs(g, ids)
@@ -262,8 +275,7 @@ def _cmd_config_scan(args) -> int:
     return EXIT_OK
 
 
-def _cmd_lemma_check(args) -> int:
-    g = _load_graph(args)
+def _cmd_lemma_check(args, g: Graph) -> int:
     matches = configs.scan_configs(g, (args.config,))
     if not matches:
         raise _CliError(f"no {args.config} match in input", EXIT_VIOLATED)
@@ -295,24 +307,16 @@ def _cmd_lemma_check(args) -> int:
     return EXIT_OK if report.passed else EXIT_VIOLATED
 
 
-def _cmd_attach(args) -> int:
-    g = _load_graph(args)
+def _cmd_attach(args, g: Graph) -> int:
     try:
         gadget = configs.gadget_by_name(args.gadget)
         result = configs.attach_gadget(g, args.at, gadget)
     except (ValueError, GraphError) as exc:
         raise _CliError(str(exc)) from exc
-    out = serialize_graph(result, args.out_format)
-    if args.json:
-        _emit(args, {"graph": out.strip(), "n": result.n,
-                     "m": result.edge_count}, out)
-    else:
-        sys.stdout.write(out if out.endswith("\n") else out + "\n")
-    return EXIT_OK
+    return _emit_graph(args, result)
 
 
-def _cmd_discharge(args) -> int:
-    g = _load_graph(args)
+def _cmd_discharge(args, g: Graph) -> int:
     table = discharging.run_discharging(g)
     payload = {
         "initial": [_frac(x) for x in table.initial],
@@ -328,8 +332,7 @@ def _cmd_discharge(args) -> int:
     return EXIT_OK
 
 
-def _cmd_discharge_audit(args) -> int:
-    g = _load_graph(args)
+def _cmd_discharge_audit(args, g: Graph) -> int:
     report = discharging.audit_final_charges(g)
     payload = {"deficits": [
         {"vertex": d.vertex, "final": _frac(d.final),
@@ -343,65 +346,108 @@ def _cmd_discharge_audit(args) -> int:
     return EXIT_OK if report.clean else EXIT_VIOLATED
 
 
-def _cmd_terminal_partition(args) -> int:
-    g = _load_graph(args)
+def _cmd_terminal_partition(args, g: Graph) -> int:
     res = discharging.build_terminal_partition(g)
     if not res.applicable:
         _emit(args, {"applicable": False, "reason": res.reason},
               f"inapplicable: {res.reason}")
         return EXIT_VIOLATED
-    sets = res.sets or discharging.TerminalSets()
     payload = {"applicable": True,
                "degenerate": list(res.degenerate),
                "partition": res.partition.names(),
-               "sets": {name: list(getattr(sets, name))
-                        for name in ("X", "Y_alpha", "Y_beta", "W_X", "W_alpha",
-                                     "W_beta", "T_X", "T_alpha", "T_beta",
-                                     "Z", "F0")}}
+               "sets": {name: list(vs) for name, vs in vars(res.sets).items()}}
     _emit(args, payload, f"FII-partition {res.partition.names()}")
     return EXIT_OK
 
 
-def _cmd_gen(args) -> int:
-    if args.family == "g5n":
-        g = generators.gen_g5n(args.n)
-        text = serialize_graph(g, args.out_format)
-        if args.out:
-            Path(args.out).write_text(text + ("" if text.endswith("\n") else "\n"))
-            _emit(args, {"written": args.out, "n": g.n, "m": g.edge_count},
-                  f"wrote {args.out} ({g.n} vertices, {g.edge_count} edges)")
-        elif args.json:
-            _emit(args, {"graph": text.strip(), "n": g.n, "m": g.edge_count}, "")
-        else:
-            sys.stdout.write(text if text.endswith("\n") else text + "\n")
-        return EXIT_OK
-    if args.family == "corpus":
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        names = []
-        for name, g in generators.gen_corpus(args.count, args.n_max,
-                                             Fraction(args.bound), args.seed):
-            path = outdir / f"{name}.g6"
-            path.write_text(serialize_graph(g, "graph6") + "\n")
-            names.append(path.name)
-        _emit(args, {"written": names, "dir": str(outdir)},
-              f"wrote {len(names)} graphs to {outdir}")
-        return EXIT_OK
-    if args.family in ("cycle", "path"):
-        g = generators.gen_cycle(args.n) if args.family == "cycle" \
-            else generators.gen_path(args.n)
-        text = serialize_graph(g, args.out_format)
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-        return EXIT_OK
-    raise _CliError(f"unknown family {args.family!r}")
+def _cmd_gen_corpus(args, _) -> int:
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    names = []
+    for name, g in generators.gen_corpus(args.count, args.n_max,
+                                         Fraction(args.bound), args.seed):
+        path = outdir / f"{name}.g6"
+        path.write_text(serialize_graph(g, "graph6") + "\n")
+        names.append(path.name)
+    _emit(args, {"written": names, "dir": str(outdir)},
+          f"wrote {len(names)} graphs to {outdir}")
+    return EXIT_OK
 
 
 # -- parser -----------------------------------------------------------------
 
-def _add_graph_arg(sub, **kwargs):
-    sub.add_argument("file", help="input graph file, or - for stdin", **kwargs)
-    sub.add_argument("--format", default="auto",
-                     choices=("auto", "graph6", "edgelist", "dimacs"))
+_FORMAT = ("--format", {"default": "auto", "choices": ("auto",) + FORMATS})
+_OUT_FORMAT = ("--out-format", {"default": "graph6", "choices": FORMATS})
+_K = ("-k", {"type": int, "default": 2})
+_N = ("-n", {"type": int, "required": True})
+
+#: (name, help, handler, reads a graph file, options); a graph file adds the
+#: positional ``file`` and ``--format`` ahead of the options
+COMMANDS = (
+    ("mad", "exact maximum average degree", _cmd_mad, True, []),
+    ("rho-star", "constrained potential minimum", _cmd_rho_star, True,
+     [("--seed", {"default": "", "help": "comma-separated seed vertices"})]),
+    ("girth", "shortest cycle length", _cmd_girth, True, []),
+    ("classify", "vertex taxonomy", _cmd_classify, True, []),
+    ("star-verify", "check a star coloring", _cmd_star_verify, True,
+     [("--coloring", {"required": True, "help": "JSON coloring file"})]),
+    ("star-color", "exact star chromatic number", _cmd_star_color, True,
+     [("--limit", {"type": int}),
+      ("--force", {"action": "store_true",
+                   "help": "allow exact search beyond the size cap"})]),
+    ("fii-find", "find an FI_k-partition or prove none", _cmd_fii_find, True,
+     [_K, ("--no-forcing", {"action": "store_true"})]),
+    ("fii-verify", "check an FI_k-partition", _cmd_fii_verify, True,
+     [("--partition", {"required": True, "help": "JSON partition file"}), _K]),
+    ("star5", "find partition, convert, verify", _cmd_star5, True, []),
+    ("boundary", "feasibility sweep over a corpus", _cmd_boundary, False,
+     [("-k", {"type": int, "required": True}),
+      ("--corpus", {"required": True, "help": "directory of graph files"}),
+      _FORMAT]),
+    ("config-scan", "scan reducible configurations", _cmd_config_scan, True,
+     [("--ids", {"help": "comma-separated (e.g. C5,Cp1)"})]),
+    ("lemma-check", "instance-level extension check", _cmd_lemma_check, True,
+     [("--config", {"required": True}),
+      ("--match", {"help": "JSON role map selecting one match"}),
+      ("--match-index", {"type": int, "default": 0})]),
+    ("attach", "graft a gadget, print the new graph", _cmd_attach, True,
+     [("--at", {"type": int, "required": True}),
+      ("--gadget", {"required": True,
+                    "help": "triangle | J1 | J2 | edge:V | path2:V"}),
+      _OUT_FORMAT]),
+    ("discharge", "run the charge rules", _cmd_discharge, True, []),
+    ("discharge-audit", "final-charge deficit audit", _cmd_discharge_audit,
+     True, []),
+    ("terminal-partition", "end-state construction", _cmd_terminal_partition,
+     True, []),
+    ("gen", "graph family generators", None, False, []),
+)
+
+#: ``gen`` families: (name, handler, options); the generators are looked up
+#: at call time, so that wrappers installed on the module are seen
+GEN_FAMILIES = (
+    ("g5n", lambda args, _: _emit_graph(args, generators.gen_g5n(args.n)),
+     [_N, ("--out", {}), _OUT_FORMAT]),
+    ("corpus", _cmd_gen_corpus,
+     [("--count", {"type": int, "required": True}),
+      ("--n-max", {"type": int, "default": 14}),
+      ("--bound", {"default": "8/3"}),
+      ("--seed", {"type": int, "default": 0}),
+      ("--out", {"required": True})]),
+    ("cycle", lambda args, _: _emit_graph(args, generators.gen_cycle(args.n)),
+     [_N, _OUT_FORMAT]),
+    ("path", lambda args, _: _emit_graph(args, generators.gen_path(args.n)),
+     [_N, _OUT_FORMAT]),
+)
+
+
+def _add_options(parser, handler, reads_graph: bool, options) -> None:
+    if reads_graph:
+        parser.add_argument("file", help="input graph file, or - for stdin")
+        parser.add_argument(_FORMAT[0], **_FORMAT[1])
+    for flag, kwargs in options:
+        parser.add_argument(flag, **kwargs)
+    parser.set_defaults(fn=handler)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -413,114 +459,12 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--timeout-ms", type=int, default=None,
                     help="search budget; expiry exits 3 with status unknown")
     sp = ap.add_subparsers(dest="command", required=True)
-
-    s = sp.add_parser("mad", help="exact maximum average degree")
-    _add_graph_arg(s)
-    s.set_defaults(fn=_cmd_mad)
-
-    s = sp.add_parser("rho-star", help="constrained potential minimum")
-    _add_graph_arg(s)
-    s.add_argument("--seed", default="", help="comma-separated seed vertices")
-    s.set_defaults(fn=_cmd_rho_star)
-
-    s = sp.add_parser("girth", help="shortest cycle length")
-    _add_graph_arg(s)
-    s.set_defaults(fn=_cmd_girth)
-
-    s = sp.add_parser("classify", help="vertex taxonomy")
-    _add_graph_arg(s)
-    s.set_defaults(fn=_cmd_classify)
-
-    s = sp.add_parser("star-verify", help="check a star coloring")
-    _add_graph_arg(s)
-    s.add_argument("--coloring", required=True, help="JSON coloring file")
-    s.set_defaults(fn=_cmd_star_verify)
-
-    s = sp.add_parser("star-color", help="exact star chromatic number")
-    _add_graph_arg(s)
-    s.add_argument("--limit", type=int, default=None)
-    s.add_argument("--force", action="store_true",
-                   help="allow exact search beyond the size cap")
-    s.set_defaults(fn=_cmd_star_color)
-
-    s = sp.add_parser("fii-find", help="find an FI_k-partition or prove none")
-    _add_graph_arg(s)
-    s.add_argument("-k", type=int, default=2)
-    s.add_argument("--no-forcing", action="store_true")
-    s.set_defaults(fn=_cmd_fii_find)
-
-    s = sp.add_parser("fii-verify", help="check an FI_k-partition")
-    _add_graph_arg(s)
-    s.add_argument("--partition", required=True, help="JSON partition file")
-    s.add_argument("-k", type=int, default=2)
-    s.set_defaults(fn=_cmd_fii_verify)
-
-    s = sp.add_parser("star5", help="find partition, convert, verify")
-    _add_graph_arg(s)
-    s.set_defaults(fn=_cmd_star5)
-
-    s = sp.add_parser("boundary", help="feasibility sweep over a corpus")
-    s.add_argument("-k", type=int, required=True)
-    s.add_argument("--corpus", required=True, help="directory of graph files")
-    s.add_argument("--format", default="auto",
-                   choices=("auto", "graph6", "edgelist", "dimacs"))
-    s.set_defaults(fn=_cmd_boundary)
-
-    s = sp.add_parser("config-scan", help="scan reducible configurations")
-    _add_graph_arg(s)
-    s.add_argument("--ids", default=None, help="comma-separated (e.g. C5,Cp1)")
-    s.set_defaults(fn=_cmd_config_scan)
-
-    s = sp.add_parser("lemma-check", help="instance-level extension check")
-    _add_graph_arg(s)
-    s.add_argument("--config", required=True)
-    s.add_argument("--match", default=None,
-                   help="JSON role map selecting one match")
-    s.add_argument("--match-index", type=int, default=0)
-    s.set_defaults(fn=_cmd_lemma_check)
-
-    s = sp.add_parser("attach", help="graft a gadget, print the new graph")
-    _add_graph_arg(s)
-    s.add_argument("--at", type=int, required=True)
-    s.add_argument("--gadget", required=True,
-                   help="triangle | J1 | J2 | edge:V | path2:V")
-    s.add_argument("--out-format", default="graph6",
-                   choices=("graph6", "edgelist", "dimacs"))
-    s.set_defaults(fn=_cmd_attach)
-
-    s = sp.add_parser("discharge", help="run the charge rules")
-    _add_graph_arg(s)
-    s.set_defaults(fn=_cmd_discharge)
-
-    s = sp.add_parser("discharge-audit", help="final-charge deficit audit")
-    _add_graph_arg(s)
-    s.set_defaults(fn=_cmd_discharge_audit)
-
-    s = sp.add_parser("terminal-partition", help="end-state construction")
-    _add_graph_arg(s)
-    s.set_defaults(fn=_cmd_terminal_partition)
-
-    s = sp.add_parser("gen", help="graph family generators")
-    gsub = s.add_subparsers(dest="family", required=True)
-    sg = gsub.add_parser("g5n")
-    sg.add_argument("-n", type=int, required=True)
-    sg.add_argument("--out", default=None)
-    sg.add_argument("--out-format", default="graph6",
-                    choices=("graph6", "edgelist", "dimacs"))
-    sg.set_defaults(fn=_cmd_gen)
-    sc = gsub.add_parser("corpus")
-    sc.add_argument("--count", type=int, required=True)
-    sc.add_argument("--n-max", type=int, default=14)
-    sc.add_argument("--bound", default="8/3")
-    sc.add_argument("--seed", type=int, default=0)
-    sc.add_argument("--out", required=True)
-    sc.set_defaults(fn=_cmd_gen)
-    for fam in ("cycle", "path"):
-        sx = gsub.add_parser(fam)
-        sx.add_argument("-n", type=int, required=True)
-        sx.add_argument("--out-format", default="graph6",
-                        choices=("graph6", "edgelist", "dimacs"))
-        sx.set_defaults(fn=_cmd_gen)
+    for name, help_text, handler, reads_graph, options in COMMANDS:
+        _add_options(sp.add_parser(name, help=help_text), handler,
+                     reads_graph, options)
+    gsub = sp.choices["gen"].add_subparsers(dest="family", required=True)
+    for name, handler, options in GEN_FAMILIES:
+        _add_options(gsub.add_parser(name), handler, False, options)
     return ap
 
 
@@ -528,7 +472,7 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(args, _load_graph(args) if "file" in args else None)
     except _CliError as exc:
         code, detail = exc.code, str(exc)
     except (GraphError, ValueError, KeyError, json.JSONDecodeError) as exc:

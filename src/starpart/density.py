@@ -122,30 +122,6 @@ def rho(g: Graph, a: Iterable[int]) -> int:
     return 4 * len(vs) - 3 * _subgraph_edges(g, vs)
 
 
-def _best_density_above(g: Graph, p: int, q: int) -> tuple[int, ...] | None:
-    """A vertex set S with q|E(S)| - p|S| maximal; None if the max is <= 0.
-
-    Project-selection min-cut: edges are profit-q items requiring their
-    endpoints at cost p each.
-    """
-    n, m = g.n, g.edge_count
-    if m == 0:
-        return None
-    net = _Dinic(n + m + 2)
-    s, t = n + m, n + m + 1
-    for i, (u, v) in enumerate(g.edges()):
-        net.add_edge(s, n + i, q)
-        net.add_edge(n + i, u, q * m + 1)
-        net.add_edge(n + i, v, q * m + 1)
-    for v in range(n):
-        net.add_edge(v, t, p)
-    cut = net.max_flow(s, t)
-    if q * m - cut <= 0:
-        return None
-    side = net.min_cut_source_side(s)
-    return tuple(sorted(v for v in range(n) if v in side))
-
-
 def mad(g: Graph) -> Density:
     """Exact maximum average degree via iterated max-flow (Dinkelbach).
 
@@ -161,9 +137,10 @@ def mad(g: Graph) -> Density:
     witness = tuple(range(g.n))
     dens = Fraction(g.edge_count, g.n)
     while True:
-        better = _best_density_above(g, dens.numerator, dens.denominator)
-        if better is None:
+        res = rho_star_weighted(g, (), dens.numerator, dens.denominator)
+        if res.value >= 0:
             break
+        better = res.minimizer
         cand = Fraction(_subgraph_edges(g, better), len(better))
         if cand <= dens:
             break
@@ -171,24 +148,28 @@ def mad(g: Graph) -> Density:
     return Density(2 * dens, witness)
 
 
-def mad_oracle(g: Graph) -> Density:
-    """Exhaustive maximum average degree over all nonempty subsets."""
-    if g.n < 1:
-        raise ValueError("mad requires at least one vertex")
+def _subset_edge_counts(g: Graph) -> list[int]:
+    """|E(G[S])| for every vertex subset S, indexed by bitmask (n <= 24)."""
     if g.n > _ORACLE_LIMIT:
         raise ValueError(f"oracle limited to {_ORACLE_LIMIT} vertices")
     nmask = [0] * g.n
     for u, v in g.edges():
         nmask[u] |= 1 << v
         nmask[v] |= 1 << u
-    size = 1 << g.n
-    ecount = [0] * size
-    best_e, best_k, best_mask = 0, 1, 1
-    for mask in range(1, size):
+    ecount = [0] * (1 << g.n)
+    for mask in range(1, len(ecount)):
         v = (mask & -mask).bit_length() - 1
         prev = mask & (mask - 1)
-        e = ecount[prev] + (nmask[v] & prev).bit_count()
-        ecount[mask] = e
+        ecount[mask] = ecount[prev] + (nmask[v] & prev).bit_count()
+    return ecount
+
+
+def mad_oracle(g: Graph) -> Density:
+    """Exhaustive maximum average degree over all nonempty subsets."""
+    if g.n < 1:
+        raise ValueError("mad requires at least one vertex")
+    best_e, best_k, best_mask = 0, 1, 1
+    for mask, e in enumerate(_subset_edge_counts(g)):
         k = mask.bit_count()
         if e * best_k > best_e * k:
             best_e, best_k, best_mask = e, k, mask
@@ -253,22 +234,8 @@ def rho_star_oracle(g: Graph, seed: Iterable[int] = ()) -> PotentialResult:
 
 def rho_all_subsets(g: Graph) -> list[int]:
     """rho for every subset, indexed by bitmask (oracle utility, n <= 24)."""
-    if g.n > _ORACLE_LIMIT:
-        raise ValueError(f"oracle limited to {_ORACLE_LIMIT} vertices")
-    nmask = [0] * g.n
-    for u, v in g.edges():
-        nmask[u] |= 1 << v
-        nmask[v] |= 1 << u
-    size = 1 << g.n
-    ecount = [0] * size
-    table = [0] * size
-    for mask in range(1, size):
-        v = (mask & -mask).bit_length() - 1
-        prev = mask & (mask - 1)
-        e = ecount[prev] + (nmask[v] & prev).bit_count()
-        ecount[mask] = e
-        table[mask] = 4 * mask.bit_count() - 3 * e
-    return table
+    return [4 * mask.bit_count() - 3 * e
+            for mask, e in enumerate(_subset_edge_counts(g))]
 
 
 def rho_star_table(g: Graph) -> list[int]:

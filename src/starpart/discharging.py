@@ -17,7 +17,7 @@ configurations found within distance two of it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .graphs import (Graph, VertexClass, classify_vertices,
@@ -126,6 +126,10 @@ def audit_final_charges(g: Graph) -> AuditReport:
     table = run_discharging(g)
     matches = scan_configs(g)
     tri_at = pendent_triangles_at(g)
+    configs_at: dict[int, set[str]] = {}
+    for m in matches:
+        for x in m.all_vertices():
+            configs_at.setdefault(x, set()).add(m.config_id)
     deficits: list[DeficitEntry] = []
     for v in range(g.n):
         if table.final[v] >= EIGHT_THIRDS:
@@ -134,8 +138,7 @@ def audit_final_charges(g: Graph) -> AuditReport:
         near.update(g.adj[v])
         for u in g.adj[v]:
             near.update(g.adj[u])
-        nearby = sorted({m.config_id for m in matches
-                        if any(x in near for x in m.all_vertices())})
+        nearby = sorted(set().union(*(configs_at.get(x, ()) for x in near)))
         special = None
         k = len(tri_at.get(v, ()))
         if _identified_triangles_center(g, v, k):
@@ -177,10 +180,9 @@ class _Inapplicable(Exception):
         self.reason = reason
 
 
-def _check_component(g: Graph, comp: list[int], cls) -> None:
+def _check_component(g: Graph, comp: list[int], cls, tri_at) -> None:
     """Raise _Inapplicable naming the first violated end-state property."""
     allowed = {_W.T2, _W.W2, _W.W3, _W.W5, _W.V4, _W.V5, _W.V6}
-    tri_at = pendent_triangles_at(g)
     for v in comp:
         if cls[v] not in allowed:
             raise _Inapplicable(
@@ -259,10 +261,9 @@ def _check_component(g: Graph, comp: list[int], cls) -> None:
                     f"W5-vertex {v} whose fifth neighbor is not in V4+")
 
 
-def _construct_component(g: Graph, comp: list[int], cls,
-                         labels: list[int], sets: TerminalSets) -> TerminalSets:
-    tri_at = pendent_triangles_at(g)
-    compset = set(comp)
+def _construct_component(g: Graph, comp: list[int], cls, tri_at,
+                         labels: list[int], sets: dict[str, list[int]]) -> None:
+    """Label one component and add its members to the named terminal sets."""
     w23 = sorted(v for v in comp if cls[v] in (_W.W2, _W.W3))
     w23set = set(w23)
     z = sorted(v for v in w23 if cls[v] == _W.W2
@@ -343,19 +344,11 @@ def _construct_component(g: Graph, comp: list[int], cls,
         labels[v] = 2
     assert all(labels[v] != -1 for v in comp)
 
-    return TerminalSets(
-        X=tuple(sorted(set(sets.X) | set(x_set))),
-        Y_alpha=tuple(sorted(set(sets.Y_alpha) | set(y_alpha))),
-        Y_beta=tuple(sorted(set(sets.Y_beta) | set(y_beta))),
-        W_X=tuple(sorted(set(sets.W_X) | set(w_x))),
-        W_alpha=tuple(sorted(set(sets.W_alpha) | set(w_alpha))),
-        W_beta=tuple(sorted(set(sets.W_beta) | set(w_beta))),
-        T_X=tuple(sorted(set(sets.T_X) | set(t_x))),
-        T_alpha=tuple(sorted(set(sets.T_alpha) | set(t_alpha))),
-        T_beta=tuple(sorted(set(sets.T_beta) | set(t_beta))),
-        Z=tuple(sorted(set(sets.Z) | zset)),
-        F0=tuple(sorted(set(sets.F0) | set(f0))),
-    )
+    for name, vs in (("X", x_set), ("Y_alpha", y_alpha), ("Y_beta", y_beta),
+                     ("W_X", w_x), ("W_alpha", w_alpha), ("W_beta", w_beta),
+                     ("T_X", t_x), ("T_alpha", t_alpha), ("T_beta", t_beta),
+                     ("Z", z), ("F0", f0)):
+        sets[name] += vs
 
 
 def build_terminal_partition(g: Graph) -> TerminalResult:
@@ -373,7 +366,7 @@ def build_terminal_partition(g: Graph) -> TerminalResult:
     cls = classify_vertices(g)
     tri_at = pendent_triangles_at(g)
     labels = [-1] * g.n
-    sets = TerminalSets()
+    sets: dict[str, list[int]] = {f.name: [] for f in fields(TerminalSets)}
     degenerate: list[str] = []
     for comp in g.components():
         sub, _ = g.induced(comp)
@@ -395,8 +388,8 @@ def build_terminal_partition(g: Graph) -> TerminalResult:
             degenerate.append("identified-triangles")
             continue
         try:
-            _check_component(g, comp, cls)
-            sets = _construct_component(g, comp, cls, labels, sets)
+            _check_component(g, comp, cls, tri_at)
+            _construct_component(g, comp, cls, tri_at, labels, sets)
         except _Inapplicable as exc:
             return TerminalResult(False, reason=exc.reason)
     partition = FiiPartition(tuple(labels), 2)
@@ -405,4 +398,6 @@ def build_terminal_partition(g: Graph) -> TerminalResult:
         return TerminalResult(False,
                               reason=f"assembled partition failed: {witness}")
     return TerminalResult(True, degenerate=tuple(sorted(set(degenerate))),
-                          sets=sets, partition=partition)
+                          sets=TerminalSets(**{name: tuple(sorted(set(vs)))
+                                               for name, vs in sets.items()}),
+                          partition=partition)

@@ -114,14 +114,16 @@ def verify_fii(g: Graph, p: FiiPartition) -> tuple[bool, Witness | None]:
             path.append(prev[path[-1]])
         return False, ("cycle", tuple(reversed(path)))
 
-    b2 = balls2(g)
+    # 2-independence from the adjacency lists alone, sharing no table with
+    # the solver: the smallest same-part vertex within distance two of v
     for j in range(1, p.k + 1):
-        members = [v for v in range(g.n) if labels[v] == j]
-        mset = set(members)
-        for v in members:
-            hit = sorted(mset & b2[v])
+        for v in range(g.n):
+            if labels[v] != j:
+                continue
+            hit = [w for u in g.adj[v] for w in (u, *g.adj[u])
+                   if w != v and labels[w] == j]
             if hit:
-                u = hit[0]
+                u = min(hit)
                 d = 1 if g.has_edge(u, v) else 2
                 return False, ("close_pair", (min(u, v), max(u, v), j, d))
     return True, None

@@ -102,6 +102,24 @@ def test_star_verify_violation_exit_1(capsys, tmp_path):
     assert doc["violation"]["kind"] == "path"
 
 
+def test_malformed_coloring_or_partition_exit_2(capsys, tmp_path):
+    gpath = tmp_path / "p4.g6"
+    from starpart.generators import gen_path
+    gpath.write_text(to_graph6(gen_path(4)))
+    cases = [("star-verify", "--coloring", {"colors": ["a", "b", "c", "d"]}),
+             ("star-verify", "--coloring", {"colors": 4}),
+             ("star-verify", "--coloring",
+              {"colors": [0, 1, 2, 0], "palette_size": "5"}),
+             ("fii-verify", "--partition", {"labels": ["F", None, "F", "F"]}),
+             ("fii-verify", "--partition", [0, 1.5, 0, 0])]
+    for sub, flag, content in cases:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(content))
+        code, doc = run_json(capsys, sub, str(gpath), flag, str(path))
+        assert code == 2, content
+        assert doc["error"] == "usage"
+
+
 def test_star_color(capsys, tmp_path):
     path = tmp_path / "c5.g6"
     path.write_text(to_graph6(gen_cycle(5)))
@@ -126,6 +144,14 @@ def test_gen_roundtrip(capsys, tmp_path):
     assert code == 0
     g = parse_graph6(out.read_text())
     assert g.n == 34 and g.edge_count == 46
+
+
+def test_gen_json_one_document(capsys):
+    for family, n, m in (("cycle", 5, 5), ("path", 4, 3)):
+        code, doc = run_json(capsys, "gen", family, "-n", str(n))
+        assert code == 0
+        assert (doc["n"], doc["m"]) == (n, m)
+        assert parse_graph6(doc["graph"]).edge_count == m
 
 
 def test_config_scan_and_lemma_check(capsys, tmp_path):

@@ -175,6 +175,26 @@ def test_terminal_partition_y_split():
     assert res.sets.Y_alpha == (0,) and res.sets.Y_beta == (1,)
 
 
+def test_terminal_partition_two_components():
+    x, y = _x_machine_instance(), _y_split_instance()
+    g = Graph(x.n + y.n, list(x.edges())
+              + [(u + x.n, v + x.n) for u, v in y.edges()])
+    res = build_terminal_partition(g)
+    assert res.applicable and not res.degenerate
+    ok, _ = verify_fii(g, res.partition)
+    assert ok
+    assert vars(res.sets) == {
+        "X": (6, 7, 52, 53), "Y_alpha": (0, 36), "Y_beta": (37,),
+        "W_X": (12, 13, 14, 15, 58, 59, 60, 61), "W_alpha": (), "W_beta": (),
+        "T_X": (9, 11, 16, 17, 18, 19, 21, 23, 25, 27, 29, 31, 33, 35, 55, 57,
+                63, 65, 67, 69, 71, 73, 75, 77),
+        "T_alpha": (8, 10, 20, 24, 28, 32, 54, 56, 62, 66, 70, 74),
+        "T_beta": (22, 26, 30, 34, 64, 68, 72, 76),
+        "Z": (38,),
+        "F0": (1, 2, 3, 4, 5, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50,
+               51)}
+
+
 def test_terminal_partition_forest_degenerate():
     res = build_terminal_partition(gen_tree_random(9, 3))
     assert res.applicable

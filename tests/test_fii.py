@@ -55,6 +55,16 @@ def test_close_pair_witness():
     assert witness == ("close_pair", (0, 2, 1, 2))
     ok, witness = verify_fii(p3, FiiPartition((1, 1, 0), 2))
     assert not ok and witness[1][3] == 1
+    # v = 0 has several close vertices at both distances: the witness is the
+    # smallest, in the first part with a conflict
+    g = Graph(6, [(0, 3), (0, 4), (3, 1), (4, 2), (0, 5)])
+    assert verify_fii(g, FiiPartition((1, 1, 1, 0, 0, 1), 2)) == \
+        (False, ("close_pair", (0, 1, 1, 2)))
+    assert verify_fii(g, FiiPartition((2, 0, 2, 2, 0, 1), 2)) == \
+        (False, ("close_pair", (0, 2, 2, 2)))
+    g = Graph(6, [(0, 1), (0, 4), (1, 5), (4, 2), (4, 3)])
+    assert verify_fii(g, FiiPartition((1, 1, 1, 1, 0, 0), 2)) == \
+        (False, ("close_pair", (0, 1, 1, 1)))
 
 
 def test_partial_labeling_rejected():
