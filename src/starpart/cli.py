@@ -3,7 +3,8 @@
 One subcommand per operation; with ``--json`` every run emits exactly one
 JSON document (schema version 1) on stdout, otherwise a short human
 summary.  Exit codes: 0 computed, 1 property violated / infeasible,
-2 usage or input error, 3 timeout ("unknown").
+2 usage or input error, 3 timeout ("unknown"), 4 internal error (a fault
+in starpart itself; the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -24,6 +25,10 @@ EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_USAGE = 2
 EXIT_TIMEOUT = 3
+EXIT_INTERNAL = 4
+
+_ERROR_KINDS = {EXIT_VIOLATED: "violated", EXIT_USAGE: "usage",
+                EXIT_INTERNAL: "internal"}
 
 
 class _CliError(Exception):
@@ -39,6 +44,13 @@ def _read_text(path: str) -> str:
         return Path(path).read_text()
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc}") from exc
+
+
+def _write_text(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise _CliError(f"cannot write {path}: {exc}") from exc
 
 
 def _load_graph(args) -> Graph:
@@ -88,7 +100,7 @@ def _emit_graph(args, g: Graph) -> int:
     text += "" if text.endswith("\n") else "\n"
     out = getattr(args, "out", None)
     if out:
-        Path(out).write_text(text)
+        _write_text(Path(out), text)
         _emit(args, {"written": out, "n": g.n, "m": g.edge_count},
               f"wrote {out} ({g.n} vertices, {g.edge_count} edges)")
     elif args.json:
@@ -281,6 +293,9 @@ def _cmd_lemma_check(args, g: Graph) -> int:
         raise _CliError(f"no {args.config} match in input", EXIT_VIOLATED)
     if args.match:
         roles = json.loads(_read_text(args.match))
+        if not isinstance(roles, dict):
+            raise _CliError("match must be a JSON object mapping roles to "
+                            "vertices")
         wanted = {k: tuple(v) if isinstance(v, list) else v
                   for k, v in roles.items()}
         picked = [m for m in matches
@@ -362,12 +377,15 @@ def _cmd_terminal_partition(args, g: Graph) -> int:
 
 def _cmd_gen_corpus(args, _) -> int:
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _CliError(f"cannot write {outdir}: {exc}") from exc
     names = []
     for name, g in generators.gen_corpus(args.count, args.n_max,
                                          Fraction(args.bound), args.seed):
         path = outdir / f"{name}.g6"
-        path.write_text(serialize_graph(g, "graph6") + "\n")
+        _write_text(path, serialize_graph(g, "graph6") + "\n")
         names.append(path.name)
     _emit(args, {"written": names, "dir": str(outdir)},
           f"wrote {len(names)} graphs to {outdir}")
@@ -479,13 +497,17 @@ def main(argv: list[str] | None = None) -> int:
         code, detail = EXIT_USAGE, str(exc)
     except BrokenPipeError:
         return EXIT_USAGE
-    doc = {"schema": SCHEMA,
-           "error": "usage" if code == EXIT_USAGE else "violated",
-           "detail": detail}
+    except Exception as exc:  # a fault in starpart, never a verdict
+        import traceback  # here, to keep it off every call's start-up time
+        traceback.print_exc()
+        code, detail = EXIT_INTERNAL, f"{type(exc).__name__}: {exc}"
+    kind = _ERROR_KINDS[code]
     if args.json:
+        doc = {"schema": SCHEMA, "error": kind, "detail": detail}
         sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
     else:
-        sys.stderr.write(f"error: {detail}\n")
+        prefix = "internal: " if code == EXIT_INTERNAL else ""
+        sys.stderr.write(f"error: {prefix}{detail}\n")
     return code
 
 

@@ -4,7 +4,9 @@
 triangles attached at three of every five consecutive cycle vertices.  It
 has 17n vertices, 23n edges, maximum average degree exactly 46/17, and no
 FII-partition.  ``gen_mad_bounded`` produces random graphs under an exact
-density cap by rejection sampling.
+density cap p/q by rejection sampling: it keeps an orientation of the edges,
+each taken 2q times, with every indegree at most p, which by Hakimi's
+theorem exists exactly when mad <= p/q, and updates it at each insertion.
 """
 
 from __future__ import annotations
@@ -70,30 +72,75 @@ def gen_g5n(n: int) -> Graph:
 
 def gen_mad_bounded(n: int, bound: Fraction | str, seed: int,
                     tries: int | None = None) -> Graph:
-    """Random graph on n vertices with mad <= bound, deterministic per seed.
+    """Random graph on n vertices with mad <= bound = p/q, deterministic per
+    seed.
 
-    Candidate edges are shuffled and inserted one by one; an edge (u, v) is
-    rejected exactly when some set containing both endpoints would push the
-    weighted potential p|S| - 2q|E(S)| below zero, i.e. when
-    min over S >= {u,v} of that potential is < 2q.  One min-cut per attempt.
+    Shuffled candidate edges are kept exactly when mad stays <= p/q, which
+    by Hakimi (1965, J. Franklin Inst. 279) holds iff the edges, each taken
+    2q times, can be oriented with every indegree <= p.  Such an orientation
+    of the kept edges is maintained as in Brodal & Fagerberg (1999):
+    ``held[x][y]`` units of edge xy point at x, ``load[x]`` counts them.  A
+    candidate (u, v) places its 2q units by augmenting paths
+    (``_place_unit``), which is max-flow: all fit iff
+    min over K >= {u,v} of p|K| - 2q|E(K)| is at least 2q.  A rejected edge
+    takes its placed units back; the paths shifted for it stay valid.
     """
     bound = Fraction(bound)
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    p, q = bound.numerator, bound.denominator
+    p, units = bound.numerator, 2 * bound.denominator
     rng = random.Random(seed)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rng.shuffle(pairs)
     if tries is not None:
         pairs = pairs[:tries]
+    held: list[dict[int, int]] = [{} for _ in range(n)]
+    load = [0] * n
     edges: list[tuple[int, int]] = []
-    g = Graph(n, edges)
     for u, v in pairs:
-        if density.rho_star_weighted(g, (u, v), p, 2 * q).value >= 2 * q:
+        starts: list[int] = []
+        while len(starts) < units:
+            start = _place_unit(held, load, p, (u, v))
+            if start is None:
+                break
+            starts.append(start)
+        if len(starts) == units:
+            held[u][v] = starts.count(u)
+            held[v][u] = units - held[u][v]
             edges.append((u, v))
-            g = Graph(n, edges)
+        else:
+            for x in starts:
+                load[x] -= 1
+    g = Graph(n, edges)
     assert density.mad_le(g, bound)
     return g
+
+
+def _place_unit(held: list[dict[int, int]], load: list[int], cap: int,
+                sources: tuple[int, ...]) -> int | None:
+    """Add one unit at a source vertex, keeping every load <= cap.
+
+    Breadth-first search from ``sources`` over the arcs x -> y with
+    ``held[x][y] >= 1`` finds the nearest vertex with ``load < cap``; one
+    unit is moved from x to y along each arc of that path, so only the
+    path's last vertex gains load.  Returns the source the path starts at,
+    or None, leaving everything unchanged, when no such vertex is reachable.
+    """
+    parent: dict[int, int | None] = dict.fromkeys(sources)
+    queue = list(sources)
+    for x in queue:
+        if load[x] < cap:
+            load[x] += 1
+            while (w := parent[x]) is not None:
+                held[w][x] -= 1
+                held[x][w] += 1
+                x = w
+            return x
+        for y, k in held[x].items():
+            if k and y not in parent:
+                parent[y] = x
+                queue.append(y)
+    return None
 
 
 def gen_corpus(count: int, n_max: int, bound: Fraction | str,

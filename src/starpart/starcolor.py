@@ -8,6 +8,7 @@ two color classes induces a star forest.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -97,17 +98,23 @@ def _p4_violation_at(g: Graph, colors: list[int], v: int) -> bool:
 
 def degeneracy_order(g: Graph) -> list[int]:
     """Repeatedly delete a minimum-degree vertex (ties by id); the coloring
-    order is the reverse of the deletion order."""
+    order is the reverse of the deletion order.  A heap of (degree, id)
+    entries, skipping stale ones, keeps the id tie-break in O((n+m) log n)."""
     deg = g.degrees()
     removed = [False] * g.n
+    heap = [(d, v) for v, d in enumerate(deg)]
+    heapq.heapify(heap)
     deletion = []
-    for _ in range(g.n):
-        v = min((x for x in range(g.n) if not removed[x]), key=lambda x: (deg[x], x))
+    while heap:
+        d, v = heapq.heappop(heap)
+        if removed[v] or d != deg[v]:
+            continue
         removed[v] = True
         deletion.append(v)
         for w in g.adj[v]:
             if not removed[w]:
                 deg[w] -= 1
+                heapq.heappush(heap, (deg[w], w))
     deletion.reverse()
     return deletion
 

@@ -146,6 +146,34 @@ def test_gen_roundtrip(capsys, tmp_path):
     assert g.n == 34 and g.edge_count == 46
 
 
+def test_unwritable_out_exit_2(capsys, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for argv in (("gen", "g5n", "-n", "1",
+                  "--out", str(tmp_path / "missing" / "x.g6")),
+                 ("gen", "corpus", "--count", "1", "--out", str(blocker))):
+        code, doc = run_json(capsys, *argv)
+        assert code == 2, argv
+        assert doc["error"] == "usage" and "cannot write" in doc["detail"]
+
+
+def test_internal_error_exit_4(capsys, monkeypatch, g5_file):
+    from starpart import density
+
+    def boom(g):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(density, "mad", boom)
+    code, doc = run_json(capsys, "mad", g5_file)
+    assert code == 4
+    assert doc == {"schema": 1, "error": "internal",
+                   "detail": "RuntimeError: boom"}
+    assert main(["mad", g5_file]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: internal: RuntimeError: boom\n")
+
+
 def test_gen_json_one_document(capsys):
     for family, n, m in (("cycle", 5, 5), ("path", 4, 3)):
         code, doc = run_json(capsys, "gen", family, "-n", str(n))
@@ -165,6 +193,11 @@ def test_config_scan_and_lemma_check(capsys, tmp_path):
     code, doc = run_json(capsys, "lemma-check", str(path), "--config", "C5")
     assert code == 0
     assert doc["passed"] and not doc["vacuous"]
+    match = tmp_path / "match.json"
+    match.write_text("[1, 2]")
+    code, doc = run_json(capsys, "lemma-check", str(path), "--config", "C5",
+                         "--match", str(match))
+    assert code == 2 and doc["error"] == "usage"
 
 
 def test_discharge_and_audit(capsys, tmp_path):

@@ -172,3 +172,23 @@ def test_greedy_output_pinned():
     assert col.palette_size == 4
     col = greedy_star_coloring(gen_cycle(7))
     assert col.colors == (2, 1, 0, 2, 0, 1, 0) and col.palette_size == 3
+
+
+def test_degeneracy_order_matches_quadratic_rule():
+    def quadratic(g):
+        deg = g.degrees()
+        alive = list(range(g.n))
+        deletion = []
+        while alive:
+            v = min(alive, key=lambda x: (deg[x], x))
+            alive.remove(v)
+            deletion.append(v)
+            for w in g.adj[v]:
+                deg[w] -= 1
+        return deletion[::-1]
+
+    rng = random.Random(5)
+    graphs = [random_graph(rng, rng.randrange(1, 40), rng.random() * 0.4)
+              for _ in range(50)]
+    for g in graphs + [gen_cycle(5000)]:
+        assert degeneracy_order(g) == quadratic(g)
