@@ -110,9 +110,11 @@ def _emit_graph(args, g: Graph) -> int:
     return EXIT_OK
 
 
-def _timeout_s(args) -> float | None:
-    ms = getattr(args, "timeout_ms", None)
-    return ms / 1000.0 if ms else None
+def _timeout_s(ms: int | None) -> float | None:
+    """The search budget in seconds; ``None`` (no option) means no limit."""
+    if ms is not None and ms <= 0:
+        raise _CliError(f"--timeout-ms must be positive, got {ms}")
+    return None if ms is None else ms / 1000.0
 
 
 # -- subcommand handlers: (args, input graph or None) -> exit code -------------
@@ -201,7 +203,7 @@ def _cmd_star_color(args, g: Graph) -> int:
 
 def _cmd_fii_find(args, g: Graph) -> int:
     res = fii.find_fii(g, args.k, forcing=not args.no_forcing,
-                       timeout_s=_timeout_s(args))
+                       timeout_s=args.timeout_s)
     payload = {"status": res.status, "k": args.k, "nodes": res.nodes,
                "forced": res.forced, "exhausted": res.exhausted,
                "partition": res.partition.names() if res.partition else None}
@@ -225,7 +227,7 @@ def _cmd_fii_verify(args, g: Graph) -> int:
 
 
 def _cmd_star5(args, g: Graph) -> int:
-    res = fii.find_fii(g, 2, timeout_s=_timeout_s(args))
+    res = fii.find_fii(g, 2, timeout_s=args.timeout_s)
     if res.status == "unknown":
         _emit(args, {"status": "unknown"}, "unknown (timeout)")
         return EXIT_TIMEOUT
@@ -254,7 +256,7 @@ def _cmd_boundary(args, _) -> int:
                 corpus.append((p.name, parse_graph(p.read_text(), args.format)))
             except GraphError as exc:
                 raise _CliError(f"bad graph in {p.name}: {exc}") from exc
-    report = fii.boundary_search(args.k, corpus, timeout_s=_timeout_s(args))
+    report = fii.boundary_search(args.k, corpus, timeout_s=args.timeout_s)
     payload = {
         "k": args.k,
         "entries": [{"name": e.name, "n": e.n, "mad": _frac(e.mad),
@@ -475,7 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--json", action="store_true",
                     help="emit one JSON document on stdout")
     ap.add_argument("--timeout-ms", type=int, default=None,
-                    help="search budget; expiry exits 3 with status unknown")
+                    help="search budget, a positive number of milliseconds; "
+                    "expiry exits 3 with status unknown")
     sp = ap.add_subparsers(dest="command", required=True)
     for name, help_text, handler, reads_graph, options in COMMANDS:
         _add_options(sp.add_parser(name, help=help_text), handler,
@@ -490,6 +493,7 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        args.timeout_s = _timeout_s(args.timeout_ms)
         return args.fn(args, _load_graph(args) if "file" in args else None)
     except _CliError as exc:
         code, detail = exc.code, str(exc)

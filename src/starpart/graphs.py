@@ -8,9 +8,11 @@ all mutation goes through :class:`GraphBuilder`.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from math import isqrt
 from typing import Iterable, Iterator, Sequence
 
 INFINITY = float("inf")
@@ -218,33 +220,25 @@ def _g6_number(data: bytes, pos: int) -> tuple[int, int]:
     if pos >= len(data):
         raise ParseError("truncated graph6 header", offset=pos)
     b = data[pos]
-    if b == 126:
-        if pos + 1 < len(data) and data[pos + 1] == 126:
-            chunk = data[pos + 2:pos + 8]
-            if len(chunk) < 6:
-                raise ParseError("truncated graph6 extended header", offset=pos)
-            n = 0
-            for c in chunk:
-                if not 63 <= c <= 126:
-                    raise ParseError(f"invalid graph6 byte {c}", offset=pos)
-                n = (n << 6) | (c - 63)
-            return n, pos + 8
-        chunk = data[pos + 1:pos + 4]
-        if len(chunk) < 3:
-            raise ParseError("truncated graph6 extended header", offset=pos)
-        n = 0
-        for c in chunk:
-            if not 63 <= c <= 126:
-                raise ParseError(f"invalid graph6 byte {c}", offset=pos)
-            n = (n << 6) | (c - 63)
-        return n, pos + 4
-    if not 63 <= b <= 125:
-        raise ParseError(f"invalid graph6 size byte {b}", offset=pos)
-    return b - 63, pos + 1
+    if b != 126:
+        if not 63 <= b <= 125:
+            raise ParseError(f"invalid graph6 size byte {b}", offset=pos)
+        return b - 63, pos + 1
+    start, width = (pos + 2, 6) if data[pos + 1:pos + 2] == b"~" else (pos + 1, 3)
+    chunk = data[start:start + width]
+    if len(chunk) < width:
+        raise ParseError("truncated graph6 extended header", offset=pos)
+    n = 0
+    for c in chunk:
+        if not 63 <= c <= 126:
+            raise ParseError(f"invalid graph6 byte {c}", offset=pos)
+        n = (n << 6) | (c - 63)
+    return n, start + width
 
 
 def parse_graph6(text: str | bytes) -> Graph:
-    """Parse one graph6 line (short or extended size form)."""
+    """Parse one graph6 line (short or extended size form).  Body bit p is
+    the pair (i, j), i < j, with p = j(j-1)/2 + i; padding bits are ignored."""
     if isinstance(text, str):
         data = text.strip().encode("ascii", errors="replace")
     else:
@@ -260,20 +254,23 @@ def parse_graph6(text: str | bytes) -> Graph:
     if len(body) != nbytes:
         raise ParseError(
             f"graph6 body has {len(body)} bytes, expected {nbytes}", offset=pos)
-    bits = []
-    for i, c in enumerate(body):
-        if not 63 <= c <= 126:
-            raise ParseError(f"invalid graph6 byte {c}", offset=pos + i)
-        bits.append(format(c - 63, "06b"))
-    bitstring = "".join(bits)
+    bad = re.search(rb"[^\x3f-\x7e]", body)
+    if bad:
+        raise ParseError(f"invalid graph6 byte {body[bad.start()]}",
+                         offset=pos + bad.start())
     edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bitstring[idx] == "1":
-                edges.append((i, j))
-            idx += 1
+    for hit in re.finditer(rb"[^?]", body):
+        k = hit.start()
+        for b in range(6):
+            p = 6 * k + b
+            if (body[k] - 63) & (32 >> b) and p < nbits:
+                j = (1 + isqrt(8 * p + 1)) // 2
+                edges.append((p - j * (j - 1) // 2, j))
     return Graph(n, edges)
+
+
+#: adds 63 to every 6-bit value, for ``bytes.translate``
+_G6_SHIFT = bytes((b + 63) % 256 for b in range(256))
 
 
 def to_graph6(g: Graph) -> str:
@@ -285,15 +282,11 @@ def to_graph6(g: Graph) -> str:
         header = [126, 63 + ((n >> 12) & 63), 63 + ((n >> 6) & 63), 63 + (n & 63)]
     else:
         header = [126, 126] + [63 + ((n >> (6 * k)) & 63) for k in range(5, -1, -1)]
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append("1" if g.has_edge(i, j) else "0")
-    bitstring = "".join(bits)
-    pad = (-len(bitstring)) % 6
-    bitstring += "0" * pad
-    body = [63 + int(bitstring[k:k + 6], 2) for k in range(0, len(bitstring), 6)]
-    return bytes(header + body).decode("ascii")
+    body = bytearray((n * (n - 1) // 2 + 5) // 6)
+    for i, j in g.edges():
+        p = j * (j - 1) // 2 + i
+        body[p // 6] |= 32 >> (p % 6)
+    return (bytes(header) + body.translate(_G6_SHIFT)).decode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +398,7 @@ def sniff_format(text: str) -> str:
         if s.startswith(">>graph6<<"):
             return "graph6"
         toks = s.split("#", 1)[0].split()
-        if len(toks) == 1 and all(63 <= ord(ch) <= 126 for ch in toks[0]) \
+        if len(toks) == 1 and re.fullmatch(r"[?-~]+", toks[0]) \
                 and not toks[0].isdigit():
             return "graph6"
         return "edgelist"
@@ -444,29 +437,50 @@ def serialize_graph(g: Graph, fmt: str) -> str:
 def girth(g: Graph) -> int | float:
     """Length of a shortest cycle, or ``INFINITY`` for forests.
 
-    BFS from every root; a non-tree edge (u, w) seen from root r witnesses a
-    closed walk of length dist(u)+dist(w)+1 containing a cycle no longer than
-    that, and for any root on a shortest cycle the bound is attained.
+    Vertices of degree at most 1 lie on no cycle and are peeled away, which
+    leaves the 2-core.  Each vertex left becomes a BFS root in turn and is
+    deleted once its BFS is done.  A non-tree edge (u, w) seen from root r
+    witnesses a closed walk of length dist(u)+dist(w)+1 containing a cycle
+    no longer than that, and a cycle of a subgraph is a cycle of G.  Let r
+    be the first vertex of a shortest cycle C to become a root: no vertex of
+    C has been deleted before, so C is intact and the BFS from r attains
+    |C|.  A BFS stops once 2*dist(u) >= best, as no shorter cycle through r
+    lies further out.  A non-tree edge is scored from its endpoint nearer
+    r, or from both when they are equally far, so no parent array is needed.
     """
+    deg = g.degrees()
+    gone = [False] * g.n
     best: int | float = INFINITY
+
+    def delete(stack: list[int]) -> None:
+        while stack:
+            v = stack.pop()
+            gone[v] = True
+            for w in g.adj[v]:
+                if not gone[w]:
+                    deg[w] -= 1
+                    if deg[w] == 1:
+                        stack.append(w)
+
+    delete([v for v in range(g.n) if deg[v] <= 1])
     for root in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
-        dist[root] = 0
+        if gone[root]:
+            continue
+        dist = {root: 0}
         q = deque([root])
         while q:
             u = q.popleft()
             if 2 * dist[u] >= best:
-                continue
+                break
             for w in g.adj[u]:
-                if dist[w] == -1:
+                if gone[w]:
+                    continue
+                if w not in dist:
                     dist[w] = dist[u] + 1
-                    parent[w] = u
                     q.append(w)
-                elif w != parent[u]:
-                    cand = dist[u] + dist[w] + 1
-                    if cand < best:
-                        best = cand
+                elif dist[w] >= dist[u]:
+                    best = min(best, dist[u] + dist[w] + 1)
+        delete([root])
     return best
 
 

@@ -90,6 +90,13 @@ def test_timeout_exit_3(capsys, g5_file):
     assert doc["status"] == "unknown"
 
 
+@pytest.mark.parametrize("ms", ["0", "-5"])
+def test_timeout_not_positive_exit_2(capsys, g5_file, ms):
+    code, doc = run_json(capsys, "--timeout-ms", ms, "fii-find", g5_file)
+    assert code == 2
+    assert doc["error"] == "usage" and "--timeout-ms" in doc["detail"]
+
+
 def test_star_verify_violation_exit_1(capsys, tmp_path):
     gpath = tmp_path / "p4.g6"
     from starpart.generators import gen_path
@@ -229,6 +236,19 @@ def test_attach_outputs_graph(capsys, tmp_path):
     assert code == 0
     g = parse_graph6(out.strip())
     assert g.n == p3.n + 5
+
+
+def test_attach_on_graph6_host_json(capsys, tmp_path):
+    host = gen_g5n(50)
+    path = tmp_path / "g5n50.g6"
+    path.write_text(to_graph6(host) + "\n")
+    code, doc = run_json(capsys, "attach", str(path), "--at", "7",
+                         "--gadget", "J1")
+    assert code == 0
+    g = parse_graph6(doc["graph"])
+    assert (doc["n"], doc["m"]) == (g.n, g.edge_count) == (host.n + 5,
+                                                          host.edge_count + 7)
+    assert g.induced(range(host.n))[0] == host
 
 
 def test_determinism_byte_identical(capsys, g5_file):

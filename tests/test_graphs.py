@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -81,11 +82,66 @@ def test_graph6_extended_form():
     assert parse_graph6(s) == g
 
 
+def _graph6_body_reference(g):
+    """The graph6 body by the definition: one bit per pair in column order,
+    zero-padded to whole 6-bit groups, each group plus 63."""
+    bits = "".join("1" if g.has_edge(i, j) else "0"
+                   for j in range(1, g.n) for i in range(j))
+    bits += "0" * (-len(bits) % 6)
+    return "".join(chr(63 + int(bits[k:k + 6], 2))
+                   for k in range(0, len(bits), 6))
+
+
 def test_graph6_random_round_trip():
     rng = random.Random(1)
     for _ in range(50):
         g = random_graph(rng, rng.randint(0, 12), rng.random())
         assert parse_graph6(to_graph6(g)) == g
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(0, 70), rng.random() * 0.3)
+        s = to_graph6(g)
+        assert s[1 if g.n <= 62 else 4:] == _graph6_body_reference(g)
+        assert parse_graph6(s) == g
+
+
+def test_graph6_g5n_200_pinned():
+    g = gen_g5n(200)
+    s = to_graph6(g)
+    assert hashlib.sha256(s.encode()).hexdigest() == \
+        "9c15c314690de079ff2dabfd01d854c81f9526a45f50566d076767407ab65331"
+    assert parse_graph6(s) == g
+
+
+def test_graph6_header_switch_62_63():
+    rng = random.Random(5)
+    for n, lead in ((62, 62 + 63), (63, 126)):
+        g = random_graph(rng, n, 0.1)
+        s = to_graph6(g)
+        assert ord(s[0]) == lead
+        assert parse_graph6(s) == g
+        assert parse_graph6(s.encode()) == g
+
+
+def test_graph6_bad_byte_deep_in_body():
+    s = bytearray(to_graph6(gen_g5n(200)).encode())
+    s[500000] = 0x20
+    with pytest.raises(ParseError) as exc:
+        parse_graph6(bytes(s))
+    assert str(exc.value) == "invalid graph6 byte 32"
+    assert exc.value.offset == 500000
+
+
+def test_graph6_padding_bits_ignored():
+    # n=5 has 10 pair bits in 2 body bytes: the last 2 bits are padding
+    star = parse_graph6("D?{")
+    assert parse_graph6("D?~") == star and parse_graph6("D?}") == star
+    assert to_graph6(parse_graph6("Dr~")) == "Dr{"
+
+
+def test_graph6_bytes_input():
+    g = gen_g5n(1)
+    assert parse_graph6(to_graph6(g).encode() + b"\n") == g
+    assert parse_graph6(b">>graph6<<Bw").edge_count == 3
 
 
 # -- edge list / dimacs -------------------------------------------------------
@@ -134,6 +190,10 @@ def test_sniff_format():
     assert sniff_format("D?{") == "graph6"
     g = parse_graph("D?{", "auto")
     assert g.n == 5
+    line = to_graph6(gen_g5n(200))
+    assert len(line) > 100_000
+    assert sniff_format(line + "\n") == "graph6"
+    assert sniff_format("0\n1 2\n") == "edgelist"
 
 
 # -- girth ---------------------------------------------------------------------
@@ -166,11 +226,47 @@ def test_girth_examples():
     assert girth(Graph(1, [])) == INFINITY
 
 
+def _with_pendant_trees(rng, g, extra):
+    """``g`` with ``extra`` new vertices, each hung on an earlier vertex."""
+    edges = [(rng.randrange(g.n + t), g.n + t) for t in range(extra)]
+    return g.with_additions(extra, edges)
+
+
 def test_girth_against_oracle():
     rng = random.Random(3)
     for _ in range(120):
         g = random_graph(rng, rng.randint(1, 8), rng.random())
         assert girth(g) == _girth_oracle(g)
+    for _ in range(60):
+        parts = [random_graph(rng, rng.randint(1, 6), rng.random())
+                 for _ in range(rng.randint(2, 3))]
+        g = parts[0]
+        for h in parts[1:]:
+            g = g.with_additions(h.n, [(u + g.n, v + g.n) for u, v in h.edges()])
+        assert girth(g) == _girth_oracle(g) == min(map(_girth_oracle, parts))
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(1, 7), rng.random() * 0.6)
+        g = _with_pendant_trees(rng, g, rng.randint(1, 5))
+        assert girth(g) == _girth_oracle(g)
+
+
+def test_girth_large_cycle():
+    assert girth(gen_cycle(5000)) == 5000
+
+
+def test_girth_two_cycles_joined_by_path():
+    # C7 on 0..6 and C5 on 7..11, joined by the path 0-12-13-7
+    edges = [(i, (i + 1) % 7) for i in range(7)]
+    edges += [(7 + i, 7 + (i + 1) % 5) for i in range(5)]
+    edges += [(0, 12), (12, 13), (13, 7)]
+    assert girth(Graph(14, edges)) == 5
+
+
+def test_girth_forest():
+    rng = random.Random(6)
+    forest = _with_pendant_trees(rng, Graph(3, []), 40)
+    assert forest.is_forest()
+    assert girth(forest) == INFINITY
 
 
 # -- pendent cycles and taxonomy ---------------------------------------------
