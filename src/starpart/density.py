@@ -2,8 +2,9 @@
 rho(A) = 4|A| - 3|E(A)|, and the constrained minimum rho*(I).
 
 Everything is exact: densities are ``fractions.Fraction``, potentials are
-ints, and every decision path goes through integer max-flow.  Each fast
-algorithm has an exhaustive subset-enumeration oracle next to it.
+ints, and every decision path goes through one integer orientation routine,
+``place_units`` (Hakimi 1965).  Each fast algorithm has an exhaustive
+subset-enumeration oracle next to it.
 """
 
 from __future__ import annotations
@@ -17,79 +18,48 @@ from .graphs import Graph
 _ORACLE_LIMIT = 24
 
 
-class _Dinic:
-    """Integer max-flow on a small network; deterministic BFS/DFS order."""
+def place_units(held: list[dict[int, int]], load: list[int], cap: int,
+                sources: Sequence[int], want: int, dead: set[int]) -> list[int]:
+    """Put up to ``want`` units on ``sources``, keeping every load <= cap.
 
-    def __init__(self, n: int):
-        self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add_edge(self, u: int, v: int, cap: int) -> None:
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(cap)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
-
-    def max_flow(self, s: int, t: int) -> int:
-        to, cap, head = self.to, self.cap, self.head
-        flow = 0
-        while True:
-            level = [-1] * self.n
-            level[s] = 0
-            q = [s]
-            for u in q:
-                for e in head[u]:
-                    v = to[e]
-                    if cap[e] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        q.append(v)
-            if level[t] < 0:
-                return flow
-            # blocking flow: iterative DFS with per-vertex edge pointers
-            it = [0] * self.n
-            path: list[int] = []
-            u = s
-            while True:
-                if u == t:
-                    aug = min(cap[e] for e in path)
-                    flow += aug
-                    for e in path:
-                        cap[e] -= aug
-                        cap[e ^ 1] += aug
-                    path.clear()
-                    u = s
-                    continue
-                if it[u] < len(head[u]):
-                    e = head[u][it[u]]
-                    v = to[e]
-                    if cap[e] > 0 and level[v] == level[u] + 1:
-                        path.append(e)
-                        u = v
-                    else:
-                        it[u] += 1
-                    continue
-                # dead end: retreat and advance the predecessor's pointer
-                if u == s:
-                    break
-                level[u] = -1
-                e = path.pop()
-                u = to[e ^ 1]
-                it[u] += 1
-
-    def min_cut_source_side(self, s: int) -> set[int]:
-        seen = {s}
-        q = [s]
-        for u in q:
-            for e in self.head[u]:
-                v = self.to[e]
-                if self.cap[e] > 0 and v not in seen:
-                    seen.add(v)
-                    q.append(v)
-        return seen
+    ``held[x][y]`` units of edge xy lie on x and ``load[x]`` sums them.  The
+    sources take what they have room for; then each breadth-first search
+    over the arcs x -> y with ``held[x][y] >= 1`` finds the nearest vertex
+    with room and shifts the path's bottleneck amount one arc along, so only
+    that vertex gains load.  Returns the units put on each source.  A failed
+    search adds what it reached to ``dead``: that set has no arc out and no
+    room, and keeps both while units are only added, so searches skip it.
+    """
+    got = []
+    for x in sources:
+        got.append(0 if x in dead else min(want, cap - load[x]))
+        load[x] += got[-1]
+        want -= got[-1]
+    while want:
+        parent = {x: -1 for x in sources if x not in dead}
+        queue = list(parent)
+        for x in queue:
+            if load[x] < cap:
+                break
+            for y, k in held[x].items():
+                if k and y not in parent and y not in dead:
+                    parent[y] = x
+                    queue.append(y)
+        else:
+            dead.update(queue)
+            return got
+        path = [x]
+        while parent[path[-1]] >= 0:
+            path.append(parent[path[-1]])
+        arcs = list(zip(path[1:], path))
+        amount = min(want, cap - load[x], *(held[w][y] for w, y in arcs))
+        load[x] += amount
+        for w, y in arcs:
+            held[w][y] -= amount
+            held[y][w] += amount
+        got[sources.index(path[-1])] += amount
+        want -= amount
+    return got
 
 
 @dataclass(frozen=True)
@@ -123,12 +93,12 @@ def rho(g: Graph, a: Iterable[int]) -> int:
 
 
 def mad(g: Graph) -> Density:
-    """Exact maximum average degree via iterated max-flow (Dinkelbach).
+    """Exact maximum average degree via iterated orientations (Dinkelbach).
 
-    With the current witness density |E(S)|/|S| = p/q, one cut decides
-    whether some T has q|E(T)| - p|T| > 0; any such T is strictly denser,
-    densities have denominator at most n, so the iteration reaches the
-    exact maximum in finitely many cuts.
+    With the current witness density |E(S)|/|S| = p/q, one call of
+    ``rho_star_weighted`` decides whether some T has q|E(T)| - p|T| > 0;
+    any such T is strictly denser, densities have denominator at most n, so
+    the iteration reaches the exact maximum in finitely many steps.
     """
     if g.n < 1:
         raise ValueError("mad requires at least one vertex")
@@ -179,33 +149,32 @@ def mad_oracle(g: Graph) -> Density:
 
 def rho_star_weighted(g: Graph, seed: Iterable[int],
                       vertex_weight: int, edge_weight: int) -> PotentialResult:
-    """min over K >= seed of  vw|K| - ew|E(G[K])|, by a single min-cut."""
-    seed_set = set(seed)
-    for v in seed_set:
+    """min over K >= seed of  vw|K| - ew|E(G[K])|, by one orientation.
+
+    Each edge's ew units go on its endpoints outside the seed, at most vw
+    per vertex (``place_units``, with the seed dead from the start).  By
+    max-flow/min-cut the minimum is vw|seed| minus the units that do not
+    fit, and the final dead set, the seed plus all that the left-over units
+    reach, is the least minimizer: the same for every vertex order.
+    """
+    if vertex_weight < 0 or edge_weight < 0:
+        raise ValueError("weights must be non-negative")
+    dead = set(seed)
+    for v in dead:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
-    n, m = g.n, g.edge_count
-    net = _Dinic(n + m + 2)
-    s, t = n + m, n + m + 1
-    inf = edge_weight * m + vertex_weight * n + 1
-    for i, (u, v) in enumerate(g.edges()):
-        net.add_edge(s, n + i, edge_weight)
-        if u not in seed_set:
-            net.add_edge(n + i, u, inf)
-        if v not in seed_set:
-            net.add_edge(n + i, v, inf)
-    for v in range(n):
-        if v not in seed_set:
-            net.add_edge(v, t, vertex_weight)
-    cut = net.max_flow(s, t)
-    value = vertex_weight * len(seed_set) - edge_weight * m + cut
-    side = net.min_cut_source_side(s)
-    minimizer = tuple(sorted(seed_set | {v for v in range(n) if v in side}))
-    return PotentialResult(value, minimizer)
+    value = vertex_weight * len(dead)
+    held: list[dict[int, int]] = [{} for _ in range(g.n)]
+    load = [0] * g.n
+    for u, v in g.edges():
+        held[u][v], held[v][u] = place_units(held, load, vertex_weight, (u, v),
+                                             edge_weight, dead)
+        value -= edge_weight - held[u][v] - held[v][u]
+    return PotentialResult(value, tuple(sorted(dead)))
 
 
 def rho_star(g: Graph, seed: Iterable[int] = ()) -> PotentialResult:
-    """min over K >= seed of rho(K); rho is supermodular-free so one cut does it.
+    """min over K >= seed of rho(K), by ``rho_star_weighted`` at weights (4, 3).
 
     The minimum ranges over *all* supersets including K = seed and, for an
     empty seed, K = {} with rho = 0; hence rho_star(g, ()) <= 0 always.
@@ -266,5 +235,7 @@ def mad_le_8_3(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
 def mad_le(g: Graph, bound: Fraction) -> bool:
     """Decide mad(g) <= p/q exactly via the weighted potential p|S| - 2q|E(S)|."""
     bound = Fraction(bound)
+    if bound < 0:
+        raise ValueError("bound must be non-negative")
     res = rho_star_weighted(g, (), bound.numerator, 2 * bound.denominator)
     return res.value >= 0

@@ -6,7 +6,8 @@ has 17n vertices, 23n edges, maximum average degree exactly 46/17, and no
 FII-partition.  ``gen_mad_bounded`` produces random graphs under an exact
 density cap p/q by rejection sampling: it keeps an orientation of the edges,
 each taken 2q times, with every indegree at most p, which by Hakimi's
-theorem exists exactly when mad <= p/q, and updates it at each insertion.
+theorem exists exactly when mad <= p/q, and updates it at each insertion
+with ``density.place_units``.
 """
 
 from __future__ import annotations
@@ -80,10 +81,10 @@ def gen_mad_bounded(n: int, bound: Fraction | str, seed: int,
     2q times, can be oriented with every indegree <= p.  Such an orientation
     of the kept edges is maintained as in Brodal & Fagerberg (1999):
     ``held[x][y]`` units of edge xy point at x, ``load[x]`` counts them.  A
-    candidate (u, v) places its 2q units by augmenting paths
-    (``_place_unit``), which is max-flow: all fit iff
-    min over K >= {u,v} of p|K| - 2q|E(K)| is at least 2q.  A rejected edge
-    takes its placed units back; the paths shifted for it stay valid.
+    candidate (u, v) places its 2q units by ``density.place_units``, which
+    is max-flow: all fit iff min over K >= {u,v} of p|K| - 2q|E(K)| >= 2q.
+    A rejected edge takes its units back; the paths shifted for it stay
+    valid, and its dead set is dropped.
     """
     bound = Fraction(bound)
     if bound < 1:
@@ -98,49 +99,16 @@ def gen_mad_bounded(n: int, bound: Fraction | str, seed: int,
     load = [0] * n
     edges: list[tuple[int, int]] = []
     for u, v in pairs:
-        starts: list[int] = []
-        while len(starts) < units:
-            start = _place_unit(held, load, p, (u, v))
-            if start is None:
-                break
-            starts.append(start)
-        if len(starts) == units:
-            held[u][v] = starts.count(u)
-            held[v][u] = units - held[u][v]
+        at_u, at_v = density.place_units(held, load, p, (u, v), units, set())
+        if at_u + at_v == units:
+            held[u][v], held[v][u] = at_u, at_v
             edges.append((u, v))
         else:
-            for x in starts:
-                load[x] -= 1
+            load[u] -= at_u
+            load[v] -= at_v
     g = Graph(n, edges)
     assert density.mad_le(g, bound)
     return g
-
-
-def _place_unit(held: list[dict[int, int]], load: list[int], cap: int,
-                sources: tuple[int, ...]) -> int | None:
-    """Add one unit at a source vertex, keeping every load <= cap.
-
-    Breadth-first search from ``sources`` over the arcs x -> y with
-    ``held[x][y] >= 1`` finds the nearest vertex with ``load < cap``; one
-    unit is moved from x to y along each arc of that path, so only the
-    path's last vertex gains load.  Returns the source the path starts at,
-    or None, leaving everything unchanged, when no such vertex is reachable.
-    """
-    parent: dict[int, int | None] = dict.fromkeys(sources)
-    queue = list(sources)
-    for x in queue:
-        if load[x] < cap:
-            load[x] += 1
-            while (w := parent[x]) is not None:
-                held[w][x] -= 1
-                held[x][w] += 1
-                x = w
-            return x
-        for y, k in held[x].items():
-            if k and y not in parent:
-                parent[y] = x
-                queue.append(y)
-    return None
 
 
 def gen_corpus(count: int, n_max: int, bound: Fraction | str,

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from starpart.density import (mad, mad_le, mad_le_8_3, mad_oracle, rho,
-                              rho_star, rho_star_oracle, rho_star_table,
-                              rho_star_weighted, rho_all_subsets)
+from starpart.density import (mad, mad_le, mad_le_8_3, mad_oracle,
+                              place_units, rho, rho_star, rho_star_oracle,
+                              rho_star_table, rho_star_weighted,
+                              rho_all_subsets)
 from starpart.graphs import Graph
 from starpart.generators import (gen_complete, gen_cycle, gen_g5n,
                                  gen_mad_bounded, gen_path, gen_tree_random)
@@ -135,12 +136,78 @@ def test_mad_le_matches_definition():
         assert ok == (value <= Fraction(8, 3))
 
 
+def _weighted_oracle(g, seed, a, b):
+    """Brute-force min over K >= seed of a|K| - b|E(K)|, and the intersection
+    of all minimizing K."""
+    free = [v for v in range(g.n) if v not in seed]
+    values = {}
+    for mask in range(1 << len(free)):
+        k = set(seed) | {free[i] for i in range(len(free)) if mask >> i & 1}
+        e = sum(1 for u, v in g.edges() if u in k and v in k)
+        values[frozenset(k)] = a * len(k) - b * e
+    best = min(values.values())
+    least = frozenset(range(g.n)).intersection(
+        *(k for k, val in values.items() if val == best))
+    return best, tuple(sorted(least))
+
+
 def test_rho_star_weighted_consistency():
     rng = random.Random(16)
     for _ in range(40):
         g = random_graph(rng, rng.randint(1, 8), 0.5)
         seed = [v for v in range(g.n) if rng.random() < 0.25]
         assert rho_star_weighted(g, seed, 4, 3).value == rho_star(g, seed).value
+        for a, b in ((4, 3), (8, 3), (46, 17), (5, 2), (1_000_003, 1_000_000)):
+            res = rho_star_weighted(g, seed, a, b)
+            assert (res.value, res.minimizer) == _weighted_oracle(g, seed, a, b)
+
+
+def test_negative_weights_rejected():
+    g = Graph(3, [])
+    with pytest.raises(ValueError):
+        rho_star_weighted(g, (), -1, 3)
+    with pytest.raises(ValueError):
+        rho_star_weighted(gen_path(3), (), 4, -3)
+    with pytest.raises(ValueError):
+        mad_le(g, Fraction(-1))
+    assert mad_le(g, Fraction(0)) and not mad_le(gen_path(2), Fraction(0))
+
+
+def test_place_units_keeps_a_valid_orientation():
+    rng = random.Random(19)
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(2, 9), rng.random())
+        cap, want = rng.randint(0, 9), rng.randint(0, 9)
+        held = [{} for _ in range(g.n)]
+        load = [0] * g.n
+        dead = set()
+        unplaced = 0
+        for u, v in g.edges():
+            at_u, at_v = place_units(held, load, cap, (u, v), want, dead)
+            held[u][v], held[v][u] = at_u, at_v
+            unplaced += want - at_u - at_v
+        assert all(load[x] == sum(held[x].values()) <= cap for x in range(g.n))
+        # the dead set is closed: no unit on it can shift out of it
+        assert all(not k or y in dead for x in dead for y, k in held[x].items())
+        assert _weighted_oracle(g, (), cap, want) == (-unplaced, tuple(sorted(dead)))
+
+
+def _relabel(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()]), perm
+
+
+def test_mad_commutes_with_relabeling():
+    rng = random.Random(20)
+    graphs = [gen_g5n(50)] + [random_graph(rng, rng.randint(1, 14), rng.random())
+                              for _ in range(60)]
+    for g in graphs:
+        h, perm = _relabel(g, rng)
+        d, e = mad(g), mad(h)
+        assert e.value == d.value
+        if g.edge_count:  # else every single vertex is densest and (0,) is returned
+            assert e.witness == tuple(sorted(perm[v] for v in d.witness))
 
 
 # -- potential inequalities (spot checks; the acceptance suite scales up) ---------
