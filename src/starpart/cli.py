@@ -121,7 +121,9 @@ def _timeout_s(ms: int | None) -> float | None:
 
 def _cmd_mad(args, g: Graph) -> int:
     d = density.mad(g)
-    ok83, violation = density.mad_le_8_3(g)
+    # mad <= 8/3 follows from the exact value; only a violation needs its set
+    ok83, violation = ((True, None) if d.value <= Fraction(8, 3)
+                       else density.mad_le_8_3(g))
     payload = {"value": _frac(d.value), "witness": list(d.witness),
                "le_8_3": ok83,
                "violating_set": list(violation) if violation else None}
@@ -305,8 +307,11 @@ def _cmd_lemma_check(args, g: Graph) -> int:
         if not picked:
             raise _CliError(f"no {args.config} match with roles {wanted}")
         match = picked[0]
-    else:
+    elif 0 <= args.match_index < len(matches):
         match = matches[args.match_index]
+    else:
+        raise _CliError(f"--match-index {args.match_index} out of range "
+                        f"0..{len(matches) - 1}")
     report = configs.verify_lemma_extension(g, match)
     payload = {"config": args.config,
                "deleted": list(report.plan.deleted),

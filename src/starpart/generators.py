@@ -114,9 +114,14 @@ def gen_mad_bounded(n: int, bound: Fraction | str, seed: int,
 def gen_corpus(count: int, n_max: int, bound: Fraction | str,
                seed: int) -> Iterator[tuple[str, Graph]]:
     """A deterministic corpus of mad-bounded random graphs, sizes cycling
-    through 4..n_max."""
+    through 4..n_max.  A negative ``count`` or an ``n_max`` below 4 raises
+    ``ValueError`` when the corpus is first iterated."""
+    if count < 0:
+        raise ValueError(f"corpus count must be non-negative, got {count}")
+    if n_max < 4:
+        raise ValueError(f"corpus n_max must be at least 4, got {n_max}")
     bound = Fraction(bound)
     rng = random.Random(seed)
     for i in range(count):
-        n = 4 + (i % max(1, n_max - 3))
+        n = 4 + i % (n_max - 3)
         yield f"corpus-{i:04d}-n{n}", gen_mad_bounded(n, bound, rng.randrange(2**31))

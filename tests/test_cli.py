@@ -1,10 +1,12 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from starpart.cli import main
-from starpart.graphs import parse_graph6
-from starpart.generators import gen_g5n, gen_cycle
+from starpart.cli import _frac, main
+from starpart.density import mad, mad_le_8_3
+from starpart.graphs import Graph, parse_graph6
+from starpart.generators import gen_corpus, gen_g5n, gen_cycle
 from starpart.graphs import to_graph6
 
 
@@ -205,6 +207,47 @@ def test_config_scan_and_lemma_check(capsys, tmp_path):
     code, doc = run_json(capsys, "lemma-check", str(path), "--config", "C5",
                          "--match", str(match))
     assert code == 2 and doc["error"] == "usage"
+
+
+def test_lemma_check_match_index_out_of_range_exit_2(capsys, tmp_path):
+    from starpart import instances
+    g, _ = instances.shipped_instance("C1")
+    path = tmp_path / "c1inst.g6"
+    path.write_text(to_graph6(g))
+    code, doc = run_json(capsys, "lemma-check", str(path), "--config", "C1",
+                         "--match-index", "1")
+    assert code == 0 and doc["passed"]
+    for index in ("99", "-1"):
+        code, doc = run_json(capsys, "lemma-check", str(path), "--config", "C1",
+                             "--match-index", index)
+        assert code == 2 and doc["error"] == "usage", index
+        assert "out of range" in doc["detail"]
+
+
+def test_gen_corpus_bad_count_or_n_max_exit_2(capsys, tmp_path):
+    for opts in (("--count", "-1"), ("--count", "3", "--n-max", "3")):
+        code, doc = run_json(capsys, "gen", "corpus", *opts,
+                             "--out", str(tmp_path / "corpus"))
+        assert code == 2 and doc["error"] == "usage", opts
+    assert not any((tmp_path / "corpus").glob("*"))
+
+
+@pytest.mark.parametrize("g", [gen_g5n(50),
+                               next(gen_corpus(1, 14, "8/3", 0))[1],
+                               Graph(3, [])],
+                         ids=["g5n-50", "corpus", "edgeless"])
+def test_mad_json_bytes(capsys, tmp_path, g):
+    # the document of the handler that always ran mad_le_8_3
+    path = tmp_path / "g.g6"
+    path.write_text(to_graph6(g))
+    d = mad(g)
+    ok, violation = mad_le_8_3(g)
+    expected = {"schema": 1, "command": "mad", "value": _frac(d.value),
+                "witness": list(d.witness), "le_8_3": ok,
+                "violating_set": list(violation) if violation else None}
+    assert ok == (d.value <= Fraction(8, 3))
+    assert run(capsys, "--json", "mad", str(path)) == \
+        (0, json.dumps(expected, sort_keys=True) + "\n")
 
 
 def test_discharge_and_audit(capsys, tmp_path):

@@ -113,6 +113,9 @@ def test_corpus_deterministic_and_bounded():
     for _, g in a:
         assert mad_le(g, Fraction(8, 3))
         assert 4 <= g.n <= 12
+    for count, n_max in ((-1, 12), (3, 3)):
+        with pytest.raises(ValueError):
+            next(gen_corpus(count, n_max, "8/3", 5))
 
 
 def test_simple_families():
