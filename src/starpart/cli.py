@@ -136,7 +136,7 @@ def _cmd_rho_star(args, g: Graph) -> int:
     seed = _parse_vertices(args.seed, g.n)
     res = density.rho_star(g, seed)
     payload = {"value": res.value, "witness": list(res.minimizer),
-               "seed": sorted(seed)}
+               "seed": sorted(set(seed))}
     _emit(args, payload, f"rho* = {res.value} minimizer {list(res.minimizer)}")
     return EXIT_OK
 
@@ -377,20 +377,26 @@ def _cmd_terminal_partition(args, g: Graph) -> int:
     payload = {"applicable": True,
                "degenerate": list(res.degenerate),
                "partition": res.partition.names(),
-               "sets": {name: list(vs) for name, vs in vars(res.sets).items()}}
+               "sets": {name: list(vs) for name, vs in res.sets._asdict().items()}}
     _emit(args, payload, f"FII-partition {res.partition.names()}")
     return EXIT_OK
 
 
 def _cmd_gen_corpus(args, _) -> int:
+    try:
+        bound = Fraction(args.bound)
+    except ZeroDivisionError as exc:
+        raise _CliError(f"bad --bound {args.bound!r}: zero denominator") from exc
+    # generated in full first, so that bad arguments leave no directory
+    corpus = list(generators.gen_corpus(args.count, args.n_max, bound,
+                                        args.seed))
     outdir = Path(args.out)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise _CliError(f"cannot write {outdir}: {exc}") from exc
     names = []
-    for name, g in generators.gen_corpus(args.count, args.n_max,
-                                         Fraction(args.bound), args.seed):
+    for name, g in corpus:
         path = outdir / f"{name}.g6"
         _write_text(path, serialize_graph(g, "graph6") + "\n")
         names.append(path.name)

@@ -11,8 +11,7 @@ that each one extends to the whole graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .graphs import (Graph, PendentCycle, VertexClass, classify_vertices,
                      pendent_triangles_at)
@@ -31,8 +30,7 @@ _W23 = {_W.W2, _W.W3}
 _V4P = {_W.V4, _W.V5, _W.V6}
 
 
-@dataclass(frozen=True)
-class ConfigMatch:
+class ConfigMatch(NamedTuple):
     """One occurrence of a configuration; ``vertices`` maps role names to a
     vertex id (or to a vertex tuple for the cycle-shaped configurations)."""
 
@@ -229,32 +227,27 @@ def scan_configs(g: Graph, ids: Iterable[str] | None = None) -> list[ConfigMatch
 # Gadgets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class PendentTriangle:
     """Two new vertices forming a triangle with the attachment point."""
 
 
-@dataclass(frozen=True)
 class J1:
     """A new degree-5 apex adjacent to the attachment point and carrying two
     pendent triangles (5 new vertices).  Attaching it at v with rho*(v) >= 1
     preserves mad <= 8/3."""
 
 
-@dataclass(frozen=True)
 class J2:
     """A path of two double-triangle apexes hung off the attachment point
     (10 new vertices).  Attaching it at v with rho*(v) >= 2 preserves
     mad <= 8/3, and pins v to the forest part of any FI_2-partition."""
 
 
-@dataclass(frozen=True)
-class AddEdge:
+class AddEdge(NamedTuple):
     other: int
 
 
-@dataclass(frozen=True)
-class AddPath2:
+class AddPath2(NamedTuple):
     """A path of length two to ``other`` through one new middle vertex."""
 
     other: int
@@ -324,8 +317,7 @@ def gadget_by_name(name: str) -> Gadget:
 # Reduction plans and lemma-extension verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReductionPlan:
+class ReductionPlan(NamedTuple):
     """The deleted set S and modifications applied to H = G - S.
 
     ``mods`` entries are ("triangle"|"j1"|"j2", v) or ("edge"|"path2", u, v)
@@ -453,8 +445,7 @@ def reduction_plan(g: Graph, match: ConfigMatch) -> ReductionPlan:
     raise ValueError(f"unknown configuration id {cid!r}")
 
 
-@dataclass
-class LemmaExtensionReport:
+class LemmaExtensionReport(NamedTuple):
     """Outcome of exhaustively extending every FI_2-partition of H to G."""
 
     config_id: str
@@ -462,7 +453,7 @@ class LemmaExtensionReport:
     h_partitions: int
     distinct_restrictions: int
     extended: int
-    failures: list[tuple[int, ...]] = field(default_factory=list)
+    failures: list[tuple[int, ...]]
 
     @property
     def vacuous(self) -> bool:
@@ -510,24 +501,25 @@ def verify_lemma_extension(g: Graph, match: ConfigMatch,
     idx = {old: new for new, old in enumerate(keep_list)}
     h = _apply_mods(h0, idx, plan.mods)
 
-    report = LemmaExtensionReport(match.config_id, plan, 0, 0, 0)
+    h_partitions = extended = 0
+    failures: list[tuple[int, ...]] = []
     cache: dict[tuple[int, ...], bool] = {}
     for part in enumerate_fii(h, 2):
-        report.h_partitions += 1
-        if report.h_partitions > max_partitions:
+        h_partitions += 1
+        if h_partitions > max_partitions:
             raise RuntimeError("reduced graph has too many partitions; "
                                "choose a smaller instance")
         restricted = tuple(part.labels[idx[v]] for v in keep_list)
         if restricted in cache:
             ok = cache[restricted]
         else:
-            report.distinct_restrictions += 1
             fixed = {v: lab for v, lab in zip(keep_list, restricted)}
             res = find_fii(g, 2, forcing=False, fixed=fixed)
             ok = res.feasible
             cache[restricted] = ok
             if not ok:
-                report.failures.append(restricted)
+                failures.append(restricted)
         if ok:
-            report.extended += 1
-    return report
+            extended += 1
+    return LemmaExtensionReport(match.config_id, plan, h_partitions,
+                                len(cache), extended, failures)

@@ -9,9 +9,8 @@ subset-enumeration oracle next to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .graphs import Graph
 
@@ -62,16 +61,14 @@ def place_units(held: list[dict[int, int]], load: list[int], cap: int,
     return got
 
 
-@dataclass(frozen=True)
-class Density:
+class Density(NamedTuple):
     """An exact density 2|E(H)|/|V(H)| with a witness vertex set."""
 
     value: Fraction
     witness: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PotentialResult:
+class PotentialResult(NamedTuple):
     """The minimum of a vertex/edge-weighted potential with its minimizer."""
 
     value: int

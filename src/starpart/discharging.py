@@ -17,8 +17,8 @@ configurations found within distance two of it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graphs import (Graph, VertexClass, classify_vertices,
                      pendent_cycle_two_vertices, pendent_triangles_at)
@@ -29,30 +29,33 @@ _W = VertexClass
 EIGHT_THIRDS = Fraction(8, 3)
 
 
-@dataclass(frozen=True)
-class Transfer:
+class Transfer(NamedTuple):
     source: int
     target: int
     amount: Fraction
     rule: str
 
 
-@dataclass
-class ChargeTable:
+class ChargeTable(NamedTuple):
     initial: list[Fraction]
     transfers: list[Transfer]
     final: list[Fraction]
 
     def recompute_final(self) -> list[Fraction]:
-        out = list(self.initial)
-        for t in self.transfers:
-            out[t.source] -= t.amount
-            out[t.target] += t.amount
-        return out
+        return _apply_transfers(self.initial, self.transfers)
 
     @property
     def total(self) -> Fraction:
         return sum(self.final, Fraction(0))
+
+
+def _apply_transfers(initial: list[Fraction],
+                     transfers: list[Transfer]) -> list[Fraction]:
+    out = list(initial)
+    for t in transfers:
+        out[t.source] -= t.amount
+        out[t.target] += t.amount
+    return out
 
 
 def run_discharging(g: Graph) -> ChargeTable:
@@ -75,10 +78,9 @@ def run_discharging(g: Graph) -> ChargeTable:
             if d >= 4 and cls[w] == _W.W5:
                 transfers.append(Transfer(u, w, third, "R4"))
     initial = [Fraction(g.degree(v)) for v in range(g.n)]
-    table = ChargeTable(initial, transfers, [])
-    table.final = table.recompute_final()
-    assert sum(table.final, Fraction(0)) == 2 * g.edge_count
-    return table
+    final = _apply_transfers(initial, transfers)
+    assert sum(final, Fraction(0)) == 2 * g.edge_count
+    return ChargeTable(initial, transfers, final)
 
 
 def _identified_triangles_center(g: Graph, v: int,
@@ -97,16 +99,14 @@ def _identified_triangles_center(g: Graph, v: int,
     return len(comp) == 2 * tri_count + 1
 
 
-@dataclass(frozen=True)
-class DeficitEntry:
+class DeficitEntry(NamedTuple):
     vertex: int
     final: Fraction
     nearby_configs: tuple[str, ...]
     special: str | None
 
 
-@dataclass
-class AuditReport:
+class AuditReport(NamedTuple):
     table: ChargeTable
     deficits: list[DeficitEntry]
 
@@ -151,8 +151,7 @@ def audit_final_charges(g: Graph) -> AuditReport:
 # Terminal partition construction
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TerminalSets:
+class TerminalSets(NamedTuple):
     X: tuple[int, ...] = ()
     Y_alpha: tuple[int, ...] = ()
     Y_beta: tuple[int, ...] = ()
@@ -166,8 +165,7 @@ class TerminalSets:
     F0: tuple[int, ...] = ()
 
 
-@dataclass
-class TerminalResult:
+class TerminalResult(NamedTuple):
     applicable: bool
     reason: str | None = None
     degenerate: tuple[str, ...] = ()
@@ -366,7 +364,7 @@ def build_terminal_partition(g: Graph) -> TerminalResult:
     cls = classify_vertices(g)
     tri_at = pendent_triangles_at(g)
     labels = [-1] * g.n
-    sets: dict[str, list[int]] = {f.name: [] for f in fields(TerminalSets)}
+    sets: dict[str, list[int]] = {name: [] for name in TerminalSets._fields}
     degenerate: list[str] = []
     for comp in g.components():
         sub, _ = g.induced(comp)

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .graphs import Graph, balls2
 from .starcolor import Coloring, backtrack, is_star_coloring
@@ -47,8 +46,7 @@ def parse_label(name: str, k: int) -> int:
     return lab
 
 
-@dataclass(frozen=True)
-class FiiPartition:
+class FiiPartition(NamedTuple):
     """A total labeling: 0 = F, 1..k = the 2-independent parts."""
 
     labels: tuple[int, ...]
@@ -199,8 +197,7 @@ def lemma_forcing_patterns(g: Graph) -> tuple[dict[int, tuple[int, ...]],
 # Exact solver
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FiiResult:
+class FiiResult(NamedTuple):
     status: str                      # "feasible" | "infeasible" | "unknown"
     partition: FiiPartition | None
     nodes: int
@@ -444,16 +441,14 @@ def fii_to_star5(g: Graph, p: FiiPartition) -> Coloring:
 # Boundary experiments
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundaryEntry:
+class BoundaryEntry(NamedTuple):
     name: str
     n: int
     mad: Fraction
     status: str  # "feasible" | "infeasible" | "unknown"
 
 
-@dataclass
-class BoundaryReport:
+class BoundaryReport(NamedTuple):
     """Empirical sweep of FI_k feasibility against maximum average degree.
 
     ``min_infeasible_mad`` is an *empirical upper bound* on the threshold
@@ -462,7 +457,7 @@ class BoundaryReport:
     """
 
     k: int
-    entries: list[BoundaryEntry] = field(default_factory=list)
+    entries: list[BoundaryEntry]
 
     @property
     def min_infeasible_mad(self) -> Fraction | None:
@@ -477,10 +472,10 @@ class BoundaryReport:
 def boundary_search(k: int, corpus: Iterable[tuple[str, Graph]],
                     timeout_s: float | None = None) -> BoundaryReport:
     """For each corpus graph record (mad, FI_k feasibility); see BoundaryReport."""
-    report = BoundaryReport(k)
+    entries = []
     for name, g in corpus:
         d = density.mad(g)
         res = find_fii(g, k, timeout_s=timeout_s)
-        report.entries.append(BoundaryEntry(name, g.n, d.value, res.status))
-    report.entries.sort(key=lambda e: e.name)
-    return report
+        entries.append(BoundaryEntry(name, g.n, d.value, res.status))
+    entries.sort(key=lambda e: e.name)
+    return BoundaryReport(k, entries)

@@ -71,6 +71,13 @@ def gen_g5n(n: int) -> Graph:
     return g
 
 
+def _density_cap(bound: Fraction | str) -> Fraction:
+    bound = Fraction(bound)
+    if bound < 1:
+        raise ValueError("bound must be at least 1")
+    return bound
+
+
 def gen_mad_bounded(n: int, bound: Fraction | str, seed: int,
                     tries: int | None = None) -> Graph:
     """Random graph on n vertices with mad <= bound = p/q, deterministic per
@@ -86,9 +93,7 @@ def gen_mad_bounded(n: int, bound: Fraction | str, seed: int,
     A rejected edge takes its units back; the paths shifted for it stay
     valid, and its dead set is dropped.
     """
-    bound = Fraction(bound)
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
+    bound = _density_cap(bound)
     p, units = bound.numerator, 2 * bound.denominator
     rng = random.Random(seed)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -114,13 +119,14 @@ def gen_mad_bounded(n: int, bound: Fraction | str, seed: int,
 def gen_corpus(count: int, n_max: int, bound: Fraction | str,
                seed: int) -> Iterator[tuple[str, Graph]]:
     """A deterministic corpus of mad-bounded random graphs, sizes cycling
-    through 4..n_max.  A negative ``count`` or an ``n_max`` below 4 raises
-    ``ValueError`` when the corpus is first iterated."""
+    through 4..n_max.  A negative ``count``, an ``n_max`` below 4 or a
+    ``bound`` below 1 raises ``ValueError`` when the corpus is first
+    iterated."""
     if count < 0:
         raise ValueError(f"corpus count must be non-negative, got {count}")
     if n_max < 4:
         raise ValueError(f"corpus n_max must be at least 4, got {n_max}")
-    bound = Fraction(bound)
+    bound = _density_cap(bound)
     rng = random.Random(seed)
     for i in range(count):
         n = 4 + i % (n_max - 3)

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 INFINITY = float("inf")
 
@@ -484,8 +483,7 @@ def girth(g: Graph) -> int | float:
     return best
 
 
-@dataclass(frozen=True)
-class PendentCycle:
+class PendentCycle(NamedTuple):
     """A cycle whose vertices all have degree 2 except the apex.
 
     ``cycle`` starts at the apex and walks the cycle; a free-standing cycle

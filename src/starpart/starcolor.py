@@ -10,24 +10,27 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .graphs import Graph
 
 DEFAULT_EXACT_CAP = 40
 
 
-@dataclass(frozen=True)
-class Coloring:
-    """A total vertex coloring with colors 0..palette_size-1."""
-
+class _ColoringFields(NamedTuple):
     colors: tuple[int, ...]
     palette_size: int
 
-    def __post_init__(self):
-        if any(c < 0 or c >= self.palette_size for c in self.colors):
+
+class Coloring(_ColoringFields):
+    """A total vertex coloring with colors 0..palette_size-1."""
+
+    __slots__ = ()
+
+    def __new__(cls, colors: tuple[int, ...], palette_size: int):
+        if any(c < 0 or c >= palette_size for c in colors):
             raise ValueError("colors must lie in 0..palette_size-1")
+        return super().__new__(cls, colors, palette_size)
 
     def used(self) -> int:
         return len(set(self.colors))

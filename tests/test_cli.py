@@ -57,6 +57,9 @@ def test_rho_star_seed(capsys, g5_file):
     code, doc = run_json(capsys, "rho-star", g5_file, "--seed", "0")
     assert code == 0
     assert doc["value"] == -1 and 0 in doc["witness"]
+    # a repeated seed vertex is reported once
+    code, twice = run_json(capsys, "rho-star", g5_file, "--seed", "0,0")
+    assert code == 0 and twice == {**doc, "seed": [0]}
 
 
 def test_edge_list_stdin(capsys, monkeypatch):
@@ -225,11 +228,15 @@ def test_lemma_check_match_index_out_of_range_exit_2(capsys, tmp_path):
 
 
 def test_gen_corpus_bad_count_or_n_max_exit_2(capsys, tmp_path):
-    for opts in (("--count", "-1"), ("--count", "3", "--n-max", "3")):
+    for opts in (("--count", "-1"), ("--count", "3", "--n-max", "3"),
+                 ("--count", "3", "--bound", "1/2"),
+                 ("--count", "0", "--bound", "1/2"),
+                 ("--count", "3", "--bound", "1/0"),
+                 ("--count", "3", "--bound", "x")):
         code, doc = run_json(capsys, "gen", "corpus", *opts,
                              "--out", str(tmp_path / "corpus"))
         assert code == 2 and doc["error"] == "usage", opts
-    assert not any((tmp_path / "corpus").glob("*"))
+        assert not (tmp_path / "corpus").exists(), opts
 
 
 @pytest.mark.parametrize("g", [gen_g5n(50),

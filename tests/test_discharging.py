@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
 
-from starpart.graphs import Graph, VertexClass, classify_vertices
+import pytest
+
+from starpart.cli import main
+from starpart.graphs import Graph, VertexClass, classify_vertices, serialize_graph
 from starpart.generators import (gen_cycle, gen_g5n, gen_mad_bounded,
                                  gen_path, gen_tree_random)
 from starpart.discharging import (EIGHT_THIRDS, audit_final_charges,
@@ -175,6 +178,31 @@ def test_terminal_partition_y_split():
     assert res.sets.Y_alpha == (0,) and res.sets.Y_beta == (1,)
 
 
+@pytest.mark.parametrize("sub, graph, code, expected", [
+    ("terminal-partition", _x_machine_instance(), 0,
+     '{"applicable": true, "command": "terminal-partition", "degenerate": [], '
+     '"partition": ["I1", "F", "F", "F", "F", "F", "F", "F", "I1", "F", "I1", '
+     '"F", "F", "F", "F", "F", "F", "F", "F", "F", "I1", "F", "I2", "F", "I1", '
+     '"F", "I2", "F", "I1", "F", "I2", "F", "I1", "F", "I2", "F"], '
+     '"schema": 1, "sets": {"F0": [1, 2, 3, 4, 5], "T_X": [9, 11, 16, 17, '
+     '18, 19, 21, 23, 25, 27, 29, 31, 33, 35], "T_alpha": [8, 10, 20, 24, 28, '
+     '32], "T_beta": [22, 26, 30, 34], "W_X": [12, 13, 14, 15], '
+     '"W_alpha": [], "W_beta": [], "X": [6, 7], "Y_alpha": [0], '
+     '"Y_beta": [], "Z": []}}\n'),
+    ("discharge-audit", instances.shipped_instance("C9")[0], 1,
+     '{"command": "discharge-audit", "deficits": [{"final": 2, '
+     '"nearby_configs": ["C2", "C9", "Cp5"], "special": null, "vertex": 0}, '
+     '{"final": "7/3", "nearby_configs": ["C2", "C9", "Cp5"], '
+     '"special": null, "vertex": 5}, {"final": "7/3", "nearby_configs": '
+     '["C2", "C9", "Cp5"], "special": null, "vertex": 6}], "schema": 1}\n'),
+], ids=["terminal-partition", "discharge-audit"])
+def test_cli_json_bytes_pinned(capsys, tmp_path, sub, graph, code, expected):
+    path = tmp_path / "g.g6"
+    path.write_text(serialize_graph(graph, "graph6") + "\n")
+    assert main(["--json", sub, str(path)]) == code
+    assert capsys.readouterr().out == expected
+
+
 def test_terminal_partition_two_components():
     x, y = _x_machine_instance(), _y_split_instance()
     g = Graph(x.n + y.n, list(x.edges())
@@ -183,7 +211,7 @@ def test_terminal_partition_two_components():
     assert res.applicable and not res.degenerate
     ok, _ = verify_fii(g, res.partition)
     assert ok
-    assert vars(res.sets) == {
+    assert res.sets._asdict() == {
         "X": (6, 7, 52, 53), "Y_alpha": (0, 36), "Y_beta": (37,),
         "W_X": (12, 13, 14, 15, 58, 59, 60, 61), "W_alpha": (), "W_beta": (),
         "T_X": (9, 11, 16, 17, 18, 19, 21, 23, 25, 27, 29, 31, 33, 35, 55, 57,

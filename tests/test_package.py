@@ -1,5 +1,5 @@
 """The package's lazy submodules: what ``import starpart`` exposes, and
-which modules a CLI call leaves unexecuted."""
+which modules a CLI call leaves unexecuted or never imports."""
 
 import importlib
 import json
@@ -17,16 +17,23 @@ SRC = str(Path(starpart.__file__).resolve().parent.parent)
 MODULES = ("graphs", "density", "starcolor", "fii", "configs", "discharging",
            "generators", "instances")
 
-#: lists the starpart modules a CLI call (argv) left unexecuted; the type
-#: test reads no module attribute, since a read would load the module
-_UNEXECUTED = """
+#: stdlib modules that no CLI call may import: ``dataclasses`` pulls in
+#: ``inspect``, ``ast``, ``dis`` and ``tokenize``, and that start-up cost is
+#: paid again by every call
+_SLOW_IMPORTS = ("dataclasses", "inspect")
+
+#: lists the starpart modules a CLI call (argv) left unexecuted and the
+#: ``_SLOW_IMPORTS`` it loaded; the type test reads no module attribute,
+#: since a read would load the module
+_UNEXECUTED = f"""
 import contextlib, io, json, sys, types
 from starpart import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(json.dumps({"code": code, "unexecuted": sorted(
+print(json.dumps({{"code": code, "unexecuted": sorted(
     name.split(".", 1)[1] for name, m in sys.modules.items()
-    if name.startswith("starpart.") and type(m) is not types.ModuleType)}))
+    if name.startswith("starpart.") and type(m) is not types.ModuleType),
+    "loaded": [name for name in {_SLOW_IMPORTS!r} if name in sys.modules]}}))
 """
 
 
@@ -85,3 +92,39 @@ def test_import_registers_every_module_unexecuted():
                    "name for name, m in sys.modules.items() "
                    "if name.startswith('starpart.') and type(m) is not types.ModuleType))")
     assert proc.stdout.strip() == str(sorted(f"starpart.{m}" for m in MODULES)), proc.stderr
+
+
+#: every subcommand the benchmark runs, as argv after ``--json``; ``G`` is a
+#: graph file holding the shipped C5 instance, ``D`` a scratch directory
+_BENCH_CALLS = {
+    "star5": ["star5", "G"],
+    "fii-find": ["fii-find", "G"],
+    "mad": ["mad", "G"],
+    "rho-star": ["rho-star", "G", "--seed", "0,1"],
+    "gen corpus": ["gen", "corpus", "--count", "2", "--n-max", "6", "--out", "D"],
+    "boundary": ["boundary", "-k", "2", "--corpus", "D"],
+    "config-scan": ["config-scan", "G"],
+    "discharge": ["discharge", "G"],
+    "discharge-audit": ["discharge-audit", "G"],
+    "classify": ["classify", "G"],
+    "attach": ["attach", "G", "--at", "0", "--gadget", "J1"],
+    "girth": ["girth", "G"],
+    "lemma-check": ["lemma-check", "G", "--config", "C5"],
+}
+
+
+@pytest.mark.parametrize("sub", _BENCH_CALLS)
+def test_cli_call_imports_no_dataclasses_or_inspect(tmp_path, sub):
+    from starpart.graphs import serialize_graph
+    from starpart.instances import shipped_instance
+    graph = tmp_path / "c5.g6"
+    graph.write_text(serialize_graph(shipped_instance("C5")[0], "graph6") + "\n")
+    (tmp_path / "corpus").mkdir()
+    (tmp_path / "corpus" / "c5.g6").write_text(graph.read_text())
+    paths = {"G": str(graph), "D": str(tmp_path / "corpus")}
+    argv = [paths.get(a, a) for a in _BENCH_CALLS[sub]]
+    proc = _python("-c", _UNEXECUTED, "--json", *argv)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["code"] in (0, 1), proc.stderr
+    assert doc["loaded"] == [], sub
