@@ -383,12 +383,8 @@ def _cmd_terminal_partition(args, g: Graph) -> int:
 
 
 def _cmd_gen_corpus(args, _) -> int:
-    try:
-        bound = Fraction(args.bound)
-    except ZeroDivisionError as exc:
-        raise _CliError(f"bad --bound {args.bound!r}: zero denominator") from exc
     # generated in full first, so that bad arguments leave no directory
-    corpus = list(generators.gen_corpus(args.count, args.n_max, bound,
+    corpus = list(generators.gen_corpus(args.count, args.n_max, args.bound,
                                         args.seed))
     outdir = Path(args.out)
     try:

@@ -243,14 +243,34 @@ class J2:
     mad <= 8/3, and pins v to the forest part of any FI_2-partition."""
 
 
-class AddEdge(NamedTuple):
+class _ToVertex(NamedTuple):
+    """A gadget that joins the attachment point to vertex ``other``.
+
+    Equality and hashing include the class, so ``AddEdge(3)``,
+    ``AddPath2(3)`` and ``(3,)`` are three different values."""
+
     other: int
 
+    def __eq__(self, o: object) -> bool:
+        return type(o) is type(self) and tuple.__eq__(self, o)
 
-class AddPath2(NamedTuple):
+    def __ne__(self, o: object) -> bool:
+        return not self == o
+
+    def __hash__(self) -> int:
+        return hash((type(self), self.other))
+
+
+class AddEdge(_ToVertex):
+    """An edge from the attachment point to ``other``."""
+
+    __slots__ = ()
+
+
+class AddPath2(_ToVertex):
     """A path of length two to ``other`` through one new middle vertex."""
 
-    other: int
+    __slots__ = ()
 
 
 Gadget = PendentTriangle | J1 | J2 | AddEdge | AddPath2

@@ -72,7 +72,10 @@ def gen_g5n(n: int) -> Graph:
 
 
 def _density_cap(bound: Fraction | str) -> Fraction:
-    bound = Fraction(bound)
+    try:
+        bound = Fraction(bound)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"bad bound {bound!r}: zero denominator") from exc
     if bound < 1:
         raise ValueError("bound must be at least 1")
     return bound

@@ -12,7 +12,7 @@ import re
 from collections import deque
 from enum import Enum
 from math import isqrt
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 INFINITY = float("inf")
 
@@ -483,16 +483,34 @@ def girth(g: Graph) -> int | float:
     return best
 
 
-class PendentCycle(NamedTuple):
+class PendentCycle:
     """A cycle whose vertices all have degree 2 except the apex.
 
     ``cycle`` starts at the apex and walks the cycle; a free-standing cycle
     (every vertex of degree 2) is *not* pendent: the apex must have degree
-    at least 3.
+    at least 3.  ``len`` is the cycle's length, so this immutable record is
+    a plain class: a tuple of its two fields would break the sequence
+    protocol.
     """
 
-    apex: int
-    cycle: tuple[int, ...]
+    __slots__ = ("apex", "cycle")
+
+    def __init__(self, apex: int, cycle: tuple[int, ...]) -> None:
+        object.__setattr__(self, "apex", apex)
+        object.__setattr__(self, "cycle", cycle)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to PendentCycle.{name}")
+
+    def __eq__(self, o: object) -> bool:
+        return (type(o) is PendentCycle
+                and (self.apex, self.cycle) == (o.apex, o.cycle))
+
+    def __hash__(self) -> int:
+        return hash((self.apex, self.cycle))
+
+    def __repr__(self) -> str:
+        return f"PendentCycle(apex={self.apex!r}, cycle={self.cycle!r})"
 
     def __len__(self) -> int:
         return len(self.cycle)

@@ -32,6 +32,11 @@ class Coloring(_ColoringFields):
             raise ValueError("colors must lie in 0..palette_size-1")
         return super().__new__(cls, colors, palette_size)
 
+    @classmethod
+    def _make(cls, iterable) -> Coloring:
+        # through __new__, so that _make and _replace check the range too
+        return cls(*iterable)
+
     def used(self) -> int:
         return len(set(self.colors))
 

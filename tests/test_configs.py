@@ -242,8 +242,17 @@ def test_gadget_errors():
         attach_gadget(g, 0, AddEdge(0))
     assert isinstance(gadget_by_name("J2"), J2)
     assert gadget_by_name("edge:3") == AddEdge(3)
+    assert type(gadget_by_name("edge:3")) is AddEdge
+    assert type(gadget_by_name("path2:3")) is AddPath2
     with pytest.raises(ValueError):
         gadget_by_name("nope")
+
+
+def test_gadgets_with_a_target_differ_by_class():
+    assert AddEdge(3) != AddPath2(3) and AddPath2(3) != AddEdge(3)
+    assert AddEdge(3) != (3,) and (3,) != AddEdge(3)
+    assert AddEdge(3) == AddEdge(3) and AddEdge(3) != AddEdge(4)
+    assert len({AddEdge(3), AddPath2(3), AddEdge(3)}) == 2
 
 
 def test_gadget_internal_potentials_match_budgets():

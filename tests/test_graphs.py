@@ -5,8 +5,8 @@ import random
 import pytest
 
 from starpart.graphs import (Graph, GraphBuilder, GraphError, ParseError,
-                             ValidationError, VertexClass, INFINITY,
-                             classify_vertices, find_pendent_cycles,
+                             PendentCycle, ValidationError, VertexClass,
+                             INFINITY, classify_vertices, find_pendent_cycles,
                              find_pendent_triangles, girth, parse_edge_list,
                              parse_dimacs, parse_graph, parse_graph6,
                              serialize_graph, sniff_format, to_dimacs,
@@ -294,6 +294,15 @@ def test_pendent_cycle_longer():
     assert len(cycles) == 1
     assert cycles[0].apex == 0 and len(cycles[0]) == 5
     assert find_pendent_triangles(g) == []
+
+
+def test_pendent_cycle_record():
+    c = find_pendent_cycles(gen_g5n(1))[0]
+    assert len(c) == len(c.cycle) == 3 and c.two_vertices == c.cycle[1:]
+    assert c == PendentCycle(c.apex, c.cycle) and c != (c.apex, c.cycle)
+    assert hash(c) == hash(PendentCycle(c.apex, c.cycle))
+    with pytest.raises(AttributeError):
+        c.apex = 0
 
 
 def test_classify_examples():

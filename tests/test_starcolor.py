@@ -80,6 +80,16 @@ def test_partial_coloring_rejected():
         is_star_coloring(gen_path(3), Coloring((0, 1), 2))
 
 
+def test_coloring_range_checked_on_every_construction():
+    with pytest.raises(ValueError):
+        Coloring((0, 2), 2)
+    with pytest.raises(ValueError):
+        Coloring._make(((0, 2), 2))
+    with pytest.raises(ValueError):
+        Coloring((0, 1), 2)._replace(colors=(0, 5))
+    assert Coloring((0, 1), 2)._replace(palette_size=3) == Coloring((0, 1), 3)
+
+
 def test_chi_s_complete_graphs():
     for n in range(1, 7):
         k, col = star_chromatic_number(gen_complete(n))
