@@ -81,7 +81,8 @@ def _load_list(path: str, what: str, key: str, n: int,
 
 
 def _frac(x: Fraction) -> int | str:
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -121,9 +122,11 @@ def _timeout_s(ms: int | None) -> float | None:
 
 def _cmd_mad(args, g: Graph) -> int:
     d = density.mad(g)
-    # mad <= 8/3 follows from the exact value; only a violation needs its set
-    ok83, violation = ((True, None) if d.value <= Fraction(8, 3)
-                       else density.mad_le_8_3(g))
+    # mad <= 8/3 follows from the exact value.  A violation's set is the least
+    # minimizer of rho, which contains every densest set, so the orientation
+    # may start with the witness dead.
+    ok83 = d.value <= Fraction(8, 3)
+    violation = None if ok83 else density.rho_star(g, d.witness).minimizer
     payload = {"value": _frac(d.value), "witness": list(d.witness),
                "le_8_3": ok83,
                "violating_set": list(violation) if violation else None}

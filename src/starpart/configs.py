@@ -15,8 +15,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .graphs import (Graph, PendentCycle, VertexClass, classify_vertices,
                      pendent_triangles_at)
-from .fii import FiiPartition, enumerate_fii, find_fii
-from . import density
+from . import density, fii
 
 C_IDS = tuple(f"C{i}" for i in range(1, 11))
 CP_IDS = tuple(f"Cp{i}" for i in range(1, 6))
@@ -524,7 +523,7 @@ def verify_lemma_extension(g: Graph, match: ConfigMatch,
     h_partitions = extended = 0
     failures: list[tuple[int, ...]] = []
     cache: dict[tuple[int, ...], bool] = {}
-    for part in enumerate_fii(h, 2):
+    for part in fii.enumerate_fii(h, 2):
         h_partitions += 1
         if h_partitions > max_partitions:
             raise RuntimeError("reduced graph has too many partitions; "
@@ -534,7 +533,7 @@ def verify_lemma_extension(g: Graph, match: ConfigMatch,
             ok = cache[restricted]
         else:
             fixed = {v: lab for v, lab in zip(keep_list, restricted)}
-            res = find_fii(g, 2, forcing=False, fixed=fixed)
+            res = fii.find_fii(g, 2, forcing=False, fixed=fixed)
             ok = res.feasible
             cache[restricted] = ok
             if not ok:

@@ -153,6 +153,10 @@ def rho_star_weighted(g: Graph, seed: Iterable[int],
     max-flow/min-cut the minimum is vw|seed| minus the units that do not
     fit, and the final dead set, the seed plus all that the left-over units
     reach, is the least minimizer: the same for every vertex order.
+
+    The endpoints' own room is filled inline, as ``place_units`` would do
+    first; it is called only for the units left over, and not at all when
+    both endpoints are dead, where it would place nothing.
     """
     if vertex_weight < 0 or edge_weight < 0:
         raise ValueError("weights must be non-negative")
@@ -164,9 +168,18 @@ def rho_star_weighted(g: Graph, seed: Iterable[int],
     held: list[dict[int, int]] = [{} for _ in range(g.n)]
     load = [0] * g.n
     for u, v in g.edges():
-        held[u][v], held[v][u] = place_units(held, load, vertex_weight, (u, v),
-                                             edge_weight, dead)
-        value -= edge_weight - held[u][v] - held[v][u]
+        a = 0 if u in dead else min(edge_weight, vertex_weight - load[u])
+        b = 0 if v in dead else min(edge_weight - a, vertex_weight - load[v])
+        load[u] += a
+        load[v] += b
+        rest = edge_weight - a - b
+        if rest and not (u in dead and v in dead):
+            x, y = place_units(held, load, vertex_weight, (u, v), rest, dead)
+            a += x
+            b += y
+            rest -= x + y
+        held[u][v], held[v][u] = a, b
+        value -= rest
     return PotentialResult(value, tuple(sorted(dead)))
 
 
@@ -221,7 +234,9 @@ def mad_le_8_3(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
     """Decide mad(g) <= 8/3 via rho >= 0 on all nonempty sets.
 
     Returns (True, None) or (False, violating_set): the equivalence is
-    6|E(S)| <= 8|S|  iff  4|S| - 3|E(S)| >= 0 for every nonempty S.
+    6|E(S)| <= 8|S|  iff  4|S| - 3|E(S)| >= 0 for every nonempty S.  The
+    violating set, the least minimizer of rho, contains every densest set, so
+    it equals ``rho_star(g, mad(g).witness).minimizer``.
     """
     res = rho_star(g, ())
     if res.value >= 0:

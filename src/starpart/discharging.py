@@ -22,8 +22,7 @@ from typing import NamedTuple
 
 from .graphs import (Graph, VertexClass, classify_vertices,
                      pendent_cycle_two_vertices, pendent_triangles_at)
-from .fii import FiiPartition, verify_fii
-from .configs import scan_configs
+from . import configs, fii
 
 _W = VertexClass
 EIGHT_THIRDS = Fraction(8, 3)
@@ -62,24 +61,31 @@ def run_discharging(g: Graph) -> ChargeTable:
     """Apply R1-R4 and return the full transfer log with final charges."""
     cls = classify_vertices(g)
     on_pendent_cycle = pendent_cycle_two_vertices(g)
-    third = Fraction(1, 3)
+    amounts = {1: Fraction(1, 3), 2: Fraction(2, 3)}
+    thirds = [3 * len(a) for a in g.adj]  # each charge, times 3
     transfers: list[Transfer] = []
+
+    def send(source: int, target: int, k: int, rule: str) -> None:
+        transfers.append(Transfer(source, target, amounts[k], rule))
+        thirds[source] -= k
+        thirds[target] += k
+
     for u in range(g.n):
         d = g.degree(u)
         if d < 3:
             continue
         for w in g.adj[u]:
             if w in on_pendent_cycle:
-                transfers.append(Transfer(u, w, 2 * third, "R1"))
+                send(u, w, 2, "R1")
             if cls[w] == _W.W2:
-                transfers.append(Transfer(u, w, third, "R2"))
+                send(u, w, 1, "R2")
             if cls[w] == _W.W3:
-                transfers.append(Transfer(u, w, third, "R3"))
+                send(u, w, 1, "R3")
             if d >= 4 and cls[w] == _W.W5:
-                transfers.append(Transfer(u, w, third, "R4"))
-    initial = [Fraction(g.degree(v)) for v in range(g.n)]
-    final = _apply_transfers(initial, transfers)
-    assert sum(final, Fraction(0)) == 2 * g.edge_count
+                send(u, w, 1, "R4")
+    assert sum(thirds) == 6 * g.edge_count
+    initial = [Fraction(len(a)) for a in g.adj]
+    final = [Fraction(t, 3) for t in thirds]
     return ChargeTable(initial, transfers, final)
 
 
@@ -124,7 +130,7 @@ def audit_final_charges(g: Graph) -> AuditReport:
     diagnostic and lists every candidate explanation without tie-breaking.
     """
     table = run_discharging(g)
-    matches = scan_configs(g)
+    matches = configs.scan_configs(g)
     tri_at = pendent_triangles_at(g)
     configs_at: dict[int, set[str]] = {}
     for m in matches:
@@ -170,7 +176,7 @@ class TerminalResult(NamedTuple):
     reason: str | None = None
     degenerate: tuple[str, ...] = ()
     sets: TerminalSets | None = None
-    partition: FiiPartition | None = None
+    partition: fii.FiiPartition | None = None
 
 
 class _Inapplicable(Exception):
@@ -390,8 +396,8 @@ def build_terminal_partition(g: Graph) -> TerminalResult:
             _construct_component(g, comp, cls, tri_at, labels, sets)
         except _Inapplicable as exc:
             return TerminalResult(False, reason=exc.reason)
-    partition = FiiPartition(tuple(labels), 2)
-    ok, witness = verify_fii(g, partition)
+    partition = fii.FiiPartition(tuple(labels), 2)
+    ok, witness = fii.verify_fii(g, partition)
     if not ok:
         return TerminalResult(False,
                               reason=f"assembled partition failed: {witness}")

@@ -253,19 +253,26 @@ def parse_graph6(text: str | bytes) -> Graph:
     if len(body) != nbytes:
         raise ParseError(
             f"graph6 body has {len(body)} bytes, expected {nbytes}", offset=pos)
-    bad = re.search(rb"[^\x3f-\x7e]", body)
-    if bad:
+    if body.translate(None, _G6_BYTES):
+        bad = re.search(rb"[^\x3f-\x7e]", body)
         raise ParseError(f"invalid graph6 byte {body[bad.start()]}",
                          offset=pos + bad.start())
     edges = []
     for hit in re.finditer(rb"[^?]", body):
         k = hit.start()
-        for b in range(6):
+        for b in _G6_BITS[body[k]]:
             p = 6 * k + b
-            if (body[k] - 63) & (32 >> b) and p < nbits:
+            if p < nbits:
                 j = (1 + isqrt(8 * p + 1)) // 2
                 edges.append((p - j * (j - 1) // 2, j))
     return Graph(n, edges)
+
+
+#: the bytes a graph6 body may hold, 63-126 (for ``bytes.translate``)
+_G6_BYTES = bytes(range(63, 127))
+#: for each body byte, the positions b (0 = most significant) of its set bits
+_G6_BITS = [tuple(b for b in range(6) if (c - 63) & (32 >> b))
+            if 63 <= c <= 126 else () for c in range(256)]
 
 
 #: adds 63 to every 6-bit value, for ``bytes.translate``
@@ -302,32 +309,24 @@ def parse_edge_list(text: str | bytes) -> Graph:
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
     ids: dict[str, int] = {}
-    names: list[str] = []
     edges: list[tuple[int, int]] = []
-
-    def intern(tok: str) -> int:
-        if tok not in ids:
-            ids[tok] = len(names)
-            names.append(tok)
-        return ids[tok]
-
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        toks = stripped.split()
-        if len(toks) == 1:
-            intern(toks[0])
-        elif len(toks) == 2:
-            u, v = intern(toks[0]), intern(toks[1])
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        toks = line.split()
+        if len(toks) == 2:
+            u = ids.setdefault(toks[0], len(ids))
+            v = ids.setdefault(toks[1], len(ids))
             if u == v:
                 raise ValidationError(
                     f"self-loop '{toks[0]} {toks[1]}' on line {lineno}", edge=(u, v))
             edges.append((u, v))
-        else:
+        elif len(toks) == 1:
+            ids.setdefault(toks[0], len(ids))
+        elif toks:
             raise ParseError(f"expected 1 or 2 tokens on line {lineno}",
                              offset=lineno)
-    return Graph(len(names), edges, names)
+    return Graph(len(ids), edges, list(ids))
 
 
 def to_edge_list(g: Graph) -> str:

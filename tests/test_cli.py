@@ -239,10 +239,17 @@ def test_gen_corpus_bad_count_or_n_max_exit_2(capsys, tmp_path):
         assert not (tmp_path / "corpus").exists(), opts
 
 
+# K5 on 0-4, K4 on 5-8 and a path 8-9-10-11: mad's witness is the K5, the
+# violating set both cliques
+_K5_K4_PATH = Graph(12, [(u, v) for u in range(5) for v in range(u + 1, 5)]
+                    + [(u, v) for u in range(5, 9) for v in range(u + 1, 9)]
+                    + [(8, 9), (9, 10), (10, 11)])
+
+
 @pytest.mark.parametrize("g", [gen_g5n(50),
                                next(gen_corpus(1, 14, "8/3", 0))[1],
-                               Graph(3, [])],
-                         ids=["g5n-50", "corpus", "edgeless"])
+                               Graph(3, []), _K5_K4_PATH],
+                         ids=["g5n-50", "corpus", "edgeless", "k5+k4+path"])
 def test_mad_json_bytes(capsys, tmp_path, g):
     # the document of the handler that always ran mad_le_8_3
     path = tmp_path / "g.g6"

@@ -125,6 +125,36 @@ def test_mad_le_8_3_examples():
     assert rho(gen_g5n(1), wit) < 0
 
 
+def _union_with_pendant_edges(rng):
+    """Two or three disjoint random graphs, then 1-4 edges to new leaves."""
+    edges, n = [], 0
+    for _ in range(rng.randint(2, 3)):
+        h = random_graph(rng, rng.randint(1, 7), rng.uniform(0.4, 1.0))
+        edges += [(u + n, v + n) for u, v in h.edges()]
+        n += h.n
+    for _ in range(rng.randint(1, 4)):
+        edges.append((rng.randrange(n), n))
+        n += 1
+    return Graph(n, edges)
+
+
+def test_violating_set_inside_densest_witness():
+    # the least minimizer of rho contains every densest set, so an
+    # orientation seeded with mad's witness finds the same violating set
+    rng = random.Random(17)
+    graphs = [random_graph(rng, rng.randint(1, 17), rng.random())
+              for _ in range(5000)]
+    graphs += [_union_with_pendant_edges(rng) for _ in range(1000)]
+    graphs += [gen_g5n(k) for k in (1, 5, 50, 200)]
+    violations = 0
+    for g in graphs:
+        d = mad(g)
+        if d.value > Fraction(8, 3):
+            violations += 1
+            assert rho_star(g, d.witness).minimizer == mad_le_8_3(g)[1], g
+    assert violations > 2000
+
+
 def test_mad_le_matches_definition():
     rng = random.Random(15)
     for _ in range(80):

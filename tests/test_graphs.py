@@ -165,6 +165,19 @@ def test_edge_list_names_and_isolated():
     assert parse_edge_list(to_edge_list(g)) == g
 
 
+def test_edge_list_ids_comments_and_messages():
+    g = parse_edge_list("  b a # first edge\n\n# whole-line comment\nc\n"
+                        "a c#tail\n\t\n")
+    assert g.names == ("b", "a", "c")
+    assert list(g.edges()) == [(0, 1), (1, 2)]
+    with pytest.raises(ParseError, match="^expected 1 or 2 tokens on line 3$") as exc:
+        parse_edge_list("x y\n y z \nx y z\n")
+    assert exc.value.offset == 3
+    with pytest.raises(ValidationError, match="^self-loop 'q q' on line 3$") as exc:
+        parse_edge_list("p q\n# c\nq  q # loop\n")
+    assert exc.value.edge == (1, 1)
+
+
 def test_dimacs_round_trip():
     text = "c comment\np edge 4 3\ne 1 2\ne 2 3\ne 3 4\n"
     g = parse_dimacs(text)

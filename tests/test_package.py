@@ -76,6 +76,10 @@ def test_each_module_imports_alone(name):
     ("girth", {"configs", "discharging", "fii", "starcolor", "density",
                "generators"}),
     ("star5", {"configs", "discharging", "generators"}),
+    ("config-scan", {"fii", "starcolor", "discharging", "density",
+                     "generators"}),
+    ("discharge", {"configs", "fii", "starcolor", "density", "generators"}),
+    ("discharge-audit", {"fii", "starcolor", "density", "generators"}),
 ])
 def test_cli_runs_only_the_modules_its_subcommand_needs(tmp_path, sub, unexecuted):
     path = tmp_path / "triangle.g6"
@@ -83,7 +87,8 @@ def test_cli_runs_only_the_modules_its_subcommand_needs(tmp_path, sub, unexecute
     proc = _python("-c", _UNEXECUTED, "--json", sub, str(path))
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
-    assert doc["code"] == 0
+    # the triangle's vertices all end below 8/3: the audit reports deficits
+    assert doc["code"] == (1 if sub == "discharge-audit" else 0)
     assert unexecuted <= set(doc["unexecuted"])
 
 
