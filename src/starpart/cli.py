@@ -343,16 +343,17 @@ def _cmd_attach(args, g: Graph) -> int:
 
 def _cmd_discharge(args, g: Graph) -> int:
     table = discharging.run_discharging(g)
+    total = _frac(table.total)
     payload = {
         "initial": [_frac(x) for x in table.initial],
         "final": [_frac(x) for x in table.final],
-        "total": _frac(table.total),
+        "total": total,
         "transfers": [{"from": t.source, "to": t.target,
                        "amount": _frac(t.amount), "rule": t.rule}
                       for t in table.transfers],
     }
     _emit(args, payload,
-          f"total charge {_frac(table.total)} = 2|E| over {g.n} vertices, "
+          f"total charge {total} = 2|E| over {g.n} vertices, "
           f"{len(table.transfers)} transfers")
     return EXIT_OK
 

@@ -21,13 +21,17 @@ def place_units(held: list[dict[int, int]], load: list[int], cap: int,
                 sources: Sequence[int], want: int, dead: set[int]) -> list[int]:
     """Put up to ``want`` units on ``sources``, keeping every load <= cap.
 
-    ``held[x][y]`` units of edge xy lie on x and ``load[x]`` sums them.  The
-    sources take what they have room for; then each breadth-first search
-    over the arcs x -> y with ``held[x][y] >= 1`` finds the nearest vertex
-    with room and shifts the path's bottleneck amount one arc along, so only
-    that vertex gains load.  Returns the units put on each source.  A failed
-    search adds what it reached to ``dead``: that set has no arc out and no
-    room, and keeps both while units are only added, so searches skip it.
+    ``held[x][y]`` units of edge xy lie on x and ``load[x]`` sums them; a
+    missing entry counts as 0.  The sources take what they have room for;
+    then each breadth-first search over the arcs x -> y with
+    ``held[x][y] >= 1`` finds the nearest vertex with room and shifts the
+    path's bottleneck amount one arc along, so only that vertex gains load.
+    The path is walked twice through the parent pointers, once for the
+    bottleneck and once to shift.  Returns the units put on each source.  A
+    failed search adds what it reached to ``dead``: that set has no arc out
+    and no room, and keeps both while units are only added, so searches skip
+    it, and a caller may skip an edge with both endpoints dead: the call
+    would place nothing and add nothing to ``dead``.
     """
     got = []
     for x in sources:
@@ -35,8 +39,12 @@ def place_units(held: list[dict[int, int]], load: list[int], cap: int,
         load[x] += got[-1]
         want -= got[-1]
     while want:
-        parent = {x: -1 for x in sources if x not in dead}
-        queue = list(parent)
+        parent = {}
+        queue = []
+        for x in sources:
+            if x not in dead:
+                parent[x] = -1
+                queue.append(x)
         for x in queue:
             if load[x] < cap:
                 break
@@ -47,16 +55,19 @@ def place_units(held: list[dict[int, int]], load: list[int], cap: int,
         else:
             dead.update(queue)
             return got
-        path = [x]
-        while parent[path[-1]] >= 0:
-            path.append(parent[path[-1]])
-        arcs = list(zip(path[1:], path))
-        amount = min(want, cap - load[x], *(held[w][y] for w, y in arcs))
+        amount = min(want, cap - load[x])
+        y, w = x, parent[x]
+        while w >= 0:
+            if held[w][y] < amount:
+                amount = held[w][y]
+            y, w = w, parent[w]
         load[x] += amount
-        for w, y in arcs:
+        y, w = x, parent[x]
+        while w >= 0:
             held[w][y] -= amount
             held[y][w] += amount
-        got[sources.index(path[-1])] += amount
+            y, w = w, parent[w]
+        got[0 if y == sources[0] else sources.index(y)] += amount
         want -= amount
     return got
 
@@ -89,30 +100,77 @@ def rho(g: Graph, a: Iterable[int]) -> int:
     return 4 * len(vs) - 3 * _subgraph_edges(g, vs)
 
 
+def _core_density(g: Graph) -> Fraction:
+    """The largest |E(C)|/|C| over the components C of the 2-core, 0 if the
+    2-core is empty.
+
+    Vertices of degree <= 1 are peeled; each component's edges are counted
+    from the degrees that remain, so this takes O(n + m).
+    """
+    deg = [len(a) for a in g.adj]
+    gone = [d <= 1 for d in deg]
+    stack = [v for v in range(g.n) if gone[v]]
+    while stack:
+        for w in g.adj[stack.pop()]:
+            if not gone[w]:
+                deg[w] -= 1
+                if deg[w] <= 1:
+                    gone[w] = True
+                    stack.append(w)
+    best_e, best_k = 0, 1
+    for s in range(g.n):
+        if gone[s]:
+            continue
+        gone[s] = True
+        comp, twice_e = [s], 0
+        for v in comp:
+            twice_e += deg[v]
+            for w in g.adj[v]:
+                if not gone[w]:
+                    gone[w] = True
+                    comp.append(w)
+        if twice_e * best_k > 2 * best_e * len(comp):
+            best_e, best_k = twice_e // 2, len(comp)
+    return Fraction(best_e, best_k)
+
+
 def mad(g: Graph) -> Density:
     """Exact maximum average degree via iterated orientations (Dinkelbach).
 
-    With the current witness density |E(S)|/|S| = p/q, one call of
-    ``rho_star_weighted`` decides whether some T has q|E(T)| - p|T| > 0;
-    any such T is strictly denser, densities have denominator at most n, so
-    the iteration reaches the exact maximum in finitely many steps.
+    The start density p/q is the better of |E|/|V| and the densest component
+    of the 2-core (``_core_density``), each the density of a real vertex set.
+    One orientation (``_orient`` at weights (p, q)) decides whether some T
+    has q|E(T)| - p|T| > 0; if so its least minimizer is strictly denser and
+    becomes the next p/q, and densities have denominator at most n, so the
+    iteration reaches the exact maximum in finitely many steps.
+
+    The witness is the maximal densest set, the union of all densest sets.
+    It is read off the final, certifying placement (every unit placed): it is
+    the set of vertices that cannot reach a vertex with ``load < p`` along
+    arcs x -> y with ``held[x][y] >= 1``, found by one reverse search.  That
+    set is closed and full, so p|S| = q|E(S)|, and every densest set is
+    closed and full too.
     """
     if g.n < 1:
         raise ValueError("mad requires at least one vertex")
     if g.edge_count == 0:
         return Density(Fraction(0), (0,))
-    witness = tuple(range(g.n))
-    dens = Fraction(g.edge_count, g.n)
+    dens = max(Fraction(g.edge_count, g.n), _core_density(g))
     while True:
-        res = rho_star_weighted(g, (), dens.numerator, dens.denominator)
-        if res.value >= 0:
+        value, dead, held, load = _orient(g, (), dens.numerator, dens.denominator)
+        if value == 0:
             break
-        better = res.minimizer
-        cand = Fraction(_subgraph_edges(g, better), len(better))
-        if cand <= dens:
-            break
-        witness, dens = better, cand
-    return Density(2 * dens, witness)
+        better = Fraction(_subgraph_edges(g, dead), len(dead))
+        assert better > dens
+        dens = better
+    stuck = [x >= dens.numerator for x in load]
+    free = [v for v in range(g.n) if not stuck[v]]
+    for y in free:
+        for x in held[y]:
+            if stuck[x] and held[x][y]:
+                stuck[x] = False
+                free.append(x)
+    return Density(2 * dens, tuple(v for v in range(g.n) if stuck[v]))
 
 
 def _subset_edge_counts(g: Graph) -> list[int]:
@@ -144,19 +202,16 @@ def mad_oracle(g: Graph) -> Density:
     return Density(Fraction(2 * best_e, best_k), witness)
 
 
-def rho_star_weighted(g: Graph, seed: Iterable[int],
-                      vertex_weight: int, edge_weight: int) -> PotentialResult:
-    """min over K >= seed of  vw|K| - ew|E(G[K])|, by one orientation.
+def _orient(g: Graph, seed: Iterable[int], vertex_weight: int,
+            edge_weight: int) -> tuple[int, set[int], list[dict[int, int]], list[int]]:
+    """One orientation for min over K >= seed of vw|K| - ew|E(G[K])|.
 
-    Each edge's ew units go on its endpoints outside the seed, at most vw
-    per vertex (``place_units``, with the seed dead from the start).  By
-    max-flow/min-cut the minimum is vw|seed| minus the units that do not
-    fit, and the final dead set, the seed plus all that the left-over units
-    reach, is the least minimizer: the same for every vertex order.
-
-    The endpoints' own room is filled inline, as ``place_units`` would do
-    first; it is called only for the units left over, and not at all when
-    both endpoints are dead, where it would place nothing.
+    Returns the minimum, the final dead set (the least minimizer), and the
+    placement ``held``/``load`` that ``place_units`` left.  An edge with both
+    endpoints dead is skipped before any write: all its units are unplaced
+    and ``held`` gets no entry for it.  Otherwise the endpoints' own room is
+    filled inline, as ``place_units`` would do first, and it is called only
+    for the units left over.
     """
     if vertex_weight < 0 or edge_weight < 0:
         raise ValueError("weights must be non-negative")
@@ -168,18 +223,40 @@ def rho_star_weighted(g: Graph, seed: Iterable[int],
     held: list[dict[int, int]] = [{} for _ in range(g.n)]
     load = [0] * g.n
     for u, v in g.edges():
-        a = 0 if u in dead else min(edge_weight, vertex_weight - load[u])
+        if u in dead:
+            if v in dead:
+                value -= edge_weight
+                continue
+            a = 0
+        else:
+            a = min(edge_weight, vertex_weight - load[u])
         b = 0 if v in dead else min(edge_weight - a, vertex_weight - load[v])
         load[u] += a
         load[v] += b
         rest = edge_weight - a - b
-        if rest and not (u in dead and v in dead):
+        if rest:
             x, y = place_units(held, load, vertex_weight, (u, v), rest, dead)
             a += x
             b += y
             rest -= x + y
         held[u][v], held[v][u] = a, b
         value -= rest
+    return value, dead, held, load
+
+
+def rho_star_weighted(g: Graph, seed: Iterable[int],
+                      vertex_weight: int, edge_weight: int) -> PotentialResult:
+    """min over K >= seed of  vw|K| - ew|E(G[K])|, by one orientation.
+
+    Each edge's ew units go on its endpoints outside the seed, at most vw
+    per vertex (``place_units``, with the seed dead from the start).  By
+    max-flow/min-cut the minimum is vw|seed| minus the units that do not
+    fit, and the final dead set, the seed plus all that the left-over units
+    reach, is the least minimizer: the same for every vertex order.  An edge
+    inside the dead set places nothing and is skipped, so a seed of every
+    vertex gives (vw*n - ew*m, all vertices) without touching ``held``.
+    """
+    value, dead, _, _ = _orient(g, seed, vertex_weight, edge_weight)
     return PotentialResult(value, tuple(sorted(dead)))
 
 

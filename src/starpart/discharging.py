@@ -20,8 +20,8 @@ from collections import deque
 from fractions import Fraction
 from typing import NamedTuple
 
-from .graphs import (Graph, VertexClass, classify_vertices,
-                     pendent_cycle_two_vertices, pendent_triangles_at)
+from .graphs import (Graph, PendentCycle, VertexClass, _classify_with,
+                     _cycle_two_vertices, _triangles_at, find_pendent_cycles)
 from . import configs, fii
 
 _W = VertexClass
@@ -59,8 +59,13 @@ def _apply_transfers(initial: list[Fraction],
 
 def run_discharging(g: Graph) -> ChargeTable:
     """Apply R1-R4 and return the full transfer log with final charges."""
-    cls = classify_vertices(g)
-    on_pendent_cycle = pendent_cycle_two_vertices(g)
+    return _discharge(g, find_pendent_cycles(g))
+
+
+def _discharge(g: Graph, cycles: list[PendentCycle]) -> ChargeTable:
+    """``run_discharging`` with the pendent cycles already found."""
+    cls = _classify_with(g, _triangles_at(cycles))
+    on_pendent_cycle = _cycle_two_vertices(cycles)
     amounts = {1: Fraction(1, 3), 2: Fraction(2, 3)}
     thirds = [3 * len(a) for a in g.adj]  # each charge, times 3
     transfers: list[Transfer] = []
@@ -129,9 +134,10 @@ def audit_final_charges(g: Graph) -> AuditReport:
     component) the deficit list is empty; for arbitrary inputs the report is
     diagnostic and lists every candidate explanation without tie-breaking.
     """
-    table = run_discharging(g)
+    cycles = find_pendent_cycles(g)
+    table = _discharge(g, cycles)
     matches = configs.scan_configs(g)
-    tri_at = pendent_triangles_at(g)
+    tri_at = _triangles_at(cycles)
     configs_at: dict[int, set[str]] = {}
     for m in matches:
         for x in m.all_vertices():
@@ -367,8 +373,8 @@ def build_terminal_partition(g: Graph) -> TerminalResult:
     Forest components and identified-triangles components are handled
     directly and flagged as degenerate.
     """
-    cls = classify_vertices(g)
-    tri_at = pendent_triangles_at(g)
+    tri_at = _triangles_at(find_pendent_cycles(g))
+    cls = _classify_with(g, tri_at)
     labels = [-1] * g.n
     sets: dict[str, list[int]] = {name: [] for name in TerminalSets._fields}
     degenerate: list[str] = []

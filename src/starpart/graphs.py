@@ -553,9 +553,15 @@ def find_pendent_triangles(g: Graph) -> list[PendentCycle]:
 
 
 def pendent_triangles_at(g: Graph) -> dict[int, list[PendentCycle]]:
+    return _triangles_at(find_pendent_cycles(g))
+
+
+def _triangles_at(cycles: list[PendentCycle]) -> dict[int, list[PendentCycle]]:
+    """The pendent triangles among ``cycles``, listed by apex."""
     at: dict[int, list[PendentCycle]] = {}
-    for tri in find_pendent_triangles(g):
-        at.setdefault(tri.apex, []).append(tri)
+    for c in cycles:
+        if len(c) == 3:
+            at.setdefault(c.apex, []).append(c)
     return at
 
 
@@ -585,7 +591,12 @@ class VertexClass(Enum):
 
 def classify_vertices(g: Graph) -> list[VertexClass]:
     """Assign every vertex its taxonomy class (a total, disjoint labeling)."""
-    tri_at = pendent_triangles_at(g)
+    return _classify_with(g, pendent_triangles_at(g))
+
+
+def _classify_with(g: Graph,
+                  tri_at: dict[int, list[PendentCycle]]) -> list[VertexClass]:
+    """``classify_vertices`` from the pendent triangles already found."""
     on_tri_2 = set()
     for tris in tri_at.values():
         for tri in tris:
@@ -612,7 +623,9 @@ def classify_vertices(g: Graph) -> list[VertexClass]:
 
 def pendent_cycle_two_vertices(g: Graph) -> set[int]:
     """2-vertices lying on a pendent cycle of any length (charge rule R1)."""
-    out: set[int] = set()
-    for c in find_pendent_cycles(g):
-        out.update(c.two_vertices)
-    return out
+    return _cycle_two_vertices(find_pendent_cycles(g))
+
+
+def _cycle_two_vertices(cycles: list[PendentCycle]) -> set[int]:
+    """The 2-vertices of ``cycles``."""
+    return {v for c in cycles for v in c.two_vertices}

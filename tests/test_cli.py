@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -262,6 +263,22 @@ def test_mad_json_bytes(capsys, tmp_path, g):
     assert ok == (d.value <= Fraction(8, 3))
     assert run(capsys, "--json", "mad", str(path)) == \
         (0, json.dumps(expected, sort_keys=True) + "\n")
+
+
+def test_mad_json_on_corpus_union_pinned(capsys, tmp_path):
+    # captured before mad started high and read its witness off the final
+    # placement
+    edges, n = [], 0
+    for _, h in gen_corpus(40, 20, Fraction(8, 3), 2024):
+        edges += [(u + n, v + n) for u, v in h.edges()]
+        n += h.n
+    path = tmp_path / "union.g6"
+    path.write_text(to_graph6(Graph(n, edges)))
+    code, out = run(capsys, "--json", "mad", str(path))
+    doc = json.loads(out)
+    assert (code, doc["value"], len(doc["witness"])) == (0, "8/3", 348)
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "204cb4b7c0b684b3fae0807a5e9e079f54cf4247d220f895875af9dc12467720"
 
 
 def test_discharge_and_audit(capsys, tmp_path):

@@ -3,13 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from starpart.density import (mad, mad_le, mad_le_8_3, mad_oracle,
+from starpart import density
+from starpart.density import (_subset_edge_counts, mad, mad_le, mad_le_8_3,
+                              mad_oracle,
                               place_units, rho, rho_star, rho_star_oracle,
                               rho_star_table, rho_star_weighted,
                               rho_all_subsets)
 from starpart.graphs import Graph
-from starpart.generators import (gen_complete, gen_cycle, gen_g5n,
-                                 gen_mad_bounded, gen_path, gen_tree_random)
+from starpart.generators import (gen_complete, gen_corpus, gen_cycle,
+                                 gen_g5n, gen_mad_bounded, gen_path,
+                                 gen_tree_random)
 
 
 def random_graph(rng, n, p):
@@ -65,6 +68,78 @@ def test_mad_flow_equals_oracle():
     for _ in range(300):
         g = random_graph(rng, rng.randint(1, 9), rng.random())
         assert mad(g).value == mad_oracle(g).value
+
+
+def _densest_union(g):
+    """The union of all densest nonempty subsets, by subset enumeration."""
+    counts = _subset_edge_counts(g)
+    best_e, best_k = 0, 1
+    for mask, e in enumerate(counts):
+        if e * best_k > best_e * mask.bit_count():
+            best_e, best_k = e, mask.bit_count()
+    union = 0
+    for mask, e in enumerate(counts):
+        if mask and e * best_k == best_e * mask.bit_count():
+            union |= mask
+    return tuple(v for v in range(g.n) if union >> v & 1)
+
+
+def _disjoint_union(graphs, rng):
+    edges, n = [], 0
+    for h in graphs:
+        edges += [(u + n, v + n) for u, v in h.edges()]
+        n += h.n
+    return _relabel(Graph(n, edges), rng)[0]
+
+
+def test_mad_witness_is_maximal_densest_set():
+    rng = random.Random(21)
+    graphs = [random_graph(rng, rng.randint(1, 12), rng.random())
+              for _ in range(150)]
+    graphs += [gen_tree_random(rng.randint(2, 12), s) for s in range(20)]
+    graphs += [Graph(n, [(rng.randrange(i), i) for i in range(1, n)
+                         if rng.random() < 0.6])
+               for n in (rng.randint(3, 12) for _ in range(30))]
+    # the whole vertex set is densest: regular and complete graphs
+    whole = [gen_cycle(7), gen_complete(5), gen_cycle(12),
+             Graph(8, [(i, (i + d) % 8) for i in range(8) for d in (1, 2)])]
+    for g in whole:
+        assert mad(g).witness == tuple(range(g.n))
+    # relabeled unions with a tree first and the denser parts after it
+    for _ in range(60):
+        parts = [gen_tree_random(rng.randint(1, 4), rng.randrange(99)),
+                 random_graph(rng, rng.randint(1, 4), 0.5),
+                 random_graph(rng, rng.randint(3, 5), rng.uniform(0.6, 1.0))]
+        graphs.append(_disjoint_union(parts, rng))
+    graphs += whole
+    forests = 0
+    for g in graphs:
+        if not g.edge_count:  # every single vertex is densest; (0,) is returned
+            continue
+        forests += g.is_forest()
+        assert mad(g).witness == _densest_union(g), g
+    assert forests >= 40
+
+
+def test_mad_makes_one_orientation_where_it_starts_at_the_answer(monkeypatch):
+    # the 2-core start density is already mad/2 on both graphs, so the first
+    # orientation certifies it
+    union = _disjoint_union([g for _, g in gen_corpus(60, 14, "8/3", 3)],
+                            random.Random(22))
+    g5 = gen_g5n(50)
+    calls = []
+    orient = density._orient
+
+    def counted(*args):
+        calls.append(args[2:])
+        return orient(*args)
+
+    monkeypatch.setattr(density, "_orient", counted)
+    assert mad(union).value == Fraction(8, 3)
+    assert calls == [(4, 3)]
+    calls.clear()
+    assert mad(g5).value == Fraction(46, 17)
+    assert calls == [(23, 17)]
 
 
 # -- rho* -----------------------------------------------------------------------
@@ -190,6 +265,15 @@ def test_rho_star_weighted_consistency():
         for a, b in ((4, 3), (8, 3), (46, 17), (5, 2), (1_000_003, 1_000_000)):
             res = rho_star_weighted(g, seed, a, b)
             assert (res.value, res.minimizer) == _weighted_oracle(g, seed, a, b)
+
+
+def test_rho_star_weighted_with_every_vertex_seeded():
+    rng = random.Random(23)
+    for g in [gen_g5n(5)] + [random_graph(rng, rng.randint(1, 10), rng.random())
+                             for _ in range(20)]:
+        for a, b in ((4, 3), (8, 3), (5, 2)):
+            assert rho_star_weighted(g, range(g.n), a, b) == \
+                (a * g.n - b * g.edge_count, tuple(range(g.n)))
 
 
 def test_negative_weights_rejected():

@@ -7,7 +7,8 @@ import pytest
 from starpart.density import mad, mad_le, mad_le_8_3, mad_oracle
 from starpart.generators import (gen_corpus, gen_cycle, gen_g5n,
                                  gen_mad_bounded, gen_path, gen_tree_random)
-from starpart.graphs import Graph, girth, serialize_graph, INFINITY
+from starpart.graphs import (Graph, girth, serialize_graph, to_graph6,
+                             INFINITY)
 
 
 def _shuffled_pairs(n, seed):
@@ -81,6 +82,14 @@ def test_mad_bounded_output_pinned():
         g = gen_mad_bounded(30, Fraction(bound), 5)
         assert (g.edge_count, _digest([serialize_graph(g, "graph6")])) == \
             (m, digest), bound
+
+
+def test_corpus_graph6_pinned():
+    # captured before the orientation's path walk was rewritten: every accept
+    # decision of the generator runs through density.place_units
+    corpus = gen_corpus(40, 20, Fraction(8, 3), 2024)
+    assert _digest(to_graph6(g) for _, g in corpus) == \
+        "a2739dd2f085c36a8952aba49f9f825d71ee36a855b6525d9a1b72f4d2b687fc"
 
 
 def test_mad_bounded_replays_against_oracle():
