@@ -11,7 +11,7 @@ that each one extends to the whole graph.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .graphs import (Graph, PendentCycle, VertexClass, classify_vertices,
                      pendent_triangles_at)
@@ -84,7 +84,8 @@ def _two_neighbors(g: Graph, v: int) -> list[int]:
     return sorted(u for u in g.adj[v] if g.degree(u) == 2)
 
 
-def _tri_vertices(tri_at: dict[int, list[PendentCycle]], v: int) -> list[int]:
+def _tri_vertices(tri_at: Mapping[int, tuple[PendentCycle, ...]],
+                  v: int) -> list[int]:
     """The 2-vertices of the pendent triangles at v, triangle by triangle."""
     flat: list[int] = []
     for tri in sorted(tri_at.get(v, ()), key=lambda t: min(t.two_vertices)):

@@ -16,12 +16,11 @@ configurations found within distance two of it.
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
 from typing import NamedTuple
 
-from .graphs import (Graph, PendentCycle, VertexClass, _classify_with,
-                     _cycle_two_vertices, _triangles_at, find_pendent_cycles)
+from .graphs import (Graph, VertexClass, classify_vertices, find_pendent_cycles,
+                     pendent_triangles_at)
 from . import configs, fii
 
 _W = VertexClass
@@ -59,13 +58,8 @@ def _apply_transfers(initial: list[Fraction],
 
 def run_discharging(g: Graph) -> ChargeTable:
     """Apply R1-R4 and return the full transfer log with final charges."""
-    return _discharge(g, find_pendent_cycles(g))
-
-
-def _discharge(g: Graph, cycles: list[PendentCycle]) -> ChargeTable:
-    """``run_discharging`` with the pendent cycles already found."""
-    cls = _classify_with(g, _triangles_at(cycles))
-    on_pendent_cycle = _cycle_two_vertices(cycles)
+    cls = classify_vertices(g)
+    on_pendent_cycle = {v for c in find_pendent_cycles(g) for v in c.two_vertices}
     amounts = {1: Fraction(1, 3), 2: Fraction(2, 3)}
     thirds = [3 * len(a) for a in g.adj]  # each charge, times 3
     transfers: list[Transfer] = []
@@ -96,18 +90,10 @@ def _discharge(g: Graph, cycles: list[PendentCycle]) -> ChargeTable:
 
 def _identified_triangles_center(g: Graph, v: int,
                                  tri_count: int) -> bool:
-    """Is v's component exactly ``tri_count`` triangles identified at v?"""
-    if g.degree(v) != 2 * tri_count or tri_count < 2:
-        return False
-    comp = {v}
-    q = deque([v])
-    while q:
-        x = q.popleft()
-        for w in g.adj[x]:
-            if w not in comp:
-                comp.add(w)
-                q.append(w)
-    return len(comp) == 2 * tri_count + 1
+    """Is v's component exactly ``tri_count`` triangles identified at v?
+    It is when the triangles' 2-vertices are all of v's neighbors, since a
+    2-vertex has no neighbor but v and its partner."""
+    return tri_count >= 2 and g.degree(v) == 2 * tri_count
 
 
 class DeficitEntry(NamedTuple):
@@ -134,10 +120,9 @@ def audit_final_charges(g: Graph) -> AuditReport:
     component) the deficit list is empty; for arbitrary inputs the report is
     diagnostic and lists every candidate explanation without tie-breaking.
     """
-    cycles = find_pendent_cycles(g)
-    table = _discharge(g, cycles)
+    table = run_discharging(g)
     matches = configs.scan_configs(g)
-    tri_at = _triangles_at(cycles)
+    tri_at = pendent_triangles_at(g)
     configs_at: dict[int, set[str]] = {}
     for m in matches:
         for x in m.all_vertices():
@@ -209,8 +194,10 @@ def _check_component(g: Graph, comp: list[int], cls, tri_at) -> None:
                 raise _Inapplicable(f"V4+ not independent: edge ({v}, {u})")
     w23 = [v for v in comp if cls[v] in (_W.W2, _W.W3)]
     w23set = set(w23)
+    w23_degrees = 0
     for v in w23:
         inside = [u for u in g.adj[v] if u in w23set]
+        w23_degrees += len(inside)
         if len(inside) > 2:
             raise _Inapplicable(f"W23-vertex {v} has {len(inside)} W23-neighbors")
         if cls[v] == _W.W2:
@@ -218,25 +205,9 @@ def _check_component(g: Graph, comp: list[int], cls, tri_at) -> None:
                 if cls[u] == _W.W2:
                     raise _Inapplicable(
                         f"two adjacent W2-vertices ({v}, {u})")
-    # acyclicity of G[W23]
-    seen: set[int] = set()
-    for s in w23:
-        if s in seen:
-            continue
-        nv = ne = 0
-        seen.add(s)
-        q = deque([s])
-        while q:
-            x = q.popleft()
-            nv += 1
-            for u in g.adj[x]:
-                if u in w23set:
-                    ne += 1
-                    if u not in seen:
-                        seen.add(u)
-                        q.append(u)
-        if ne // 2 >= nv:
-            raise _Inapplicable("cycle inside G[W23]")
+    # a forest has one edge fewer than vertices per component
+    if w23_degrees // 2 + len(g.components(w23)) != len(w23):
+        raise _Inapplicable("cycle inside G[W23]")
     for v in comp:
         ntri = len(tri_at.get(v, ()))
         nontri = [u for u in g.adj[v]
@@ -287,39 +258,25 @@ def _construct_component(g: Graph, comp: list[int], cls, tri_at,
         return [u for u in g.adj[v] if cls[u] == _W.W5]
 
     x_set = sorted(v for v in v4p if len(w5_nbrs(v)) >= 2)
-    y_set = [v for v in v4p if v not in set(x_set)]
-    y_prime = sorted(v for v in y_set if any(u in zset for u in g.adj[v]))
+    xs = set(x_set)
+    y_set = [v for v in v4p if v not in xs]
+    y_prime = {v for v in y_set if any(u in zset for u in g.adj[v])}
 
     # split Y' across the path components of G[Y' u Z]
-    yz = sorted(set(y_prime) | zset)
-    yzset = set(yz)
     y_alpha: list[int] = []
     y_beta: list[int] = []
-    seen: set[int] = set()
-    for s in yz:
-        if s in seen:
-            continue
-        compverts = [s]
-        seen.add(s)
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for w in g.adj[u]:
-                if w in yzset and w not in seen:
-                    seen.add(w)
-                    compverts.append(w)
-                    q.append(w)
-        members = sorted(v for v in compverts if v in set(y_prime))
-        for i, v in enumerate(members):
-            (y_alpha if i % 2 == 0 else y_beta).append(v)
-    y_alpha += [v for v in y_set if v not in set(y_prime)]
+    for yz in g.components(y_prime | zset):
+        members = [v for v in yz if v in y_prime]
+        y_alpha += members[::2]
+        y_beta += members[1::2]
+    y_alpha += [v for v in y_set if v not in y_prime]
     y_alpha.sort()
     y_beta.sort()
 
     w_x: list[int] = []
     w_alpha: list[int] = []
     w_beta: list[int] = []
-    xs, ya, yb = set(x_set), set(y_alpha), set(y_beta)
+    ya, yb = set(y_alpha), set(y_beta)
     for w in w5:
         fifth = next(u for u in g.adj[w]
                      if all(u not in t.two_vertices for t in tri_at[w]))
@@ -373,14 +330,13 @@ def build_terminal_partition(g: Graph) -> TerminalResult:
     Forest components and identified-triangles components are handled
     directly and flagged as degenerate.
     """
-    tri_at = _triangles_at(find_pendent_cycles(g))
-    cls = _classify_with(g, tri_at)
+    tri_at = pendent_triangles_at(g)
+    cls = classify_vertices(g)
     labels = [-1] * g.n
     sets: dict[str, list[int]] = {name: [] for name in TerminalSets._fields}
     degenerate: list[str] = []
     for comp in g.components():
-        sub, _ = g.induced(comp)
-        if sub.is_forest():
+        if sum(g.degree(v) for v in comp) == 2 * len(comp) - 2:  # a tree
             for v in comp:
                 labels[v] = 0
             degenerate.append("forest")

@@ -21,7 +21,7 @@ from collections import deque
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
-from .graphs import Graph, balls2
+from .graphs import Graph, balls2, per_graph
 from .starcolor import Coloring, backtrack, is_star_coloring
 from . import density
 
@@ -298,7 +298,7 @@ class _Solver:
                 and time.monotonic() > self.deadline:
             raise _Timeout
 
-    def _labelings(self, order: list[int]) -> Iterator[None]:
+    def _labelings(self, order: Iterable[int]) -> Iterator[None]:
         """Label ``order``'s unlabeled vertices; yield at each complete labeling."""
         order = [v for v in order if self.labels[v] == -1]
         marks = [0] * len(order)
@@ -335,7 +335,8 @@ class _Solver:
         return FiiResult("infeasible", None, self.nodes, self.forced, True)
 
 
-def _branch_orders(g: Graph) -> list[list[int]]:
+@per_graph
+def _branch_orders(g: Graph) -> tuple[tuple[int, ...], ...]:
     """One branch order per connected component: BFS from its highest-degree
     vertex, ties broken by id, neighbors visited in id order."""
     seen = [False] * g.n
@@ -349,8 +350,8 @@ def _branch_orders(g: Graph) -> list[list[int]]:
                 if not seen[w]:
                     seen[w] = True
                     order.append(w)
-        orders.append(order)
-    return orders
+        orders.append(tuple(order))
+    return tuple(orders)
 
 
 def find_fii(g: Graph, k: int = 2, forcing: bool = True,

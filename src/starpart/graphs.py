@@ -4,6 +4,11 @@ Vertices are dense integers 0..n-1.  Input labels (edge-list tokens, DIMACS
 numbers) are preserved in a sidecar ``names`` tuple so certificates can be
 reported in the user's vocabulary.  Graphs are frozen after construction;
 all mutation goes through :class:`GraphBuilder`.
+
+The per-graph tables (``balls2``, ``find_pendent_cycles``,
+``pendent_triangles_at``, ``classify_vertices``) are computed once per
+``Graph`` by :func:`per_graph` and shared by every caller, so callers must
+not mutate them: they are tuples, frozensets and read-only mappings.
 """
 
 from __future__ import annotations
@@ -11,8 +16,10 @@ from __future__ import annotations
 import re
 from collections import deque
 from enum import Enum
+from functools import wraps
 from math import isqrt
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 INFINITY = float("inf")
 
@@ -44,7 +51,7 @@ class Graph:
     symmetric adjacency, ``edge_count == sum(degrees) / 2``.
     """
 
-    __slots__ = ("n", "adj", "edge_count", "names", "_adjset")
+    __slots__ = ("n", "adj", "edge_count", "names", "_adjset", "_memo")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
                  names: Sequence[str] | None = None):
@@ -67,6 +74,7 @@ class Graph:
         self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in adj)
         self._adjset: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
         self.edge_count = m
+        self._memo: dict = {}
         if names is not None:
             if len(names) != n:
                 raise GraphError("names must have one entry per vertex")
@@ -126,44 +134,28 @@ class Graph:
                     q.append(w)
         return dist
 
-    def components(self) -> list[list[int]]:
-        seen = [False] * self.n
+    def components(self, within: Iterable[int] | None = None) -> list[list[int]]:
+        """The components of G[within] (default: all of G), each sorted,
+        ordered by least vertex."""
+        left = set(range(self.n) if within is None else within)
         out = []
-        for s in range(self.n):
-            if seen[s]:
+        for s in sorted(left):
+            if s not in left:
                 continue
+            left.discard(s)
             comp = [s]
-            seen[s] = True
-            q = deque([s])
-            while q:
-                u = q.popleft()
+            for u in comp:  # grows while it is walked: a BFS queue
                 for w in self.adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
+                    if w in left:
+                        left.discard(w)
                         comp.append(w)
-                        q.append(w)
-            out.append(sorted(comp))
+            comp.sort()
+            out.append(comp)
         return out
 
     def is_forest(self) -> bool:
-        seen = [False] * self.n
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            nv = ne = 0
-            seen[s] = True
-            q = deque([s])
-            while q:
-                u = q.popleft()
-                nv += 1
-                ne += len(self.adj[u])
-                for w in self.adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        q.append(w)
-            if ne // 2 >= nv:
-                return False
-        return True
+        # each component has at least |C| - 1 edges, and a tree exactly that
+        return self.edge_count + len(self.components()) == self.n
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Graph) and self.n == other.n
@@ -199,7 +191,22 @@ class GraphBuilder:
         return Graph(self.n, self._edges, self._names)
 
 
-def balls2(g: Graph) -> list[frozenset[int]]:
+_T = TypeVar("_T")
+
+
+def per_graph(fn: Callable[[Graph], _T]) -> Callable[[Graph], _T]:
+    """Compute ``fn(g)`` once per graph and keep it on ``g``; the value is
+    shared by every caller, so it must be immutable."""
+    @wraps(fn)
+    def table(g: Graph) -> _T:
+        if fn not in g._memo:
+            g._memo[fn] = fn(g)
+        return g._memo[fn]
+    return table
+
+
+@per_graph
+def balls2(g: Graph) -> tuple[frozenset[int], ...]:
     """For every vertex, the set of vertices at distance exactly 1 or 2."""
     out = []
     for v in range(g.n):
@@ -208,7 +215,7 @@ def balls2(g: Graph) -> list[frozenset[int]]:
             ball.update(g.adj[u])
         ball.discard(v)
         out.append(frozenset(ball))
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +526,8 @@ class PendentCycle:
         return self.cycle[1:]
 
 
-def find_pendent_cycles(g: Graph) -> list[PendentCycle]:
+@per_graph
+def find_pendent_cycles(g: Graph) -> tuple[PendentCycle, ...]:
     """All pendent cycles, each reported once, apexes ascending."""
     out = []
     used: set[int] = set()
@@ -544,7 +552,7 @@ def find_pendent_cycles(g: Graph) -> list[PendentCycle]:
             if closed and len(walk) >= 2:
                 used.update(walk)
                 out.append(PendentCycle(apex, (apex, *walk)))
-    return out
+    return tuple(out)
 
 
 def find_pendent_triangles(g: Graph) -> list[PendentCycle]:
@@ -552,17 +560,13 @@ def find_pendent_triangles(g: Graph) -> list[PendentCycle]:
     return [c for c in find_pendent_cycles(g) if len(c) == 3]
 
 
-def pendent_triangles_at(g: Graph) -> dict[int, list[PendentCycle]]:
-    return _triangles_at(find_pendent_cycles(g))
-
-
-def _triangles_at(cycles: list[PendentCycle]) -> dict[int, list[PendentCycle]]:
-    """The pendent triangles among ``cycles``, listed by apex."""
-    at: dict[int, list[PendentCycle]] = {}
-    for c in cycles:
-        if len(c) == 3:
-            at.setdefault(c.apex, []).append(c)
-    return at
+@per_graph
+def pendent_triangles_at(g: Graph) -> Mapping[int, tuple[PendentCycle, ...]]:
+    """The pendent triangles, listed by apex (a read-only mapping)."""
+    at: dict[int, tuple[PendentCycle, ...]] = {}
+    for c in find_pendent_triangles(g):
+        at[c.apex] = at.get(c.apex, ()) + (c,)
+    return MappingProxyType(at)
 
 
 class VertexClass(Enum):
@@ -589,14 +593,10 @@ class VertexClass(Enum):
     OTHER = "Other"
 
 
-def classify_vertices(g: Graph) -> list[VertexClass]:
+@per_graph
+def classify_vertices(g: Graph) -> tuple[VertexClass, ...]:
     """Assign every vertex its taxonomy class (a total, disjoint labeling)."""
-    return _classify_with(g, pendent_triangles_at(g))
-
-
-def _classify_with(g: Graph,
-                  tri_at: dict[int, list[PendentCycle]]) -> list[VertexClass]:
-    """``classify_vertices`` from the pendent triangles already found."""
+    tri_at = pendent_triangles_at(g)
     on_tri_2 = set()
     for tris in tri_at.values():
         for tri in tris:
@@ -618,14 +618,4 @@ def _classify_with(g: Graph,
             out.append(VertexClass.V6)
         else:
             out.append(VertexClass.OTHER)
-    return out
-
-
-def pendent_cycle_two_vertices(g: Graph) -> set[int]:
-    """2-vertices lying on a pendent cycle of any length (charge rule R1)."""
-    return _cycle_two_vertices(find_pendent_cycles(g))
-
-
-def _cycle_two_vertices(cycles: list[PendentCycle]) -> set[int]:
-    """The 2-vertices of ``cycles``."""
-    return {v for c in cycles for v in c.two_vertices}
+    return tuple(out)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from starpart.graphs import (Graph, VertexClass, classify_vertices,
+from starpart.graphs import (Graph, VertexClass, balls2, classify_vertices,
                              pendent_triangles_at)
 from starpart.generators import (gen_complete, gen_cycle, gen_g5n,
                                  gen_mad_bounded, gen_path, gen_star)
@@ -13,7 +13,7 @@ from starpart.configs import (ALL_CONFIG_IDS, AddEdge, AddPath2, ConfigMatch,
                               GADGET_BUDGET, J1, J2, PendentTriangle,
                               attach_gadget, gadget_by_name, reduction_plan,
                               scan_configs, verify_lemma_extension)
-from starpart import instances
+from starpart import fii, instances
 from starpart.fii import enumerate_fii, find_fii
 
 _W = VertexClass
@@ -318,6 +318,22 @@ def test_all_shipped_instances_pass_nonvacuously():
         assert report.passed, (cid, report.failures[:3])
         assert not report.vacuous, cid
         assert report.extended == report.h_partitions
+
+
+def test_lemma_extension_builds_balls2_once(monkeypatch):
+    g, match = instances.shipped_match("C5")
+    tables = []
+    init = fii._Solver.__init__
+
+    def recording(self, graph, k, forcing):
+        init(self, graph, k, forcing)
+        if graph is g:
+            tables.append(self.b2)
+
+    monkeypatch.setattr(fii._Solver, "__init__", recording)
+    report = verify_lemma_extension(g, match)
+    assert len(tables) == report.distinct_restrictions > 1
+    assert all(b2 is balls2(g) for b2 in tables)
 
 
 def test_c1_extension_is_f_side():

@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 
 from starpart.cli import main
-from starpart.graphs import Graph, VertexClass, classify_vertices, serialize_graph
+from starpart.graphs import (Graph, PendentCycle, VertexClass, classify_vertices,
+                             find_pendent_cycles, serialize_graph)
 from starpart.generators import (gen_cycle, gen_g5n, gen_mad_bounded,
                                  gen_path, gen_tree_random)
 from starpart.discharging import (EIGHT_THIRDS, audit_final_charges,
                                   build_terminal_partition, run_discharging)
 from starpart.fii import verify_fii
+from starpart.configs import reduction_plan, scan_configs
 from starpart import instances
 from starpart.density import mad_le_8_3
 
@@ -113,6 +115,26 @@ def test_audit_identified_triangles_special():
     assert len(report.deficits) == 1
     d = report.deficits[0]
     assert d.vertex == 0 and d.special == "identified-triangles"
+
+
+@pytest.mark.parametrize("graph, run", [
+    (gen_g5n(3), audit_final_charges),
+    (instances.shipped_instance("C10")[0],
+     lambda g: [reduction_plan(g, m) for m in scan_configs(g)]),
+], ids=["audit", "scan-and-plans"])
+def test_pendent_cycles_walked_once(monkeypatch, graph, run):
+    g = Graph(graph.n, graph.edges())  # a graph no earlier call has seen
+    built = []
+    init = PendentCycle.__init__
+
+    def counting(self, apex, cycle):
+        built.append((apex, cycle))
+        init(self, apex, cycle)
+
+    monkeypatch.setattr(PendentCycle, "__init__", counting)
+    run(g)
+    cycles = find_pendent_cycles(g)
+    assert cycles and built == [(c.apex, c.cycle) for c in cycles]
 
 
 def test_deficit_vertices_have_explanations_on_corpus():
@@ -230,6 +252,19 @@ def test_terminal_partition_forest_degenerate():
     assert all(l == 0 for l in res.partition.labels)
 
 
+def test_terminal_partition_forest_beside_constructed_component():
+    x = _x_machine_instance()
+    alone = build_terminal_partition(x)
+    for seed in range(5):
+        tree = gen_tree_random(3 + 4 * seed, seed)
+        g = Graph(tree.n + x.n, list(tree.edges())
+                  + [(u + tree.n, v + tree.n) for u, v in x.edges()])
+        res = build_terminal_partition(g)
+        assert res.applicable and res.degenerate == ("forest",)
+        assert res.partition.labels == (0,) * tree.n + alone.partition.labels
+        assert verify_fii(g, res.partition)[0]
+
+
 def test_terminal_partition_identified_triangles():
     bow = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
     res = build_terminal_partition(bow)
@@ -257,6 +292,12 @@ def test_terminal_partition_w23_cycle_inapplicable():
     res = build_terminal_partition(gen_cycle(6))
     assert not res.applicable
     assert "W2" in res.reason or "W23" in res.reason
+    # two 8-cycles alternating W3 and W2, the W3-vertices split between two
+    # V4 hubs: only the acyclicity test catches these
+    edges = [(c + i, c + (i + 1) % 8) for c in (0, 8) for i in range(8)]
+    edges += [(w3, 16 + i % 2) for i, w3 in enumerate(range(0, 16, 2))]
+    res = build_terminal_partition(Graph(18, edges))
+    assert not res.applicable and res.reason == "cycle inside G[W23]"
 
 
 def test_terminal_partition_cover_violation():

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import types
 
 import pytest
 
@@ -10,8 +11,10 @@ from starpart.graphs import (Graph, GraphBuilder, GraphError, ParseError,
                              find_pendent_triangles, girth, parse_edge_list,
                              parse_dimacs, parse_graph, parse_graph6,
                              serialize_graph, sniff_format, to_dimacs,
-                             to_edge_list, to_graph6, balls2)
+                             to_edge_list, to_graph6, balls2,
+                             pendent_triangles_at)
 from starpart.generators import gen_cycle, gen_complete, gen_g5n, gen_path
+from starpart.fii import _branch_orders
 
 
 def random_graph(rng, n, p):
@@ -381,3 +384,58 @@ def test_induced_and_components():
     assert g.components() == [[0, 1, 2], [3, 4], [5]]
     assert g.is_forest()
     assert not gen_cycle(4).is_forest()
+
+
+def _union_find_components(g, within):
+    parent = {v: v for v in within}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for u, v in g.edges():
+        if u in parent and v in parent:
+            parent[find(u)] = find(v)
+    groups = {}
+    for v in sorted(within):
+        groups.setdefault(find(v), []).append(v)
+    return sorted(groups.values())
+
+
+def test_components_match_union_find():
+    rng = random.Random(11)
+    for _ in range(150):
+        g = random_graph(rng, rng.randint(0, 14), rng.random() * 0.4)
+        subsets = [None, [], list(range(g.n)),
+                   [v for v in range(g.n) if rng.random() < 0.5]]
+        for within in subsets:
+            vs = range(g.n) if within is None else within
+            assert g.components(within) == _union_find_components(g, set(vs))
+        forest = g.edge_count + len(_union_find_components(g, set(range(g.n)))) == g.n
+        assert g.is_forest() == forest
+    isolated = Graph(4, [(1, 2)])
+    assert isolated.components([3, 0, 1]) == [[0], [1], [3]]
+    assert isolated.components(iter([2, 1])) == [[1, 2]]
+
+
+def test_per_graph_tables_are_built_once_and_immutable():
+    n = gen_g5n(2).n
+    g = gen_g5n(2).with_additions(3, [(0, n), (n, n + 1), (n + 1, n + 2), (n + 2, 0)])
+    tables = {balls2: frozenset, find_pendent_cycles: PendentCycle,
+              pendent_triangles_at: tuple, classify_vertices: VertexClass,
+              _branch_orders: tuple}
+    for table, item_type in tables.items():
+        first = table(g)
+        assert table(g) is first, table.__name__
+        if table is pendent_triangles_at:
+            assert isinstance(first, types.MappingProxyType) and first
+            with pytest.raises(TypeError):
+                first[0] = ()
+            items = list(first.values())
+        else:
+            assert type(first) is tuple and first, table.__name__
+            items = list(first)
+        assert all(type(x) is item_type for x in items), table.__name__
+    assert all(type(o) is int for order in _branch_orders(g) for o in order)
+    assert balls2(Graph(g.n, g.edges())) is not balls2(g)

@@ -1,6 +1,7 @@
 """The package's lazy submodules: what ``import starpart`` exposes, and
 which modules a CLI call leaves unexecuted or never imports."""
 
+import ast
 import importlib
 import json
 import os
@@ -133,3 +134,16 @@ def test_cli_call_imports_no_dataclasses_or_inspect(tmp_path, sub):
     doc = json.loads(proc.stdout)
     assert doc["code"] in (0, 1), proc.stderr
     assert doc["loaded"] == [], sub
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    # a private name used across modules is a second entry point to one
+    # table or routine; make it public or call the public one
+    crossings = []
+    for path in sorted(Path(SRC, "starpart").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("starpart")):
+                crossings += [f"{path.name}: {node.module}.{a.name}"
+                              for a in node.names if a.name.startswith("_")]
+    assert crossings == []
