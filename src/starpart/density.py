@@ -31,7 +31,8 @@ def place_units(held: list[dict[int, int]], load: list[int], cap: int,
     failed search adds what it reached to ``dead``: that set has no arc out
     and no room, and keeps both while units are only added, so searches skip
     it, and a caller may skip an edge with both endpoints dead: the call
-    would place nothing and add nothing to ``dead``.
+    would place nothing and add nothing to ``dead``.  The set may be kept
+    across calls if units taken back are ``release``d from it.
     """
     got = []
     for x in sources:
@@ -70,6 +71,19 @@ def place_units(held: list[dict[int, int]], load: list[int], cap: int,
         got[0 if y == sources[0] else sources.index(y)] += amount
         want -= amount
     return got
+
+
+def release(held: list[dict[int, int]], free: Iterable[int],
+            trapped: set[int]) -> None:
+    """Drop from ``trapped`` each vertex of ``free`` and all that can reach
+    one along arcs x -> y with ``held[x][y] >= 1``, by one reverse search."""
+    queue = list(free)
+    trapped.difference_update(queue)
+    for y in queue:
+        for x in held[y]:
+            if x in trapped and held[x][y]:
+                trapped.remove(x)
+                queue.append(x)
 
 
 class Density(NamedTuple):
@@ -147,9 +161,8 @@ def mad(g: Graph) -> Density:
     The witness is the maximal densest set, the union of all densest sets.
     It is read off the final, certifying placement (every unit placed): it is
     the set of vertices that cannot reach a vertex with ``load < p`` along
-    arcs x -> y with ``held[x][y] >= 1``, found by one reverse search.  That
-    set is closed and full, so p|S| = q|E(S)|, and every densest set is
-    closed and full too.
+    arcs x -> y with ``held[x][y] >= 1``, found by ``release``.  That set
+    is closed and full, so p|S| = q|E(S)|, and so is every densest set.
     """
     if g.n < 1:
         raise ValueError("mad requires at least one vertex")
@@ -163,14 +176,9 @@ def mad(g: Graph) -> Density:
         better = Fraction(_subgraph_edges(g, dead), len(dead))
         assert better > dens
         dens = better
-    stuck = [x >= dens.numerator for x in load]
-    free = [v for v in range(g.n) if not stuck[v]]
-    for y in free:
-        for x in held[y]:
-            if stuck[x] and held[x][y]:
-                stuck[x] = False
-                free.append(x)
-    return Density(2 * dens, tuple(v for v in range(g.n) if stuck[v]))
+    stuck = {v for v in range(g.n) if load[v] >= dens.numerator}
+    release(held, [v for v in range(g.n) if v not in stuck], stuck)
+    return Density(2 * dens, tuple(sorted(stuck)))
 
 
 def _subset_edge_counts(g: Graph) -> list[int]:

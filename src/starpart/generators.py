@@ -5,9 +5,9 @@ triangles attached at three of every five consecutive cycle vertices.  It
 has 17n vertices, 23n edges, maximum average degree exactly 46/17, and no
 FII-partition.  ``gen_mad_bounded`` produces random graphs under an exact
 density cap p/q by rejection sampling: it keeps an orientation of the edges,
-each taken 2q times, with every indegree at most p, which by Hakimi's
-theorem exists exactly when mad <= p/q, and updates it at each insertion
-with ``density.place_units``.
+each taken 2q times, with every indegree at most p, which by Hakimi's theorem
+exists exactly when mad <= p/q, and updates it at each insertion with
+``density.place_units`` and one dead set kept for the whole run.
 """
 
 from __future__ import annotations
@@ -93,10 +93,15 @@ def gen_mad_bounded(n: int, bound: Fraction | str, seed: int,
     ``held[x][y]`` units of edge xy point at x, ``load[x]`` counts them.  A
     candidate (u, v) places its 2q units by ``density.place_units``, which
     is max-flow: all fit iff min over K >= {u,v} of p|K| - 2q|E(K)| >= 2q.
-    A rejected edge takes its units back; the paths shifted for it stay
-    valid, and its dead set is dropped.
+    A pair with both endpoints in the run's one dead set is rejected without
+    a search.  A rejected edge takes its units back; the paths shifted for it
+    stay valid, and ``density.release`` frees the endpoints that regain room.
+    Only the first ``tries`` shuffled pairs are tried, all when None; a
+    negative ``tries`` raises ``ValueError``.
     """
     bound = _density_cap(bound)
+    if tries is not None and tries < 0:
+        raise ValueError(f"tries must be non-negative, got {tries}")
     p, units = bound.numerator, 2 * bound.denominator
     rng = random.Random(seed)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -106,14 +111,18 @@ def gen_mad_bounded(n: int, bound: Fraction | str, seed: int,
     held: list[dict[int, int]] = [{} for _ in range(n)]
     load = [0] * n
     edges: list[tuple[int, int]] = []
+    dead: set[int] = set()
     for u, v in pairs:
-        at_u, at_v = density.place_units(held, load, p, (u, v), units, set())
+        if u in dead and v in dead:
+            continue
+        at_u, at_v = density.place_units(held, load, p, (u, v), units, dead)
         if at_u + at_v == units:
             held[u][v], held[v][u] = at_u, at_v
             edges.append((u, v))
         else:
             load[u] -= at_u
             load[v] -= at_v
+            density.release(held, [x for x, at in ((u, at_u), (v, at_v)) if at], dead)
     g = Graph(n, edges)
     assert density.mad_le(g, bound)
     return g

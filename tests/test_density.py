@@ -6,7 +6,8 @@ import pytest
 from starpart import density
 from starpart.density import (_subset_edge_counts, mad, mad_le, mad_le_8_3,
                               mad_oracle,
-                              place_units, rho, rho_star, rho_star_oracle,
+                              place_units, release, rho, rho_star,
+                              rho_star_oracle,
                               rho_star_table, rho_star_weighted,
                               rho_all_subsets)
 from starpart.graphs import Graph
@@ -304,6 +305,48 @@ def test_place_units_keeps_a_valid_orientation():
         # the dead set is closed: no unit on it can shift out of it
         assert all(not k or y in dead for x in dead for y, k in held[x].items())
         assert _weighted_oracle(g, (), cap, want) == (-unplaced, tuple(sorted(dead)))
+
+
+def test_kept_dead_set_stays_dead_and_decides_as_a_fresh_one():
+    # the generator's loop: one dead set for the run, give-backs released
+    rng = random.Random(23)
+    partial = 0
+    for _ in range(150):
+        n, cap, want = rng.randint(2, 12), rng.randint(1, 9), rng.randint(1, 9)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        rng.shuffle(pairs)
+        held = [{} for _ in range(n)]
+        load = [0] * n
+        dead = set()
+        for u, v in pairs:
+            fresh = place_units([dict(h) for h in held], list(load), cap,
+                                (u, v), want, set())
+            if u in dead and v in dead:
+                at_u = at_v = 0
+            else:
+                at_u, at_v = place_units(held, load, cap, (u, v), want, dead)
+            assert (at_u + at_v == want) == (sum(fresh) == want)
+            if at_u + at_v == want:
+                held[u][v], held[v][u] = at_u, at_v
+            else:
+                partial += at_u + at_v > 0
+                load[u] -= at_u
+                load[v] -= at_v
+                release(held, [x for x, at in ((u, at_u), (v, at_v)) if at], dead)
+            assert all(load[x] == sum(held[x].values()) <= cap for x in range(n))
+            assert all(load[x] == cap for x in dead)
+            assert all(not k or y in dead for x in dead for y, k in held[x].items())
+    assert partial > 100
+
+
+def test_release_drops_what_reaches_room():
+    # arcs 0 -> 1 -> 2, 3 -> 2 and 1 -> 4; no arc leaves 4
+    held = [{1: 1}, {0: 0, 2: 1, 4: 1}, {1: 0, 3: 0}, {2: 1}, {1: 0}]
+    trapped = {0, 1, 3, 4}
+    release(held, [1], trapped)
+    assert trapped == {3, 4}
+    release(held, [2], trapped)
+    assert trapped == {4}
 
 
 def _relabel(g, rng):

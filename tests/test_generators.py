@@ -114,6 +114,18 @@ def test_mad_bounded_honours_tries():
         assert part == Graph(12, [e for e in pairs[:tries] if full.has_edge(*e)])
 
 
+def test_mad_bounded_rejects_negative_tries():
+    with pytest.raises(ValueError):
+        gen_mad_bounded(12, Fraction(8, 3), 7, tries=-3)
+
+
+def test_mad_bounded_large_output_pinned():
+    # captured before the dead set was kept across candidate pairs
+    g = gen_mad_bounded(400, Fraction(8, 3), 0)
+    assert (g.edge_count, _digest([to_graph6(g)])) == \
+        (514, "56936821f5211345952d70b075473398d96d149091507d8900a3cfdd4446b8d8")
+
+
 def test_corpus_deterministic_and_bounded():
     a = list(gen_corpus(10, 12, "8/3", 5))
     b = list(gen_corpus(10, 12, "8/3", 5))
