@@ -102,7 +102,7 @@ class PotentialResult(NamedTuple):
 
 def _subgraph_edges(g: Graph, vertices: Iterable[int]) -> int:
     vs = set(vertices)
-    return sum(1 for u in vs for v in g._adjset[u] if v in vs and u < v)
+    return sum(1 for u in vs for v in g.adj[u] if v in vs and u < v)
 
 
 def rho(g: Graph, a: Iterable[int]) -> int:

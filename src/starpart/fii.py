@@ -21,7 +21,7 @@ from collections import deque
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
-from .graphs import Graph, balls2, per_graph
+from .graphs import Graph, balls2, neighbor_sets, per_graph
 from .starcolor import Coloring, backtrack, is_star_coloring
 from . import density
 
@@ -132,15 +132,12 @@ def verify_fii(g: Graph, p: FiiPartition) -> tuple[bool, Witness | None]:
 # ---------------------------------------------------------------------------
 
 def _triangle_pairs(g: Graph) -> list[list[tuple[int, int]]]:
+    """For each vertex w, the edges (a, b) inside N(w), in ``edges()`` order."""
+    near = neighbor_sets(g)
     tri: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for w in range(g.n):
-        nbrs = g.adj[w]
-        for i in range(len(nbrs)):
-            a = nbrs[i]
-            for j in range(i + 1, len(nbrs)):
-                b = nbrs[j]
-                if g.has_edge(a, b):
-                    tri[w].append((a, b))
+    for a, b in g.edges():
+        for w in near[a] & near[b]:
+            tri[w].append((a, b))
     return tri
 
 

@@ -1,11 +1,12 @@
 """Immutable simple-graph model, file formats, and structural queries.
 
 Vertices are dense integers 0..n-1.  Input labels (edge-list tokens, DIMACS
-numbers) are preserved in a sidecar ``names`` tuple so certificates can be
-reported in the user's vocabulary.  Graphs are frozen after construction;
-all mutation goes through :class:`GraphBuilder`.
+numbers) are preserved in a sidecar ``names`` tuple so certificates and
+errors are reported in the user's vocabulary.  Graphs are frozen after
+construction; all mutation goes through :class:`GraphBuilder`.  Adjacency
+is one sorted tuple per vertex; membership reads the lazy ``neighbor_sets``.
 
-The per-graph tables (``balls2``, ``find_pendent_cycles``,
+The per-graph tables (``neighbor_sets``, ``balls2``, ``find_pendent_cycles``,
 ``pendent_triangles_at``, ``classify_vertices``) are computed once per
 ``Graph`` by :func:`per_graph` and shared by every caller, so callers must
 not mutate them: they are tuples, frozensets and read-only mappings.
@@ -17,6 +18,7 @@ import re
 from collections import deque
 from enum import Enum
 from functools import wraps
+from itertools import count, filterfalse, islice
 from math import isqrt
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
@@ -45,42 +47,43 @@ class ParseError(GraphError):
 
 
 class Graph:
-    """A simple undirected graph with sorted adjacency lists.
+    """A simple undirected graph with sorted adjacency tuples.
 
     Invariants enforced at construction: no self-loops, no parallel edges,
     symmetric adjacency, ``edge_count == sum(degrees) / 2``.
     """
 
-    __slots__ = ("n", "adj", "edge_count", "names", "_adjset", "_memo")
+    __slots__ = ("n", "adj", "edge_count", "names", "_memo")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
                  names: Sequence[str] | None = None):
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
-        adj: list[set[int]] = [set() for _ in range(n)]
-        m = 0
+        self.names = None if names is None else tuple(str(x) for x in names)
+        if self.names is not None and len(self.names) != n:
+            raise GraphError("names must have one entry per vertex")
+        adj: list[list[int]] = [[] for _ in range(n)]
+        seen: set[int] = set()  # u * n + v for each edge, u < v
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValidationError(f"edge ({u}, {v}) out of range 0..{n - 1}",
                                       edge=(u, v))
             if u == v:
-                raise ValidationError(f"self-loop at vertex {u}", edge=(u, v))
-            if v in adj[u]:
-                raise ValidationError(f"duplicate edge ({u}, {v})", edge=(u, v))
-            adj[u].add(v)
-            adj[v].add(u)
-            m += 1
+                raise ValidationError(f"self-loop at vertex {self.name_of(u)}",
+                                      edge=(u, v))
+            key = u * n + v if u < v else v * n + u
+            if key in seen:
+                raise ValidationError(f"duplicate edge ({self.name_of(u)}, "
+                                      f"{self.name_of(v)})", edge=(u, v))
+            seen.add(key)
+            adj[u].append(v)
+            adj[v].append(u)
+        for a in adj:
+            a.sort()
         self.n = n
-        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in adj)
-        self._adjset: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
-        self.edge_count = m
+        self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
+        self.edge_count = len(seen)
         self._memo: dict = {}
-        if names is not None:
-            if len(names) != n:
-                raise GraphError("names must have one entry per vertex")
-            self.names = tuple(str(x) for x in names)
-        else:
-            self.names = None
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -89,7 +92,7 @@ class Graph:
         return self.adj[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adjset[u]
+        return v in neighbor_sets(self)[u]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, sorted lexicographically."""
@@ -115,11 +118,13 @@ class Graph:
 
     def with_additions(self, extra_vertices: int,
                        extra_edges: Iterable[tuple[int, int]]) -> "Graph":
-        """New graph with ``extra_vertices`` appended and ``extra_edges`` added."""
+        """New graph with ``extra_vertices`` appended and ``extra_edges`` added;
+        new vertices take the least integer names from ``n`` up not in use."""
         edges = list(self.edges()) + list(extra_edges)
-        names = None
-        if self.names is not None:
-            names = list(self.names) + [str(self.n + i) for i in range(extra_vertices)]
+        names = self.names
+        if names is not None:
+            fresh = filterfalse(set(names).__contains__, map(str, count(self.n)))
+            names += tuple(islice(fresh, extra_vertices))
         return Graph(self.n + extra_vertices, edges, names)
 
     def bfs_distances(self, source: int) -> list[float]:
@@ -203,6 +208,12 @@ def per_graph(fn: Callable[[Graph], _T]) -> Callable[[Graph], _T]:
             g._memo[fn] = fn(g)
         return g._memo[fn]
     return table
+
+
+@per_graph
+def neighbor_sets(g: Graph) -> tuple[frozenset[int], ...]:
+    """For every vertex, its neighbours as a frozenset (for membership)."""
+    return tuple(map(frozenset, g.adj))
 
 
 @per_graph
@@ -394,6 +405,8 @@ FORMATS = ("graph6", "edgelist", "dimacs")
 
 
 def sniff_format(text: str) -> str:
+    """Guess the format from the first nonblank line.  Plain graph6 needs the
+    whole text to be one line whose body length fits its size header."""
     for line in text.splitlines():
         s = line.strip()
         if not s:
@@ -402,10 +415,13 @@ def sniff_format(text: str) -> str:
             return "dimacs"
         if s.startswith(">>graph6<<"):
             return "graph6"
-        toks = s.split("#", 1)[0].split()
-        if len(toks) == 1 and re.fullmatch(r"[?-~]+", toks[0]) \
-                and not toks[0].isdigit():
-            return "graph6"
+        if s == text.strip() and re.fullmatch(r"[?-~]+", s):
+            try:
+                n, pos = _g6_number(s.encode("ascii"), 0)
+            except ParseError:
+                return "edgelist"
+            if len(s) - pos == (n * (n - 1) // 2 + 5) // 6:
+                return "graph6"
         return "edgelist"
     return "edgelist"
 

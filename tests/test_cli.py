@@ -6,7 +6,7 @@ import pytest
 
 from starpart.cli import _frac, main
 from starpart.density import mad, mad_le_8_3
-from starpart.graphs import Graph, parse_graph6
+from starpart.graphs import Graph, parse_graph, parse_graph6
 from starpart.generators import gen_corpus, gen_g5n, gen_cycle
 from starpart.graphs import to_graph6
 
@@ -310,6 +310,17 @@ def test_attach_outputs_graph(capsys, tmp_path):
     assert code == 0
     g = parse_graph6(out.strip())
     assert g.n == p3.n + 5
+
+
+def test_attach_names_new_vertices_apart(capsys, tmp_path):
+    path = tmp_path / "t.el"
+    path.write_text("3 7\n7 9\n9 3\n")
+    code, out = run(capsys, "attach", str(path), "--at", "0",
+                    "--gadget", "triangle", "--out-format", "edgelist")
+    assert code == 0
+    g = parse_graph(out, "edgelist")
+    assert (g.n, g.edge_count) == (3 + 2, 3 + 3)
+    assert g.names[:3] == ("3", "7", "9") and len(set(g.names)) == g.n
 
 
 def test_attach_on_graph6_host_json(capsys, tmp_path):

@@ -11,7 +11,7 @@ from starpart.graphs import (Graph, GraphBuilder, GraphError, ParseError,
                              find_pendent_triangles, girth, parse_edge_list,
                              parse_dimacs, parse_graph, parse_graph6,
                              serialize_graph, sniff_format, to_dimacs,
-                             to_edge_list, to_graph6, balls2,
+                             to_edge_list, to_graph6, balls2, neighbor_sets,
                              pendent_triangles_at)
 from starpart.generators import gen_cycle, gen_complete, gen_g5n, gen_path
 from starpart.fii import _branch_orders
@@ -32,6 +32,19 @@ def test_simplicity_rejected():
         Graph(3, [(0, 1), (1, 0)])
     with pytest.raises(ValidationError):
         Graph(2, [(0, 5)])
+    with pytest.raises(ValidationError, match=r"^duplicate edge \(1, 0\)$") as exc:
+        Graph(3, [(0, 1), (1, 2), (1, 0)])
+    assert exc.value.edge == (1, 0)
+    # the first offending edge in input order is the one reported
+    with pytest.raises(ValidationError, match="^duplicate") as exc:
+        Graph(3, [(0, 1), (0, 1), (0, 7)])
+    assert exc.value.edge == (0, 1)
+    with pytest.raises(ValidationError, match="out of range") as exc:
+        Graph(3, [(0, 1), (0, 7), (0, 1)])
+    assert exc.value.edge == (0, 7)
+    with pytest.raises(ValidationError, match="^self-loop at vertex 2$") as exc:
+        Graph(3, [(0, 1), (2, 2), (1, 0)])
+    assert exc.value.edge == (2, 2)
 
 
 def test_adjacency_sorted_and_symmetric():
@@ -179,6 +192,9 @@ def test_edge_list_ids_comments_and_messages():
     with pytest.raises(ValidationError, match="^self-loop 'q q' on line 3$") as exc:
         parse_edge_list("p q\n# c\nq  q # loop\n")
     assert exc.value.edge == (1, 1)
+    with pytest.raises(ValidationError, match=r"^duplicate edge \(c, b\)$") as exc:
+        parse_edge_list("a b\nb c\nc b\n")
+    assert exc.value.edge == (2, 1)
 
 
 def test_dimacs_round_trip():
@@ -190,6 +206,13 @@ def test_dimacs_round_trip():
         parse_dimacs("p edge 4 5\ne 1 2\n")
     with pytest.raises(ParseError):
         parse_dimacs("e 1 2\n")
+    # messages use the 1-based labels; .edge keeps the internal ids
+    with pytest.raises(ValidationError, match=r"^duplicate edge \(3, 2\)$") as exc:
+        parse_dimacs("p edge 3 2\ne 2 3\ne 3 2\n")
+    assert exc.value.edge == (2, 1)
+    with pytest.raises(ValidationError, match="^self-loop at vertex 2$") as exc:
+        parse_dimacs("p edge 3 1\ne 2 2\n")
+    assert exc.value.edge == (1, 1)
 
 
 def test_round_trip_all_formats():
@@ -210,6 +233,10 @@ def test_sniff_format():
     assert len(line) > 100_000
     assert sniff_format(line + "\n") == "graph6"
     assert sniff_format("0\n1 2\n") == "edgelist"
+    # a lone name of letters is a vertex, not graph6 with the wrong body size
+    assert sniff_format("gamma\nalpha beta\n") == "edgelist"
+    assert sniff_format("gamma\n") == "edgelist"
+    assert parse_graph("gamma\nalpha beta\n").names == ("gamma", "alpha", "beta")
 
 
 # -- girth ---------------------------------------------------------------------
@@ -422,7 +449,8 @@ def test_components_match_union_find():
 def test_per_graph_tables_are_built_once_and_immutable():
     n = gen_g5n(2).n
     g = gen_g5n(2).with_additions(3, [(0, n), (n, n + 1), (n + 1, n + 2), (n + 2, 0)])
-    tables = {balls2: frozenset, find_pendent_cycles: PendentCycle,
+    tables = {neighbor_sets: frozenset, balls2: frozenset,
+              find_pendent_cycles: PendentCycle,
               pendent_triangles_at: tuple, classify_vertices: VertexClass,
               _branch_orders: tuple}
     for table, item_type in tables.items():
@@ -439,3 +467,23 @@ def test_per_graph_tables_are_built_once_and_immutable():
         assert all(type(x) is item_type for x in items), table.__name__
     assert all(type(o) is int for order in _branch_orders(g) for o in order)
     assert balls2(Graph(g.n, g.edges())) is not balls2(g)
+
+
+def test_construction_builds_no_tables():
+    g = Graph(4, [(0, 1), (1, 2)])
+    assert g._memo == {}
+    assert g.has_edge(1, 2) and not g.has_edge(0, 2)
+    assert list(g._memo) == [neighbor_sets.__wrapped__]
+
+
+def test_has_edge_matches_adjacency():
+    rng = random.Random(13)
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(0, 12), rng.random())
+        k = rng.randint(0, 3)
+        grown = g.with_additions(k, [(rng.randrange(g.n), g.n + i)
+                                     for i in range(k) if g.n])
+        sub, _ = grown.induced(v for v in range(grown.n) if rng.random() < 0.7)
+        for h in (g, grown, sub):
+            assert all(h.has_edge(u, v) == (v in h.adj[u])
+                       for u in range(h.n) for v in range(h.n))
