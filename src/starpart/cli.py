@@ -1,19 +1,31 @@
 """Command-line interface.
 
+    starpart [--json] [--timeout-ms MS] <command> [options] [FILE]
+    starpart [--json] [--timeout-ms MS] gen <family> [options]
+
 One subcommand per operation; with ``--json`` every run emits exactly one
-JSON document (schema version 1) on stdout, otherwise a short human
-summary.  Exit codes: 0 computed, 1 property violated / infeasible,
-2 usage or input error, 3 timeout ("unknown"), 4 internal error (a fault
-in starpart itself; the traceback goes to stderr).
+JSON document (schema version 1) on stdout, usage errors included,
+otherwise a short human summary.  Exit codes: 0 computed, 1 property
+violated / infeasible, 2 usage or input error, 3 timeout ("unknown"),
+4 internal error (a fault in starpart itself; the traceback goes to
+stderr).
+
+The ``COMMANDS`` and ``GEN_FAMILIES`` tables are the whole grammar: the
+parser reads ``argv`` straight from them, and ``-h`` at any level prints
+help made from them.  Global options come before the command; a
+command's options may stand on either side of its file (``-`` is stdin);
+a value is the next argument or follows ``=``; option names match
+exactly; the last occurrence wins.  A call imports only what its
+subcommand runs: no ``argparse``, and ``fractions`` only where the
+mathematics is rational.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import configs, density, discharging, fii, generators, starcolor
 from .graphs import (FORMATS, Graph, GraphError, parse_graph, serialize_graph,
@@ -80,9 +92,8 @@ def _load_list(path: str, what: str, key: str, n: int,
     return items, obj
 
 
-def _frac(x: Fraction) -> int | str:
-    if not isinstance(x, Fraction):
-        x = Fraction(x)
+def _frac(x) -> int | str:
+    """An int or a Fraction as a JSON value: the integer, else "p/q"."""
     return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -125,7 +136,7 @@ def _cmd_mad(args, g: Graph) -> int:
     # mad <= 8/3 follows from the exact value.  A violation's set is the least
     # minimizer of rho, which contains every densest set, so the orientation
     # may start with the witness dead.
-    ok83 = d.value <= Fraction(8, 3)
+    ok83 = 3 * d.value <= 8
     violation = None if ok83 else density.rho_star(g, d.witness).minimizer
     payload = {"value": _frac(d.value), "witness": list(d.witness),
                "le_8_3": ok83,
@@ -178,7 +189,9 @@ def _cmd_classify(args, g: Graph) -> int:
 
 def _cmd_star_verify(args, g: Graph) -> int:
     colors, doc = _load_list(args.coloring, "coloring", "colors", g.n, (int,))
-    palette = doc.get("palette_size") or max(colors, default=0) + 1
+    palette = doc.get("palette_size")
+    if palette is None:
+        palette = max(colors, default=0) + 1
     if isinstance(palette, bool) or not isinstance(palette, int):
         raise _CliError(f"palette_size {palette!r} is not int")
     coloring = starcolor.Coloring(tuple(colors), palette)
@@ -405,15 +418,30 @@ def _cmd_gen_corpus(args, _) -> int:
     return EXIT_OK
 
 
-# -- parser -----------------------------------------------------------------
+# -- command line -------------------------------------------------------------
 
-_FORMAT = ("--format", {"default": "auto", "choices": ("auto",) + FORMATS})
-_OUT_FORMAT = ("--out-format", {"default": "graph6", "choices": FORMATS})
-_K = ("-k", {"type": int, "default": 2})
-_N = ("-n", {"type": int, "required": True})
+_FORMAT = ("--format", {"default": "auto", "choices": ("auto",) + FORMATS,
+                        "help": "input graph format; auto sniffs it"})
+_OUT_FORMAT = ("--out-format", {"default": "graph6", "choices": FORMATS,
+                                "help": "format of the graph printed"})
+_K = ("-k", {"type": int, "default": 2,
+             "help": "number of 2-independent sets beside the forest"})
+_N = ("-n", {"type": int, "required": True, "help": "number of vertices"})
+
+#: options read before the command
+_GLOBALS = (
+    ("--json", {"action": "store_true",
+                "help": "emit one JSON document on stdout"}),
+    ("--timeout-ms", {"type": int,
+                      "help": "search budget, a positive number of "
+                      "milliseconds; expiry exits 3 with status unknown"}),
+)
 
 #: (name, help, handler, reads a graph file, options); a graph file adds the
-#: positional ``file`` and ``--format`` ahead of the options
+#: positional ``file`` and ``--format`` ahead of the options.  An option is
+#: (flag, spec), where spec may hold ``type`` (int), ``default``,
+#: ``required``, ``choices``, ``action: store_true`` and ``help``; the
+#: handler reads it as the attribute named by the flag, ``-`` -> ``_``.
 COMMANDS = (
     ("mad", "exact maximum average degree", _cmd_mad, True, []),
     ("rho-star", "constrained potential minimum", _cmd_rho_star, True,
@@ -423,26 +451,29 @@ COMMANDS = (
     ("star-verify", "check a star coloring", _cmd_star_verify, True,
      [("--coloring", {"required": True, "help": "JSON coloring file"})]),
     ("star-color", "exact star chromatic number", _cmd_star_color, True,
-     [("--limit", {"type": int}),
+     [("--limit", {"type": int, "help": "most colors to try (default n)"}),
       ("--force", {"action": "store_true",
                    "help": "allow exact search beyond the size cap"})]),
     ("fii-find", "find an FI_k-partition or prove none", _cmd_fii_find, True,
-     [_K, ("--no-forcing", {"action": "store_true"})]),
+     [_K, ("--no-forcing", {"action": "store_true",
+                            "help": "search without the forcing rules"})]),
     ("fii-verify", "check an FI_k-partition", _cmd_fii_verify, True,
      [("--partition", {"required": True, "help": "JSON partition file"}), _K]),
     ("star5", "find partition, convert, verify", _cmd_star5, True, []),
     ("boundary", "feasibility sweep over a corpus", _cmd_boundary, False,
-     [("-k", {"type": int, "required": True}),
+     [("-k", {"type": int, "required": True, "help": _K[1]["help"]}),
       ("--corpus", {"required": True, "help": "directory of graph files"}),
       _FORMAT]),
     ("config-scan", "scan reducible configurations", _cmd_config_scan, True,
      [("--ids", {"help": "comma-separated (e.g. C5,Cp1)"})]),
     ("lemma-check", "instance-level extension check", _cmd_lemma_check, True,
-     [("--config", {"required": True}),
+     [("--config", {"required": True, "help": "configuration id (e.g. C5)"}),
       ("--match", {"help": "JSON role map selecting one match"}),
-      ("--match-index", {"type": int, "default": 0})]),
+      ("--match-index", {"type": int, "default": 0,
+                         "help": "the match to check, in scan order"})]),
     ("attach", "graft a gadget, print the new graph", _cmd_attach, True,
-     [("--at", {"type": int, "required": True}),
+     [("--at", {"type": int, "required": True,
+                "help": "host vertex the gadget hangs from"}),
       ("--gadget", {"required": True,
                     "help": "triangle | J1 | J2 | edge:V | path2:V"}),
       _OUT_FORMAT]),
@@ -454,58 +485,172 @@ COMMANDS = (
     ("gen", "graph family generators", None, False, []),
 )
 
-#: ``gen`` families: (name, handler, options); the generators are looked up
-#: at call time, so that wrappers installed on the module are seen
+#: ``gen`` families: (name, help, handler, options); the generators are
+#: looked up at call time, so that wrappers installed on the module are seen
 GEN_FAMILIES = (
-    ("g5n", lambda args, _: _emit_graph(args, generators.gen_g5n(args.n)),
-     [_N, ("--out", {}), _OUT_FORMAT]),
-    ("corpus", _cmd_gen_corpus,
-     [("--count", {"type": int, "required": True}),
-      ("--n-max", {"type": int, "default": 14}),
-      ("--bound", {"default": "8/3"}),
-      ("--seed", {"type": int, "default": 0}),
-      ("--out", {"required": True})]),
-    ("cycle", lambda args, _: _emit_graph(args, generators.gen_cycle(args.n)),
+    ("g5n", "the tightness family G_{5,n}",
+     lambda args, _: _emit_graph(args, generators.gen_g5n(args.n)),
+     [("-n", {**_N[1], "help": "the cycle has 5n vertices"}),
+      ("--out", {"help": "write the graph to this file"}), _OUT_FORMAT]),
+    ("corpus", "seeded random graphs of bounded mad", _cmd_gen_corpus,
+     [("--count", {"type": int, "required": True, "help": "number of graphs"}),
+      ("--n-max", {"type": int, "default": 14, "help": "most vertices"}),
+      ("--bound", {"default": "8/3", "help": "mad bound p/q"}),
+      ("--seed", {"type": int, "default": 0, "help": "random seed"}),
+      ("--out", {"required": True, "help": "output directory"})]),
+    ("cycle", "the cycle C_n",
+     lambda args, _: _emit_graph(args, generators.gen_cycle(args.n)),
      [_N, _OUT_FORMAT]),
-    ("path", lambda args, _: _emit_graph(args, generators.gen_path(args.n)),
+    ("path", "the path on n vertices",
+     lambda args, _: _emit_graph(args, generators.gen_path(args.n)),
      [_N, _OUT_FORMAT]),
 )
 
 
-def _add_options(parser, handler, reads_graph: bool, options) -> None:
+class _Help(Exception):
+    """``-h`` was given; the message is the help text to print."""
+
+
+def _dest(flag: str) -> str:
+    return flag.lstrip("-").replace("-", "_")
+
+
+def _is_flag(token: str) -> bool:
+    # "-" (stdin) and negative numbers are values, as they were under argparse
+    return (token.startswith("-") and token != "-"
+            and not token[1:].replace(".", "", 1).isdecimal())
+
+
+def _help_text(prog: str, summary: str, options, file: bool, subs,
+               kind: str) -> str:
+    rows = [("FILE", "input graph file, or - for stdin")] if file else []
+    for flag, spec in options:
+        name = flag
+        if spec.get("action") != "store_true":
+            choices = spec.get("choices")
+            name += " " + ("{" + ",".join(choices) + "}" if choices
+                           else _dest(flag).upper())
+        note = ("required" if spec.get("required") else
+                f"default {spec['default']}"
+                if spec.get("default") not in (None, "") else "")
+        rows.append((name, spec["help"] + (f" ({note})" if note else "")))
+    usage = f"usage: {prog}" + (" [options]" if options else "")
+    usage += " FILE" if file else f" <{kind}> ..." if subs else ""
+    lines = [usage, "", summary]
+    for title, items in (("arguments:", rows), (
+            "commands:" if kind == "command" else "families:",
+            [sub[:2] for sub in subs])):
+        lines += ["", title] if items else []
+        for name, text in items:
+            lines += ([f"  {name:<22}{text}"] if len(name) < 22
+                      else [f"  {name}", f"  {'':<22}{text}"])
+    if subs:
+        lines += ["", f"Run '{prog} <{kind}> -h' for its options."]
+    return "\n".join(lines) + "\n"
+
+
+def _read_options(argv: list[str], i: int, args, level: tuple) -> int:
+    """Set every option of ``level`` to its default on ``args``, then read
+    ``argv[i:]`` into it.
+
+    A level is (prog, summary, options, file, subs, kind): ``starpart``, a
+    command or a ``gen`` family.  With ``subs`` (the ``COMMANDS`` or
+    ``GEN_FAMILIES`` entries, each called a ``kind``) reading stops at the
+    first token that is no option, and its index is returned.  Otherwise
+    the rest of ``argv`` is read, options on either side of the positional
+    ``file`` where ``file`` is true.  A value is the next token or follows
+    ``=``; names match exactly; the last occurrence wins.  ``-h`` raises
+    ``_Help``, any other problem ``_CliError``."""
+    prog, _, options, file, subs, kind = level
+    specs = dict(options)
+    for flag, spec in options:
+        setattr(args, _dest(flag), False if spec.get("action") == "store_true"
+                else spec.get("default"))
+    given = set()
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if token in ("-h", "--help"):
+            raise _Help(_help_text(*level))
+        if not _is_flag(token):
+            if subs:
+                return i - 1
+            if not file or "file" in given:
+                raise _CliError(f"{prog}: unexpected argument {token!r}")
+            args.file = token
+            given.add("file")
+            continue
+        flag, eq, value = token.partition("=")
+        spec = specs.get(flag)
+        if spec is None:
+            raise _CliError(f"{prog}: unknown option {flag}")
+        if spec.get("action") == "store_true":
+            if eq:
+                raise _CliError(f"{prog}: {flag} takes no value")
+            value = True
+        else:
+            if not eq:
+                if i == len(argv) or _is_flag(argv[i]):
+                    raise _CliError(f"{prog}: {flag} needs a value")
+                value = argv[i]
+                i += 1
+            convert = spec.get("type", str)
+            try:
+                value = convert(value)
+            except ValueError:
+                raise _CliError(f"{prog}: {flag} wants an "
+                                f"{convert.__name__}, got {value!r}") from None
+            choices = spec.get("choices")
+            if choices and value not in choices:
+                raise _CliError(f"{prog}: {flag} must be one of "
+                                f"{', '.join(choices)}, got {value!r}")
+        setattr(args, _dest(flag), value)
+        given.add(flag)
+    if subs:
+        raise _CliError(f"{prog}: missing {kind}, one of "
+                        + ", ".join(sub[0] for sub in subs))
+    missing = ["file"] if file and "file" not in given else []
+    missing += [f for f, spec in options
+                if spec.get("required") and f not in given]
+    if missing:
+        raise _CliError(f"{prog}: missing {', '.join(missing)}")
+    return i
+
+
+def _parse_args(argv: list[str], args) -> None:
+    """Fill ``args`` from ``argv`` by the ``COMMANDS`` / ``GEN_FAMILIES``
+    table: every option of the call's levels, ``command`` (and ``family``),
+    and ``fn``, the handler.  Global options come before the command."""
+    level = ("starpart", "Exact star-coloring / sparse-partition toolkit.",
+             _GLOBALS, False, COMMANDS, "command")
+    i = _read_options(argv, 0, args, level)
+    entry = next((c for c in COMMANDS if c[0] == argv[i]), None)
+    if entry is None:
+        raise _CliError(f"starpart: unknown command {argv[i]!r}")
+    args.command, summary, args.fn, reads_graph, options = entry
+    prog = f"starpart {args.command}"
+    if args.command == "gen":
+        level = (prog, summary, options, False, GEN_FAMILIES, "family")
+        i = _read_options(argv, i + 1, args, level)
+        entry = next((f for f in GEN_FAMILIES if f[0] == argv[i]), None)
+        if entry is None:
+            raise _CliError(f"{prog}: unknown family {argv[i]!r}")
+        args.family, summary, args.fn, options = entry
+        prog += f" {args.family}"
     if reads_graph:
-        parser.add_argument("file", help="input graph file, or - for stdin")
-        parser.add_argument(_FORMAT[0], **_FORMAT[1])
-    for flag, kwargs in options:
-        parser.add_argument(flag, **kwargs)
-    parser.set_defaults(fn=handler)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="starpart",
-        description="Exact star-coloring / sparse-partition toolkit.")
-    ap.add_argument("--json", action="store_true",
-                    help="emit one JSON document on stdout")
-    ap.add_argument("--timeout-ms", type=int, default=None,
-                    help="search budget, a positive number of milliseconds; "
-                    "expiry exits 3 with status unknown")
-    sp = ap.add_subparsers(dest="command", required=True)
-    for name, help_text, handler, reads_graph, options in COMMANDS:
-        _add_options(sp.add_parser(name, help=help_text), handler,
-                     reads_graph, options)
-    gsub = sp.choices["gen"].add_subparsers(dest="family", required=True)
-    for name, handler, options in GEN_FAMILIES:
-        _add_options(gsub.add_parser(name), handler, False, options)
-    return ap
+        options = [_FORMAT, *options]
+    _read_options(argv, i + 1, args, (prog, summary, options, reads_graph, (), ""))
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = SimpleNamespace(json=False)
     try:
+        _parse_args(sys.argv[1:] if argv is None else argv, args)
         args.timeout_s = _timeout_s(args.timeout_ms)
-        return args.fn(args, _load_graph(args) if "file" in args else None)
+        return args.fn(args, _load_graph(args) if hasattr(args, "file") else None)
+    except _Help as exc:
+        sys.stdout.write(str(exc))
+        return EXIT_OK
     except _CliError as exc:
         code, detail = exc.code, str(exc)
     except (GraphError, ValueError, KeyError, json.JSONDecodeError) as exc:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
 from .graphs import Graph, balls2, neighbor_sets, per_graph

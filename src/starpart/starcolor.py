@@ -8,7 +8,6 @@ two color classes induces a star forest.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from typing import Callable, Iterator, NamedTuple
 
@@ -108,6 +107,7 @@ def degeneracy_order(g: Graph) -> list[int]:
     """Repeatedly delete a minimum-degree vertex (ties by id); the coloring
     order is the reverse of the deletion order.  A heap of (degree, id)
     entries, skipping stale ones, keeps the id tie-break in O((n+m) log n)."""
+    import heapq  # here, as the one user: star5 and fii-find never load it
     deg = g.degrees()
     removed = [False] * g.n
     heap = [(d, v) for v, d in enumerate(deg)]

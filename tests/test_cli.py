@@ -1,9 +1,11 @@
 import hashlib
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from starpart import cli
 from starpart.cli import _frac, main
 from starpart.density import mad, mad_le_8_3
 from starpart.graphs import Graph, parse_graph, parse_graph6
@@ -355,3 +357,182 @@ def test_boundary_cli(capsys, tmp_path):
     assert code == 0
     assert doc["min_infeasible_mad"] == 2
     assert doc["note"] == "empirical bound only"
+
+
+@pytest.mark.parametrize("argv, detail", [
+    ([], "missing command"),
+    (["--timeout-ms", "5"], "missing command"),
+    (["bogus", "G"], "unknown command 'bogus'"),
+    (["gen"], "missing family"),
+    (["gen", "bogus", "-n", "3"], "unknown family 'bogus'"),
+    (["star5"], "missing file"),
+    (["mad", "G", "--bogus"], "unknown option --bogus"),
+    (["fii-find", "G", "--no-forc"], "unknown option --no-forc"),
+    (["fii-find", "G", "-k"], "-k needs a value"),
+    (["fii-find", "G", "--json"], "unknown option --json"),
+    (["fii-find", "G", "-k", "x"], "-k wants an int"),
+    (["gen", "corpus", "--count=x", "--out", "D"], "--count wants an int"),
+    (["mad", "G", "--format", "png"], "--format must be one of"),
+    (["lemma-check", "G"], "missing --config"),
+    (["mad", "G", "G"], "unexpected argument"),
+    (["fii-find", "G", "--timeout-ms", "5"], "unknown option --timeout-ms"),
+    (["fii-find", "G", "--no-forcing=yes"], "--no-forcing takes no value"),
+], ids=["no-command", "no-command-after-global", "unknown-command",
+        "gen-no-family", "unknown-family", "missing-file", "unknown-option",
+        "abbreviation", "no-value", "global-after-command", "bad-int",
+        "bad-int-equals", "bad-choice", "missing-required", "extra-positional",
+        "timeout-after-command", "value-for-flag"])
+def test_usage_error_is_one_json_document(capsys, g5_file, tmp_path, argv,
+                                          detail):
+    paths = {"G": g5_file, "D": str(tmp_path / "corpus")}
+    code = main(["--json", *(paths.get(a, a) for a in argv)])
+    captured = capsys.readouterr()
+    assert code == 2
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and captured.err == ""
+    doc = json.loads(lines[0])
+    assert (doc["schema"], doc["error"]) == (1, "usage")
+    assert detail in doc["detail"]
+    assert not (tmp_path / "corpus").exists()
+    # without --json the same error is one line on stderr
+    assert main([paths.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+#: argv -> the arguments the handler receives, as argparse gave them
+#: (``fn`` aside); ``G``, ``C``, ``P`` and ``D`` stand for file names
+_ACCEPTED_FORMS = [
+    (["mad", "G"], {"json": False, "timeout_ms": None, "command": "mad",
+                    "file": "G", "format": "auto"}),
+    (["--json", "--timeout-ms", "50", "star5", "G"],
+     {"json": True, "timeout_ms": 50, "command": "star5", "file": "G",
+      "format": "auto"}),
+    (["fii-find", "G", "-k", "3", "--no-forcing"],
+     {"json": False, "timeout_ms": None, "command": "fii-find", "file": "G",
+      "format": "auto", "k": 3, "no_forcing": True}),
+    (["fii-find", "-k", "3", "--no-forcing", "G"],
+     {"json": False, "timeout_ms": None, "command": "fii-find", "file": "G",
+      "format": "auto", "k": 3, "no_forcing": True}),
+    (["--timeout-ms=50", "lemma-check", "--config=C1", "G", "--match-index=1",
+      "--format=graph6"],
+     {"json": False, "timeout_ms": 50, "command": "lemma-check", "file": "G",
+      "format": "graph6", "config": "C1", "match": None, "match_index": 1}),
+    (["mad", "-", "--format", "edgelist"],
+     {"json": False, "timeout_ms": None, "command": "mad", "file": "-",
+      "format": "edgelist"}),
+    (["fii-find", "G", "-k", "1", "-k", "3", "--format", "graph6",
+      "--format", "auto"],
+     {"json": False, "timeout_ms": None, "command": "fii-find", "file": "G",
+      "format": "auto", "k": 3, "no_forcing": False}),
+    (["lemma-check", "G", "--config", "C1", "--match-index", "-1"],
+     {"json": False, "timeout_ms": None, "command": "lemma-check", "file": "G",
+      "format": "auto", "config": "C1", "match": None, "match_index": -1}),
+    (["star-color", "G", "--limit", "5", "--force"],
+     {"json": False, "timeout_ms": None, "command": "star-color", "file": "G",
+      "format": "auto", "limit": 5, "force": True}),
+    (["star-verify", "G", "--coloring", "C"],
+     {"json": False, "timeout_ms": None, "command": "star-verify",
+      "file": "G", "format": "auto", "coloring": "C"}),
+    (["fii-verify", "--partition", "P", "G", "-k", "2"],
+     {"json": False, "timeout_ms": None, "command": "fii-verify", "file": "G",
+      "format": "auto", "partition": "P", "k": 2}),
+    (["rho-star", "G", "--seed", "0,1"],
+     {"json": False, "timeout_ms": None, "command": "rho-star", "file": "G",
+      "format": "auto", "seed": "0,1"}),
+    (["boundary", "-k", "2", "--corpus", "D"],
+     {"json": False, "timeout_ms": None, "command": "boundary", "k": 2,
+      "corpus": "D", "format": "auto"}),
+    (["config-scan", "G", "--ids", "C5,Cp1"],
+     {"json": False, "timeout_ms": None, "command": "config-scan",
+      "file": "G", "format": "auto", "ids": "C5,Cp1"}),
+    (["attach", "G", "--at", "0", "--gadget", "J1", "--out-format",
+      "edgelist"],
+     {"json": False, "timeout_ms": None, "command": "attach", "file": "G",
+      "format": "auto", "at": 0, "gadget": "J1", "out_format": "edgelist"}),
+    (["gen", "corpus", "--count", "2", "--out", "D"],
+     {"json": False, "timeout_ms": None, "command": "gen", "family": "corpus",
+      "count": 2, "n_max": 14, "bound": "8/3", "seed": 0, "out": "D"}),
+    (["gen", "corpus", "--count", "2", "--n-max", "6", "--bound", "5/2",
+      "--seed", "7", "--out", "D"],
+     {"json": False, "timeout_ms": None, "command": "gen", "family": "corpus",
+      "count": 2, "n_max": 6, "bound": "5/2", "seed": 7, "out": "D"}),
+    (["gen", "g5n", "-n", "2"],
+     {"json": False, "timeout_ms": None, "command": "gen", "family": "g5n",
+      "n": 2, "out": None, "out_format": "graph6"}),
+    (["gen", "g5n", "--out", "D", "-n", "2", "--out-format", "edgelist"],
+     {"json": False, "timeout_ms": None, "command": "gen", "family": "g5n",
+      "n": 2, "out": "D", "out_format": "edgelist"}),
+    (["--json", "gen", "cycle", "-n", "5"],
+     {"json": True, "timeout_ms": None, "command": "gen", "family": "cycle",
+      "n": 5, "out_format": "graph6"}),
+    (["gen", "path", "-n", "4", "--out-format", "dimacs"],
+     {"json": False, "timeout_ms": None, "command": "gen", "family": "path",
+      "n": 4, "out_format": "dimacs"}),
+]
+
+
+@pytest.mark.parametrize("argv, expected", _ACCEPTED_FORMS,
+                         ids=[" ".join(argv) for argv, _ in _ACCEPTED_FORMS])
+def test_accepted_forms_reach_the_handler_unchanged(argv, expected):
+    args = SimpleNamespace()
+    cli._parse_args(argv, args)
+    fields = vars(args)
+    handler = fields.pop("fn")
+    assert fields == expected
+    if args.command == "gen":
+        entry = next(f for f in cli.GEN_FAMILIES if f[0] == args.family)
+    else:
+        entry = next(c for c in cli.COMMANDS if c[0] == args.command)
+    assert handler is entry[2]
+
+
+def test_star_verify_explicit_palette_size(capsys, tmp_path):
+    gpath = tmp_path / "c3.g6"
+    gpath.write_text(to_graph6(gen_cycle(3)))
+    cpath = tmp_path / "coloring.json"
+    # only a missing or null palette_size defaults to max(colors) + 1
+    for palette, detail in ((None, None), (3, None), (0, "palette_size-1"),
+                            (2, "palette_size-1"), (False, "not int")):
+        cpath.write_text(json.dumps({"colors": [0, 1, 2],
+                                     "palette_size": palette}))
+        code, doc = run_json(capsys, "star-verify", str(gpath),
+                             "--coloring", str(cpath))
+        if detail is None:
+            assert (code, doc["valid"]) == (0, True), palette
+        else:
+            assert (code, doc["error"]) == (2, "usage"), palette
+            assert detail in doc["detail"], palette
+
+
+def _help(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == "", argv
+    assert captured.out.startswith("usage: starpart"), argv
+    return captured.out
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_covers_the_whole_table(capsys, flag):
+    for prefix in ([], ["--json"]):
+        text = _help(capsys, *prefix, flag)
+        for name, summary, *_ in cli.COMMANDS:
+            assert f"  {name} " in text and summary in text, name
+        assert "--json" in text and "--timeout-ms" in text
+    text = _help(capsys, "gen", flag)
+    for name, summary, *_ in cli.GEN_FAMILIES:
+        assert f"  {name} " in text and summary in text, name
+    levels = [([name], [cli._FORMAT, *options] if reads_graph else options,
+               ["x.g6"] if reads_graph else [])
+              for name, _, _, reads_graph, options in cli.COMMANDS]
+    levels += [(["gen", name], options, [])
+               for name, _, _, options in cli.GEN_FAMILIES]
+    for argv, options, file in levels:
+        # -h also stands after the file
+        for text in (_help(capsys, *argv, flag),
+                     _help(capsys, *argv, *file, flag)):
+            assert f"usage: starpart {' '.join(argv)}" in text
+            for option, spec in options:
+                assert f"  {option} " in text and spec["help"] in text, \
+                    (argv, option)

@@ -19,13 +19,18 @@ MODULES = ("graphs", "density", "starcolor", "fii", "configs", "discharging",
            "generators", "instances")
 
 #: stdlib modules that no CLI call may import: ``dataclasses`` pulls in
-#: ``inspect``, ``ast``, ``dis`` and ``tokenize``, and that start-up cost is
-#: paid again by every call
-_SLOW_IMPORTS = ("dataclasses", "inspect")
+#: ``inspect``, ``ast``, ``dis`` and ``tokenize``, ``argparse`` loads
+#: ``gettext`` and ``locale``, and that start-up cost is paid again by every
+#: call
+_SLOW_IMPORTS = ("dataclasses", "inspect", "argparse")
 
-#: lists the starpart modules a CLI call (argv) left unexecuted and the
-#: ``_SLOW_IMPORTS`` it loaded; the type test reads no module attribute,
-#: since a read would load the module
+#: stdlib modules that only a call doing rational arithmetic may import:
+#: ``fractions`` pulls in ``decimal`` and ``numbers``
+_RATIONAL_IMPORTS = ("fractions", "decimal")
+
+#: lists the starpart modules a CLI call (argv) left unexecuted, and the
+#: ``_SLOW_IMPORTS`` and ``_RATIONAL_IMPORTS`` it loaded; the type test
+#: reads no module attribute, since a read would load the module
 _UNEXECUTED = f"""
 import contextlib, io, json, sys, types
 from starpart import cli
@@ -34,7 +39,8 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps({{"code": code, "unexecuted": sorted(
     name.split(".", 1)[1] for name, m in sys.modules.items()
     if name.startswith("starpart.") and type(m) is not types.ModuleType),
-    "loaded": [name for name in {_SLOW_IMPORTS!r} if name in sys.modules]}}))
+    "loaded": [name for name in {_SLOW_IMPORTS!r} if name in sys.modules],
+    "rational": [name for name in {_RATIONAL_IMPORTS!r} if name in sys.modules]}}))
 """
 
 
@@ -134,6 +140,35 @@ def test_cli_call_imports_no_dataclasses_or_inspect(tmp_path, sub):
     doc = json.loads(proc.stdout)
     assert doc["code"] in (0, 1), proc.stderr
     assert doc["loaded"] == [], sub
+
+
+#: the subcommands that compute with no Fraction, as argv after ``--json``;
+#: ``G5`` and ``G1`` are graph files holding the shipped C5 and C1 instances
+_FRACTION_FREE_CALLS = {
+    "star5": ["star5", "G5"],
+    "fii-find": ["fii-find", "G5"],
+    "girth": ["girth", "G5"],
+    "classify": ["classify", "G5"],
+    "attach": ["attach", "G5", "--at", "0", "--gadget", "J1"],
+    "config-scan": ["config-scan", "G5"],
+    "lemma-check": ["lemma-check", "G1", "--config", "C1"],
+}
+
+
+@pytest.mark.parametrize("sub", _FRACTION_FREE_CALLS)
+def test_fraction_free_call_imports_no_fractions(tmp_path, sub):
+    from starpart.graphs import serialize_graph
+    from starpart.instances import shipped_instance
+    paths = {}
+    for cid in ("C5", "C1"):
+        paths["G" + cid[1:]] = path = tmp_path / f"{cid}.g6"
+        path.write_text(serialize_graph(shipped_instance(cid)[0], "graph6") + "\n")
+    argv = [str(paths.get(a, a)) for a in _FRACTION_FREE_CALLS[sub]]
+    proc = _python("-c", _UNEXECUTED, "--json", *argv)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["code"] == 0, proc.stderr
+    assert doc["rational"] == [] and doc["loaded"] == [], sub
 
 
 def test_no_module_imports_a_private_name_from_a_sibling():
