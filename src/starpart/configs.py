@@ -11,15 +11,14 @@ that each one extends to the whole graph.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .graphs import (Graph, PendentCycle, VertexClass, classify_vertices,
                      pendent_triangles_at)
 from . import density, fii
 
-C_IDS = tuple(f"C{i}" for i in range(1, 11))
-CP_IDS = tuple(f"Cp{i}" for i in range(1, 6))
-ALL_CONFIG_IDS = C_IDS + CP_IDS
+ALL_CONFIG_IDS = (*(f"C{i}" for i in range(1, 11)), *(f"Cp{i}" for i in range(1, 6)))
 
 _W = VertexClass
 _W2345 = {_W.W2, _W.W3, _W.W4, _W.W5}
@@ -57,25 +56,34 @@ def _match(config_id: str, **roles) -> ConfigMatch:
 
 
 def _all_cycles_within(g: Graph, allowed: set[int]) -> list[tuple[int, ...]]:
-    """Every simple cycle of G[allowed], canonically rotated/oriented."""
+    """Every simple cycle of G[allowed], canonically rotated/oriented: it
+    starts at its least vertex, and its second vertex is below its last.
+
+    A depth-first search from each start through larger vertices only; the
+    stack holds one neighbour iterator per path vertex, so a long path costs
+    no recursion."""
     cycles: list[tuple[int, ...]] = []
     adj = {v: [w for w in g.adj[v] if w in allowed] for v in allowed}
-
-    def extend(start: int, path: list[int], seen: set[int]) -> None:
-        u = path[-1]
-        for w in adj[u]:
-            if w == start:
-                if len(path) >= 3 and path[1] < u:
-                    cycles.append(tuple(path))
-            elif w > start and w not in seen:
-                seen.add(w)
-                path.append(w)
-                extend(start, path, seen)
-                path.pop()
-                seen.remove(w)
-
     for start in sorted(allowed):
-        extend(start, [start], {start})
+        # a cycle found from start leaves and returns through two larger
+        # neighbours, so a start with fewer (every vertex of a path) is skipped
+        if sum(w > start for w in adj[start]) < 2:
+            continue
+        path, seen, stack = [start], {start}, [iter(adj[start])]
+        while stack:
+            u = path[-1]
+            for w in stack[-1]:
+                if w == start:
+                    if len(path) >= 3 and path[1] < u:
+                        cycles.append(tuple(path))
+                elif w > start and w not in seen:
+                    seen.add(w)
+                    path.append(w)
+                    stack.append(iter(adj[w]))
+                    break
+            else:
+                stack.pop()
+                seen.discard(path.pop())
     cycles.sort()
     return cycles
 
@@ -93,135 +101,100 @@ def _tri_vertices(tri_at: Mapping[int, tuple[PendentCycle, ...]],
     return flat
 
 
-def scan_configs(g: Graph, ids: Iterable[str] | None = None) -> list[ConfigMatch]:
-    """All occurrences of the requested configurations (default: all 15).
+def _local_matches(g: Graph, cls: Sequence[VertexClass],
+                   tri_at: Mapping[int, tuple[PendentCycle, ...]],
+                   v: int) -> list[ConfigMatch]:
+    """The matches of C1-C10 and Cp3-Cp5 anchored at v.
 
-    Cp1 and Cp2 list every simple cycle inside a class set, exponentially
-    many on some sparse inputs (twice-subdivided cubic graphs: 4210 Cp1
-    matches at 96 vertices, 184105 at 144); ``ids`` can leave them out."""
+    A class fixes the degree, so one branch on cls[v] picks the
+    configurations that can sit at v: C1 and C10 at Other, C2 at W2, C3-C5 at
+    W3, C6 and C7 at W3 and V3, C8 at W4, C9 at W5, Cp3 at V4, Cp4 at V5 and
+    Cp5 at V6.  An edge configuration (C2, C5) is anchored at its smaller
+    end; a T2 vertex anchors nothing.  Adjacency is sorted, so ``nbrs`` and
+    ``rest`` are too."""
+    c, nbrs = cls[v], g.adj[v]
+    # the triangle split is built only at the few vertices that carry one
+    ts: Sequence[int] = ()
+    rest, tris = nbrs, {}
+    if v in tri_at:
+        ts = _tri_vertices(tri_at, v)
+        rest = [u for u in nbrs if u not in ts]
+        tris = {f"t{i + 1}": t for i, t in enumerate(ts)}
+    out: list[ConfigMatch] = []
+    if c == _W.OTHER:
+        if len(nbrs) <= 1:
+            out.append(_match("C1", v=v))
+        elif len(nbrs) == 7 and len(ts) == 6 and cls[rest[0]] in _W235:
+            out.append(_match("C10", v=v, **tris, v1=rest[0]))
+    elif c == _W.W2:
+        out += [_match("C2", u=v, v=u) for u in nbrs if u > v and cls[u] == _W.W2]
+    elif c in (_W.W3, _W.V3):
+        if c == _W.W3:
+            if all(g.degree(u) == 2 for u in nbrs):
+                out.append(_match("C3", v=v, v1=nbrs[0], v2=nbrs[1], v3=nbrs[2]))
+            if ts:
+                out.append(_match("C4", v=v, **tris))
+            for y in nbrs:
+                if y > v and cls[y] == _W.W3:
+                    x1, x2 = _two_neighbors(g, v)[:2]
+                    y3, y4 = _two_neighbors(g, y)[:2]
+                    out.append(_match("C5", x=v, y=y, x1=x1, x2=x2, y3=y3, y4=y4))
+        # a 2-vertex is never W3, so v1 and v2 always differ
+        w3s = [u for u in nbrs if cls[u] == _W.W3]
+        out += [_match("C6", v=v, v1=v1, v2=v2)
+                for v1 in nbrs if g.degree(v1) == 2 for v2 in w3s]
+        out += [_match("C7", v=v, v1=v1, v2=v2) for v1, v2 in combinations(w3s, 2)]
+    elif c == _W.W4:
+        for v1 in rest:
+            if cls[v1] in _W2345:
+                v2 = next(u for u in rest if u != v1)
+                out.append(_match("C8", v=v, **tris, v1=v1, v2=v2))
+    elif c == _W.W5:
+        if g.degree(rest[0]) == 3 or cls[rest[0]] in _W25:
+            out.append(_match("C9", v=v, **tris, v1=rest[0]))
+    elif c == _W.V4:
+        if all(cls[u] in _W235 for u in nbrs) and (
+                sum(cls[u] == _W.W2 for u in nbrs) >= 2
+                or sum(cls[u] == _W.W5 for u in nbrs) >= 2):
+            out.append(_match("Cp3", v=v, **{f"u{i + 1}": u for i, u in enumerate(nbrs)}))
+    elif c == _W.V5:
+        if len(ts) == 2 and all(cls[u] in _W235 for u in rest) \
+                and sum(cls[u] == _W.W2 for u in rest) >= 2:
+            out.append(_match("Cp4", v=v, **tris, u1=rest[0], u2=rest[1], u3=rest[2]))
+    elif c == _W.V6 and len(ts) == 4:
+        out += [_match("Cp5", v=v, **tris, u1=u1, u2=u2) for u1 in rest for u2 in rest
+                if u1 != u2 and cls[u1] in _W25 and cls[u2] in _W235]
+    return out
+
+
+def scan_configs(g: Graph, ids: Iterable[str] | None = None) -> list[ConfigMatch]:
+    """All occurrences of the requested configurations (default: all 15),
+    sorted by id, then by role tuple.
+
+    Every configuration but Cp1 and Cp2 is matched one anchor vertex at a
+    time (``_local_matches``), reading only the anchor's neighbours, their
+    degrees and their classes.  Cp1 and Cp2, cycles inside a class set, are
+    the only whole-graph searches.  They list every simple cycle there,
+    exponentially many on some sparse inputs (twice-subdivided cubic graphs:
+    4210 Cp1 matches at 96 vertices, 184105 at 144); ``ids`` can leave them
+    out."""
     want = tuple(ids) if ids is not None else ALL_CONFIG_IDS
     for cid in want:
         if cid not in ALL_CONFIG_IDS:
             raise ValueError(f"unknown configuration id {cid!r}")
     cls = classify_vertices(g)
     tri_at = pendent_triangles_at(g)
-    out: list[ConfigMatch] = []
-
-    if "C1" in want:
-        for v in range(g.n):
-            if g.degree(v) <= 1:
-                out.append(_match("C1", v=v))
-    if "C2" in want:
-        for u, v in g.edges():
-            if cls[u] == _W.W2 and cls[v] == _W.W2:
-                out.append(_match("C2", u=u, v=v))
-    if "C3" in want:
-        for v in range(g.n):
-            if g.degree(v) == 3 and all(g.degree(u) == 2 for u in g.adj[v]):
-                n1, n2, n3 = sorted(g.adj[v])
-                out.append(_match("C3", v=v, v1=n1, v2=n2, v3=n3))
-    if "C4" in want:
-        for v, tris in sorted(tri_at.items()):
-            if g.degree(v) == 3:
-                for tri in tris:
-                    t1, t2 = sorted(tri.two_vertices)
-                    out.append(_match("C4", v=v, t1=t1, t2=t2))
-    if "C5" in want:
-        for x, y in g.edges():
-            if cls[x] == _W.W3 and cls[y] == _W.W3:
-                x1, x2 = _two_neighbors(g, x)[:2]
-                y3, y4 = _two_neighbors(g, y)[:2]
-                out.append(_match("C5", x=x, y=y, x1=x1, x2=x2, y3=y3, y4=y4))
-    if "C6" in want:
-        for v in range(g.n):
-            if g.degree(v) != 3:
-                continue
-            for v1 in g.adj[v]:
-                if g.degree(v1) != 2:
-                    continue
-                for v2 in g.adj[v]:
-                    if v2 != v1 and cls[v2] == _W.W3:
-                        out.append(_match("C6", v=v, v1=v1, v2=v2))
-    if "C7" in want:
-        for v in range(g.n):
-            if g.degree(v) != 3:
-                continue
-            w3s = sorted(u for u in g.adj[v] if cls[u] == _W.W3)
-            for i in range(len(w3s)):
-                for j in range(i + 1, len(w3s)):
-                    out.append(_match("C7", v=v, v1=w3s[i], v2=w3s[j]))
-    if "C8" in want:
-        for v in range(g.n):
-            if cls[v] != _W.W4:
-                continue
-            t1, t2 = _tri_vertices(tri_at, v)
-            nontri = [u for u in g.adj[v] if u not in (t1, t2)]
-            for v1 in sorted(nontri):
-                if cls[v1] in _W2345:
-                    v2 = next(u for u in nontri if u != v1)
-                    out.append(_match("C8", v=v, t1=t1, t2=t2, v1=v1, v2=v2))
-    if "C9" in want:
-        for v in range(g.n):
-            if cls[v] != _W.W5:
-                continue
-            ts = _tri_vertices(tri_at, v)
-            v1 = next(u for u in g.adj[v] if u not in ts)
-            if g.degree(v1) == 3 or cls[v1] in _W25:
-                out.append(_match("C9", v=v, t1=ts[0], t2=ts[1], t3=ts[2],
-                                  t4=ts[3], v1=v1))
-    if "C10" in want:
-        for v in range(g.n):
-            if g.degree(v) != 7 or len(tri_at.get(v, ())) != 3:
-                continue
-            ts = _tri_vertices(tri_at, v)
-            v1 = next(u for u in g.adj[v] if u not in ts)
-            if cls[v1] in _W235:
-                roles = {f"t{i + 1}": t for i, t in enumerate(ts)}
-                out.append(_match("C10", v=v, **roles, v1=v1))
+    out = [m for v in range(g.n) for m in _local_matches(g, cls, tri_at, v)
+           if m.config_id in want]
     if "Cp1" in want:
         w23 = {v for v in range(g.n) if cls[v] in _W23}
-        for cyc in _all_cycles_within(g, w23):
-            out.append(_match("Cp1", cycle=cyc))
+        out += [_match("Cp1", cycle=cyc) for cyc in _all_cycles_within(g, w23)]
     if "Cp2" in want:
-        v3w4 = {v for v in range(g.n) if cls[v] in (_W.V3, _W.W4)}
-        for cyc in _all_cycles_within(g, v3w4):
-            ok = all(any(cls[u] in _W23 for u in g.adj[x])
-                     for x in cyc if cls[x] == _W.V3)
-            if ok:
-                out.append(_match("Cp2", cycle=cyc))
-    if "Cp3" in want:
-        for v in range(g.n):
-            if cls[v] != _W.V4:
-                continue
-            nbrs = sorted(g.adj[v])
-            if any(cls[u] not in _W235 for u in nbrs):
-                continue
-            n_w2 = sum(1 for u in nbrs if cls[u] == _W.W2)
-            n_w5 = sum(1 for u in nbrs if cls[u] == _W.W5)
-            if n_w2 >= 2 or n_w5 >= 2:
-                roles = {f"u{i + 1}": u for i, u in enumerate(nbrs)}
-                out.append(_match("Cp3", v=v, **roles))
-    if "Cp4" in want:
-        for v in range(g.n):
-            if g.degree(v) != 5 or len(tri_at.get(v, ())) != 1:
-                continue
-            ts = _tri_vertices(tri_at, v)
-            nontri = sorted(u for u in g.adj[v] if u not in ts)
-            if all(cls[u] in _W235 for u in nontri) \
-                    and sum(1 for u in nontri if cls[u] == _W.W2) >= 2:
-                out.append(_match("Cp4", v=v, t1=ts[0], t2=ts[1],
-                                  u1=nontri[0], u2=nontri[1], u3=nontri[2]))
-    if "Cp5" in want:
-        for v in range(g.n):
-            if g.degree(v) != 6 or len(tri_at.get(v, ())) != 2:
-                continue
-            ts = _tri_vertices(tri_at, v)
-            nontri = sorted(u for u in g.adj[v] if u not in ts)
-            for u1 in nontri:
-                for u2 in nontri:
-                    if u1 != u2 and cls[u1] in _W25 and cls[u2] in _W235:
-                        out.append(_match("Cp5", v=v, t1=ts[0], t2=ts[1],
-                                          t3=ts[2], t4=ts[3], u1=u1, u2=u2))
+        # each V3 vertex of a Cp2 cycle needs a W23 neighbour, so the other
+        # V3 vertices are left out of the search
+        inside = {v for v in range(g.n) if cls[v] == _W.W4 or (
+            cls[v] == _W.V3 and any(cls[u] in _W23 for u in g.adj[v]))}
+        out += [_match("Cp2", cycle=cyc) for cyc in _all_cycles_within(g, inside)]
     order = {cid: i for i, cid in enumerate(ALL_CONFIG_IDS)}
     out.sort(key=lambda mch: (order[mch.config_id], mch.vertices))
     return out
@@ -408,10 +381,7 @@ def reduction_plan(g: Graph, match: ConfigMatch) -> ReductionPlan:
             mods = (("triangle", z1),) if z1 is not None else ()
             return ReductionPlan(tuple(sorted(s)), mods)
         return ReductionPlan((t1, t2))
-    if cid == "C9":
-        v = match.role("v")
-        return ReductionPlan(tuple(sorted({v, *_tri_vertices(tri_at, v)})))
-    if cid == "C10":
+    if cid in ("C9", "C10"):
         v = match.role("v")
         return ReductionPlan(tuple(sorted({v, *_tri_vertices(tri_at, v)})))
     if cid == "Cp1":

@@ -3,8 +3,10 @@
 Vertices are dense integers 0..n-1.  Input labels (edge-list tokens, DIMACS
 numbers) are preserved in a sidecar ``names`` tuple so certificates and
 errors are reported in the user's vocabulary.  Graphs are frozen after
-construction; all mutation goes through :class:`GraphBuilder`.  Adjacency
-is one sorted tuple per vertex; membership reads the lazy ``neighbor_sets``.
+construction: a changed graph is a new ``Graph`` (``induced``,
+``with_additions``, or a :class:`GraphBuilder` for callers that collect
+edges one at a time).  Adjacency is one sorted tuple per vertex; membership
+reads the lazy ``neighbor_sets``.
 
 The per-graph tables (``neighbor_sets``, ``balls2``, ``find_pendent_cycles``,
 ``pendent_triangles_at``, ``classify_vertices``) are computed once per

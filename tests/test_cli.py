@@ -9,7 +9,7 @@ from starpart import cli
 from starpart.cli import _frac, main
 from starpart.density import mad, mad_le_8_3
 from starpart.graphs import Graph, parse_graph, parse_graph6
-from starpart.generators import gen_corpus, gen_g5n, gen_cycle
+from starpart.generators import gen_corpus, gen_g5n, gen_cycle, gen_path
 from starpart.graphs import to_graph6
 
 
@@ -291,6 +291,23 @@ def test_discharge_and_audit(capsys, tmp_path):
     code, doc = run_json(capsys, "discharge-audit", str(path))
     assert code == 1  # W2-cycle: every vertex sits below 8/3
     assert doc["deficits"]
+
+
+def test_scan_and_audit_on_a_long_cycle_and_path(capsys, tmp_path):
+    # the cycle search keeps its path on a stack: a 2000-vertex W23 path
+    # used to recurse once per vertex and exit 4 with RecursionError
+    cycle, path = tmp_path / "cycle.g6", tmp_path / "path.g6"
+    cycle.write_text(to_graph6(gen_cycle(2000)))
+    path.write_text(to_graph6(gen_path(2000)))
+    code, doc = run_json(capsys, "config-scan", str(cycle))
+    assert code == 0
+    assert [m["vertices"]["cycle"] for m in doc["matches"]
+            if m["config"] == "Cp1"] == [list(range(2000))]
+    code, doc = run_json(capsys, "discharge-audit", str(cycle))
+    assert code == 1 and doc["deficits"]
+    code, doc = run_json(capsys, "config-scan", str(path))
+    assert code == 0 and doc["matches"]
+    assert not [m for m in doc["matches"] if m["config"] == "Cp1"]
 
 
 def test_terminal_partition_cli(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -171,6 +172,69 @@ def test_scan_matches_naive_cycles():
         g = random_graph(rng, rng.randint(3, 8), rng.random() * 0.6)
         got = _matches_as_keys(scan_configs(g, ("Cp1", "Cp2")))
         assert got == _naive_cycles(g)
+
+
+# -- pin: scan and plan output over a fixed corpus -----------------------------------
+
+def _pin_host():
+    """Ten copies of the 15 shipped instances, relabelled by a seeded shuffle."""
+    n, edges = 0, []
+    for _ in range(10):
+        for cid in ALL_CONFIG_IDS:
+            g, _ = instances.shipped_instance(cid)
+            edges += [(u + n, v + n) for u, v in g.edges()]
+            n += g.n
+    perm = list(range(n))
+    random.Random(0).shuffle(perm)
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _pin_decorated(rng):
+    """A random graph with a quarter of its edges subdivided and up to six
+    pendent triangles, J1 and J2 gadgets hung on it."""
+    n = rng.randint(4, 12)
+    p = rng.uniform(0.15, 0.4)
+    edges = []
+    for u, v in itertools.combinations(range(n), 2):
+        if rng.random() >= p:
+            continue
+        if rng.random() < 0.25:
+            edges += [(u, n), (n, v)]
+            n += 1
+        else:
+            edges.append((u, v))
+    g = Graph(n, edges)
+    for _ in range(rng.randint(0, 6)):
+        gadget = rng.choice((PendentTriangle(), PendentTriangle(), J1(), J2()))
+        g = attach_gadget(g, rng.randrange(n), gadget)
+    return g
+
+
+#: match count, then sha256 of the scans and of the plans, over the pin corpus
+PIN = (1736, "7108d582899096f5cab7e14973a0fdf6bf4c499c35ca7027b199f668588df912",
+       "698d0ed342a71ccaa38f9ab229d9ce6f5e36768b5aecd8f98f87a8a17219f785")
+
+
+def test_scan_and_plans_pinned():
+    # digests of every match (ids, role tuples, order) and of every plan or
+    # its refusal, recorded before the scan was rewritten per anchor vertex
+    rng = random.Random(15)
+    graphs = [_pin_decorated(rng) for _ in range(200)] + [_pin_host()]
+    scan, plans = hashlib.sha256(), hashlib.sha256()
+    seen, total = set(), 0
+    for g in graphs:
+        matches = scan_configs(g)
+        seen.update(m.config_id for m in matches)
+        total += len(matches)
+        scan.update(repr(matches).encode())
+        for m in matches:
+            try:
+                text = repr(reduction_plan(g, m))
+            except ValueError as exc:
+                text = f"ValueError: {exc}"
+            plans.update(text.encode())
+    assert seen == set(ALL_CONFIG_IDS)
+    assert (total, scan.hexdigest(), plans.hexdigest()) == PIN
 
 
 # -- specific examples -------------------------------------------------------------

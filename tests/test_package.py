@@ -182,3 +182,24 @@ def test_no_module_imports_a_private_name_from_a_sibling():
                 crossings += [f"{path.name}: {node.module}.{a.name}"
                               for a in node.names if a.name.startswith("_")]
     assert crossings == []
+
+
+def test_no_function_calls_itself():
+    # every search keeps its state on an explicit stack, so input size never
+    # meets the interpreter's recursion limit; a call by the function's own
+    # name (or self./cls. name for a method) is where recursion starts
+    recursive = []
+    for path in sorted(Path(SRC, "starpart").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                f = call.func
+                if isinstance(f, ast.Name) and f.id == node.name or (
+                        isinstance(f, ast.Attribute) and f.attr == node.name
+                        and isinstance(f.value, ast.Name)
+                        and f.value.id in ("self", "cls")):
+                    recursive.append(f"{path.name}:{call.lineno} {node.name}")
+    assert recursive == []
