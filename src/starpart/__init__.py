@@ -17,8 +17,8 @@ import sys
 
 #: submodule -> the names the package re-exports from it
 _EXPORTS = {
-    "graphs": ("Graph", "GraphBuilder", "GraphError", "ParseError",
-               "ValidationError", "VertexClass", "PendentCycle",
+    "graphs": ("Graph", "GraphError", "ParseError", "ValidationError",
+               "VertexClass", "PendentCycle",
                "classify_vertices", "find_pendent_cycles",
                "find_pendent_triangles", "girth", "parse_graph",
                "serialize_graph", "INFINITY"),
@@ -26,8 +26,8 @@ _EXPORTS = {
                 "mad_le_8_3", "rho", "rho_star", "rho_star_oracle"),
     "starcolor": ("Coloring", "is_star_coloring", "star_chromatic_number",
                   "star_chromatic_number_oracle", "greedy_star_coloring"),
-    "fii": ("FiiPartition", "FiiResult", "verify_fii", "find_fii",
-            "enumerate_fii", "fii_to_star5", "boundary_search"),
+    "fii": ("FiiPartition", "FiiResult", "BudgetExhausted", "verify_fii",
+            "find_fii", "enumerate_fii", "fii_to_star5", "boundary_search"),
     "configs": ("ConfigMatch", "ReductionPlan", "scan_configs",
                 "attach_gadget", "reduction_plan", "verify_lemma_extension",
                 "PendentTriangle", "J1", "J2", "AddEdge", "AddPath2",

@@ -8,7 +8,8 @@ JSON document (schema version 1) on stdout, usage errors included,
 otherwise a short human summary.  Exit codes: 0 computed, 1 property
 violated / infeasible, 2 usage or input error, 3 timeout ("unknown"),
 4 internal error (a fault in starpart itself; the traceback goes to
-stderr).
+stderr).  ``--timeout-ms`` bounds the searches of ``fii-find``, ``star5``,
+``boundary`` and ``lemma-check``.
 
 The ``COMMANDS`` and ``GEN_FAMILIES`` tables are the whole grammar: the
 parser reads ``argv`` straight from them, and ``-h`` at any level prints
@@ -18,11 +19,18 @@ a value is the next argument or follows ``=``; option names match
 exactly; the last occurrence wins.  A call imports only what its
 subcommand runs: no ``argparse``, and ``fractions`` only where the
 mathematics is rational.
+
+A process started as ``python -m starpart.cli`` or as the ``starpart``
+script enters through :func:`run`, which ends the process as soon as its
+output is flushed: no module teardown, no final garbage collection, and no
+``atexit`` hook runs (so ``coverage run -m starpart.cli`` records nothing).
+:func:`main` returns the exit code instead, for callers in the same process.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -50,11 +58,9 @@ class _CliError(Exception):
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
-        return Path(path).read_text()
-    except OSError as exc:
+        return sys.stdin.read() if path == "-" else Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(f"cannot read {path}: {exc}") from exc
 
 
@@ -132,6 +138,8 @@ def _timeout_s(ms: int | None) -> float | None:
 # -- subcommand handlers: (args, input graph or None) -> exit code -------------
 
 def _cmd_mad(args, g: Graph) -> int:
+    if not g.n:
+        raise _CliError("mad requires at least one vertex")
     d = density.mad(g)
     # mad <= 8/3 follows from the exact value.  A violation's set is the least
     # minimizer of rho, which contains every densest set, so the orientation
@@ -194,7 +202,10 @@ def _cmd_star_verify(args, g: Graph) -> int:
         palette = max(colors, default=0) + 1
     if isinstance(palette, bool) or not isinstance(palette, int):
         raise _CliError(f"palette_size {palette!r} is not int")
-    coloring = starcolor.Coloring(tuple(colors), palette)
+    try:
+        coloring = starcolor.Coloring(tuple(colors), palette)
+    except ValueError as exc:  # a color outside 0..palette_size-1
+        raise _CliError(str(exc)) from exc
     ok, witness = starcolor.is_star_coloring(g, coloring)
     payload = {"valid": ok,
                "violation": {"kind": witness[0], "vertices": list(witness[1])}
@@ -233,8 +244,14 @@ def _cmd_fii_find(args, g: Graph) -> int:
 
 def _cmd_fii_verify(args, g: Graph) -> int:
     labels, _ = _load_list(args.partition, "partition", "labels", g.n, (int, str))
-    part = fii.FiiPartition(tuple(fii.parse_label(l, args.k) if isinstance(l, str)
-                                  else l for l in labels), args.k)
+    try:
+        labels = [fii.parse_label(l, args.k) if isinstance(l, str) else l
+                  for l in labels]
+    except ValueError as exc:
+        raise _CliError(str(exc)) from exc
+    if any(not 0 <= l <= args.k for l in labels):
+        raise _CliError("label out of range")
+    part = fii.FiiPartition(tuple(labels), args.k)
     ok, witness = fii.verify_fii(g, part)
     payload = {"valid": ok,
                "violation": {"kind": witness[0], "detail": list(witness[1])}
@@ -270,8 +287,9 @@ def _cmd_boundary(args, _) -> int:
     corpus = []
     for p in paths:
         if p.is_file():
+            text = _read_text(str(p))
             try:
-                corpus.append((p.name, parse_graph(p.read_text(), args.format)))
+                corpus.append((p.name, parse_graph(text, args.format)))
             except GraphError as exc:
                 raise _CliError(f"bad graph in {p.name}: {exc}") from exc
     report = fii.boundary_search(args.k, corpus, timeout_s=args.timeout_s)
@@ -290,12 +308,16 @@ def _cmd_boundary(args, _) -> int:
     return EXIT_TIMEOUT if report.unknown_count else EXIT_OK
 
 
+def _config_ids(ids: tuple[str, ...]) -> tuple[str, ...]:
+    for cid in ids:
+        if cid not in configs.ALL_CONFIG_IDS:
+            raise _CliError(f"unknown configuration id {cid!r}")
+    return ids
+
+
 def _cmd_config_scan(args, g: Graph) -> int:
-    ids = tuple(args.ids.split(",")) if args.ids else None
-    try:
-        matches = configs.scan_configs(g, ids)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    ids = _config_ids(tuple(args.ids.split(","))) if args.ids else None
+    matches = configs.scan_configs(g, ids)
     payload = {"matches": [
         {"config": m.config_id,
          "vertices": {k: (list(v) if isinstance(v, tuple) else v)
@@ -308,7 +330,7 @@ def _cmd_config_scan(args, g: Graph) -> int:
 
 
 def _cmd_lemma_check(args, g: Graph) -> int:
-    matches = configs.scan_configs(g, (args.config,))
+    matches = configs.scan_configs(g, _config_ids((args.config,)))
     if not matches:
         raise _CliError(f"no {args.config} match in input", EXIT_VIOLATED)
     if args.match:
@@ -319,7 +341,7 @@ def _cmd_lemma_check(args, g: Graph) -> int:
         wanted = {k: tuple(v) if isinstance(v, list) else v
                   for k, v in roles.items()}
         picked = [m for m in matches
-                  if all(m.role(k) == v for k, v in wanted.items())]
+                  if wanted.items() <= dict(m.vertices).items()]
         if not picked:
             raise _CliError(f"no {args.config} match with roles {wanted}")
         match = picked[0]
@@ -328,7 +350,16 @@ def _cmd_lemma_check(args, g: Graph) -> int:
     else:
         raise _CliError(f"--match-index {args.match_index} out of range "
                         f"0..{len(matches) - 1}")
-    report = configs.verify_lemma_extension(g, match)
+    try:
+        plan = configs.reduction_plan(g, match)
+    except ValueError as exc:  # a match shape with no cataloged reduction
+        raise _CliError(str(exc)) from exc
+    try:
+        report = configs.verify_lemma_extension(g, match, plan,
+                                                timeout_s=args.timeout_s)
+    except fii.BudgetExhausted as exc:
+        _emit(args, {"status": "unknown"}, f"unknown ({exc})")
+        return EXIT_TIMEOUT
     payload = {"config": args.config,
                "deleted": list(report.plan.deleted),
                "mods": [list(m) for m in report.plan.mods],
@@ -399,8 +430,24 @@ def _cmd_terminal_partition(args, g: Graph) -> int:
     return EXIT_OK
 
 
+def _gen_family(name: str):
+    """The ``gen`` handler that prints ``generators.<name>(args.n)``, looked
+    up at call time so that wrappers installed on the module are seen."""
+    def handler(args, _) -> int:
+        try:
+            g = getattr(generators, name)(args.n)
+        except ValueError as exc:  # n too small for the family
+            raise _CliError(str(exc)) from exc
+        return _emit_graph(args, g)
+    return handler
+
+
 def _cmd_gen_corpus(args, _) -> int:
-    # generated in full first, so that bad arguments leave no directory
+    try:
+        generators.check_corpus_args(args.count, args.n_max, args.bound)
+    except ValueError as exc:
+        raise _CliError(str(exc)) from exc
+    # generated in full first, so that a run that fails leaves no directory
     corpus = list(generators.gen_corpus(args.count, args.n_max, args.bound,
                                         args.seed))
     outdir = Path(args.out)
@@ -485,11 +532,9 @@ COMMANDS = (
     ("gen", "graph family generators", None, False, []),
 )
 
-#: ``gen`` families: (name, help, handler, options); the generators are
-#: looked up at call time, so that wrappers installed on the module are seen
+#: ``gen`` families: (name, help, handler, options)
 GEN_FAMILIES = (
-    ("g5n", "the tightness family G_{5,n}",
-     lambda args, _: _emit_graph(args, generators.gen_g5n(args.n)),
+    ("g5n", "the tightness family G_{5,n}", _gen_family("gen_g5n"),
      [("-n", {**_N[1], "help": "the cycle has 5n vertices"}),
       ("--out", {"help": "write the graph to this file"}), _OUT_FORMAT]),
     ("corpus", "seeded random graphs of bounded mad", _cmd_gen_corpus,
@@ -498,11 +543,8 @@ GEN_FAMILIES = (
       ("--bound", {"default": "8/3", "help": "mad bound p/q"}),
       ("--seed", {"type": int, "default": 0, "help": "random seed"}),
       ("--out", {"required": True, "help": "output directory"})]),
-    ("cycle", "the cycle C_n",
-     lambda args, _: _emit_graph(args, generators.gen_cycle(args.n)),
-     [_N, _OUT_FORMAT]),
-    ("path", "the path on n vertices",
-     lambda args, _: _emit_graph(args, generators.gen_path(args.n)),
+    ("cycle", "the cycle C_n", _gen_family("gen_cycle"), [_N, _OUT_FORMAT]),
+    ("path", "the path on n vertices", _gen_family("gen_path"),
      [_N, _OUT_FORMAT]),
 )
 
@@ -647,13 +689,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _parse_args(sys.argv[1:] if argv is None else argv, args)
         args.timeout_s = _timeout_s(args.timeout_ms)
+        if getattr(args, "k", 0) < 0:
+            raise _CliError(f"-k must be nonnegative, got {args.k}")
         return args.fn(args, _load_graph(args) if hasattr(args, "file") else None)
     except _Help as exc:
         sys.stdout.write(str(exc))
         return EXIT_OK
     except _CliError as exc:
         code, detail = exc.code, str(exc)
-    except (GraphError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (GraphError, json.JSONDecodeError) as exc:
         code, detail = EXIT_USAGE, str(exc)
     except BrokenPipeError:
         return EXIT_USAGE
@@ -671,5 +715,20 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+def run() -> None:
+    """The process entry: :func:`main` on ``sys.argv``, then flush stdout and
+    stderr and end the process with the exit code.  ``os._exit`` skips the
+    interpreter's teardown, which frees what no answer needs.  A flush that
+    fails (the reader went away) exits ``EXIT_USAGE``, as ``main`` does on a
+    broken pipe, and leaves nothing for the interpreter to report."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            code = EXIT_USAGE
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -11,6 +11,7 @@ that each one extends to the whole graph.
 
 from __future__ import annotations
 
+import time
 from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -476,13 +477,17 @@ def _apply_mods(h: Graph, idx: dict[int, int], mods: Sequence[tuple]) -> Graph:
 
 def verify_lemma_extension(g: Graph, match: ConfigMatch,
                            plan: ReductionPlan | None = None,
-                           max_partitions: int = 500_000) -> LemmaExtensionReport:
+                           max_partitions: int = 500_000,
+                           timeout_s: float | None = None) -> LemmaExtensionReport:
     """Check, on this instance, that every FI_2-partition of the (possibly
     modified) reduced graph extends to all of G over labelings of S.
 
     Distinct H-partitions that restrict identically (differing only on
     gadget vertices) are deduplicated before the extension search.  When H
     has no partitions at all the report is a vacuous pass, flagged as such.
+    Both limits are budgets: more than ``max_partitions`` partitions of H, or
+    one deadline ``timeout_s`` seconds away that the enumeration and every
+    extension search share, raise ``fii.BudgetExhausted``.
     """
     if plan is None:
         plan = reduction_plan(g, match)
@@ -498,17 +503,23 @@ def verify_lemma_extension(g: Graph, match: ConfigMatch,
     h_partitions = extended = 0
     failures: list[tuple[int, ...]] = []
     cache: dict[tuple[int, ...], bool] = {}
-    for part in fii.enumerate_fii(h, 2):
+    deadline = None if timeout_s is None else time.monotonic() + timeout_s
+    for part in fii.enumerate_fii(h, 2, timeout_s=timeout_s):
         h_partitions += 1
         if h_partitions > max_partitions:
-            raise RuntimeError("reduced graph has too many partitions; "
-                               "choose a smaller instance")
+            raise fii.BudgetExhausted(f"reduced graph has more than "
+                                      f"{max_partitions} partitions")
         restricted = tuple(part.labels[idx[v]] for v in keep_list)
         if restricted in cache:
             ok = cache[restricted]
         else:
+            left = None if deadline is None else deadline - time.monotonic()
+            if left is not None and left <= 0:
+                raise fii.BudgetExhausted("time budget ran out")
             fixed = {v: lab for v, lab in zip(keep_list, restricted)}
-            res = fii.find_fii(g, 2, forcing=False, fixed=fixed)
+            res = fii.find_fii(g, 2, forcing=False, fixed=fixed, timeout_s=left)
+            if res.status == "unknown":
+                raise fii.BudgetExhausted("time budget ran out")
             ok = res.feasible
             cache[restricted] = ok
             if not ok:

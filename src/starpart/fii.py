@@ -205,8 +205,8 @@ class FiiResult(NamedTuple):
         return self.status == "feasible"
 
 
-class _Timeout(Exception):
-    pass
+class BudgetExhausted(Exception):
+    """A search ran out of its time or node budget before it could answer."""
 
 
 class _Solver:
@@ -289,10 +289,10 @@ class _Solver:
     def _tick(self) -> None:
         self.nodes += 1
         if self.node_limit is not None and self.nodes > self.node_limit:
-            raise _Timeout
+            raise BudgetExhausted("node limit reached")
         if self.deadline is not None and self.nodes % 128 == 0 \
                 and time.monotonic() > self.deadline:
-            raise _Timeout
+            raise BudgetExhausted("time budget ran out")
 
     def _labelings(self, order: Iterable[int]) -> Iterator[None]:
         """Label ``order``'s unlabeled vertices; yield at each complete labeling."""
@@ -321,7 +321,7 @@ class _Solver:
             ok = all(self._assign_prop(v, lab) for v, lab in pins) and all(
                 any(True for _ in self._labelings(order))
                 for order in _branch_orders(self.g))
-        except _Timeout:
+        except BudgetExhausted:
             return FiiResult("unknown", None, self.nodes, self.forced, False)
         if ok:
             part = FiiPartition(tuple(self.labels), self.k)
@@ -368,13 +368,18 @@ def find_fii(g: Graph, k: int = 2, forcing: bool = True,
                                         node_limit=node_limit)
 
 
-def enumerate_fii(g: Graph, k: int = 2) -> Iterator[FiiPartition]:
+def enumerate_fii(g: Graph, k: int = 2,
+                  timeout_s: float | None = None) -> Iterator[FiiPartition]:
     """Yield every FI_k-partition (no forcing, plain backtracking).
 
     Deterministic order (the branch orders of ``find_fii``, concatenated);
-    intended for oracle duty on small graphs.
+    intended for oracle duty on small graphs.  Once ``timeout_s`` seconds
+    have passed since the first partition was asked for, the next step
+    raises :class:`BudgetExhausted`.
     """
     solver = _Solver(g, k, forcing=False)
+    if timeout_s is not None:
+        solver.deadline = time.monotonic() + timeout_s
     order = [v for comp in _branch_orders(g) for v in comp]
     for _ in solver._labelings(order):
         yield FiiPartition(tuple(solver.labels), k)

@@ -128,17 +128,24 @@ def gen_mad_bounded(n: int, bound: Fraction | str, seed: int,
     return g
 
 
-def gen_corpus(count: int, n_max: int, bound: Fraction | str,
-               seed: int) -> Iterator[tuple[str, Graph]]:
-    """A deterministic corpus of mad-bounded random graphs, sizes cycling
-    through 4..n_max.  A negative ``count``, an ``n_max`` below 4 or a
-    ``bound`` below 1 raises ``ValueError`` when the corpus is first
-    iterated."""
+def check_corpus_args(count: int, n_max: int,
+                      bound: Fraction | str) -> Fraction:
+    """``bound`` as a Fraction, after checking the arguments of
+    :func:`gen_corpus`: a negative ``count``, an ``n_max`` below 4 or a
+    ``bound`` that is no fraction of at least 1 raises ``ValueError``."""
     if count < 0:
         raise ValueError(f"corpus count must be non-negative, got {count}")
     if n_max < 4:
         raise ValueError(f"corpus n_max must be at least 4, got {n_max}")
-    bound = _density_cap(bound)
+    return _density_cap(bound)
+
+
+def gen_corpus(count: int, n_max: int, bound: Fraction | str,
+               seed: int) -> Iterator[tuple[str, Graph]]:
+    """A deterministic corpus of mad-bounded random graphs, sizes cycling
+    through 4..n_max.  Bad arguments (see :func:`check_corpus_args`) raise
+    ``ValueError`` when the corpus is first iterated."""
+    bound = check_corpus_args(count, n_max, bound)
     rng = random.Random(seed)
     for i in range(count):
         n = 4 + i % (n_max - 3)

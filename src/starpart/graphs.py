@@ -3,9 +3,8 @@
 Vertices are dense integers 0..n-1.  Input labels (edge-list tokens, DIMACS
 numbers) are preserved in a sidecar ``names`` tuple so certificates and
 errors are reported in the user's vocabulary.  Graphs are frozen after
-construction: a changed graph is a new ``Graph`` (``induced``,
-``with_additions``, or a :class:`GraphBuilder` for callers that collect
-edges one at a time).  Adjacency is one sorted tuple per vertex; membership
+construction: a changed graph is a new ``Graph`` (``induced`` or
+``with_additions``).  Adjacency is one sorted tuple per vertex; membership
 reads the lazy ``neighbor_sets``.
 
 The per-graph tables (``neighbor_sets``, ``balls2``, ``find_pendent_cycles``,
@@ -173,29 +172,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
-
-
-class GraphBuilder:
-    """Accumulates vertices and edges, validating on :meth:`build`."""
-
-    def __init__(self, n: int = 0):
-        self.n = n
-        self._edges: list[tuple[int, int]] = []
-        self._names: list[str] | None = None
-
-    def ensure_vertex(self, v: int) -> None:
-        if v >= self.n:
-            self.n = v + 1
-
-    def add_edge(self, u: int, v: int) -> None:
-        self.ensure_vertex(max(u, v))
-        self._edges.append((u, v))
-
-    def set_names(self, names: Sequence[str]) -> None:
-        self._names = list(names)
-
-    def build(self) -> Graph:
-        return Graph(self.n, self._edges, self._names)
 
 
 _T = TypeVar("_T")

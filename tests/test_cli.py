@@ -175,18 +175,64 @@ def test_unwritable_out_exit_2(capsys, tmp_path):
 def test_internal_error_exit_4(capsys, monkeypatch, g5_file):
     from starpart import density
 
-    def boom(g):
-        raise RuntimeError("boom")
+    # an engine's KeyError or ValueError is a fault too, never a usage error
+    for error in (RuntimeError("boom"), KeyError("boom"), ValueError("boom")):
+        def boom(g):
+            raise error
 
-    monkeypatch.setattr(density, "mad", boom)
-    code, doc = run_json(capsys, "mad", g5_file)
-    assert code == 4
-    assert doc == {"schema": 1, "error": "internal",
-                   "detail": "RuntimeError: boom"}
-    assert main(["mad", g5_file]) == 4
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.endswith("error: internal: RuntimeError: boom\n")
+        monkeypatch.setattr(density, "mad", boom)
+        detail = f"{type(error).__name__}: {error}"
+        code, doc = run_json(capsys, "mad", g5_file)
+        assert code == 4
+        assert doc == {"schema": 1, "error": "internal", "detail": detail}
+        assert main(["mad", g5_file]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: internal: {detail}\n")
+
+
+#: user input that an engine would reject, as argv after ``--json``; ``T`` is
+#: a triangle, ``E`` the empty graph, ``H`` the shipped C1 instance, ``L`` a
+#: file that is not UTF-8, ``D`` a directory holding ``L`` and ``J`` a JSON
+#: file holding the case's document
+_REJECTED_INPUT = [
+    (["mad", "E"], None, "at least one vertex"),
+    (["fii-find", "T", "-k", "-1"], None, "-k must be nonnegative"),
+    (["boundary", "-k", "-1", "--corpus", "."], None, "-k must be nonnegative"),
+    (["config-scan", "T", "--ids", "C1,X"], None, "unknown configuration id 'X'"),
+    (["lemma-check", "T", "--config", "C99"], None, "unknown configuration id"),
+    (["lemma-check", "H", "--config", "C1", "--match", "J"], {"nope": 1},
+     "no C1 match with roles"),
+    (["gen", "g5n", "-n", "0"], None, "n must be positive"),
+    (["gen", "cycle", "-n", "2"], None, "at least 3 vertices"),
+    (["gen", "path", "-n", "0"], None, "at least 1 vertex"),
+    (["star-verify", "T", "--coloring", "J"], [0, 1, -1], "palette_size-1"),
+    (["fii-verify", "T", "--partition", "J"], [0, 3, 0], "label out of range"),
+    (["fii-verify", "T", "--partition", "J"], ["F", "I3", "F"], "exceeds k=2"),
+    (["girth", "L"], None, "cannot read"),
+    (["boundary", "-k", "2", "--corpus", "D"], None, "cannot read"),
+]
+
+
+@pytest.mark.parametrize("argv, doc, detail", _REJECTED_INPUT,
+                         ids=[" ".join(argv) + (f" {doc}" if doc else "")
+                              for argv, doc, _ in _REJECTED_INPUT])
+def test_input_an_engine_rejects_is_a_usage_error(capsys, tmp_path, argv, doc,
+                                                  detail):
+    from starpart import instances
+    paths = {"T": tmp_path / "t.el", "E": tmp_path / "e.g6",
+             "D": tmp_path / "d", "J": tmp_path / "doc.json",
+             "H": tmp_path / "c1.g6"}
+    paths["D"].mkdir()
+    paths["L"] = paths["D"] / "l.g6"
+    paths["T"].write_text("0 1\n1 2\n0 2\n")
+    paths["E"].write_text("?\n")
+    paths["L"].write_bytes(b"\xff\xfe\n")
+    paths["J"].write_text(json.dumps(doc))
+    paths["H"].write_text(to_graph6(instances.shipped_instance("C1")[0]))
+    code, out = run_json(capsys, *(str(paths.get(a, a)) for a in argv))
+    assert (code, out["error"]) == (2, "usage")
+    assert detail in out["detail"]
 
 
 def test_gen_json_one_document(capsys):

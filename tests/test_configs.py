@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -382,6 +383,7 @@ def test_all_shipped_instances_pass_nonvacuously():
         assert report.passed, (cid, report.failures[:3])
         assert not report.vacuous, cid
         assert report.extended == report.h_partitions
+        assert verify_lemma_extension(g, match, timeout_s=60) == report, cid
 
 
 def test_lemma_extension_builds_balls2_once(monkeypatch):
@@ -417,6 +419,18 @@ def test_vacuous_pass_flagged():
     report = verify_lemma_extension(g, match)
     assert report.vacuous and report.passed
     assert report.h_partitions == 0
+
+
+def test_lemma_extension_budgets_raise_budget_exhausted():
+    # H, a path less one end, has exponentially many partitions
+    g = gen_path(60)
+    match = scan_configs(g, ("C1",))[0]
+    with pytest.raises(fii.BudgetExhausted, match="more than 1000 partitions"):
+        verify_lemma_extension(g, match, max_partitions=1000)
+    start = time.monotonic()
+    with pytest.raises(fii.BudgetExhausted, match="time budget"):
+        verify_lemma_extension(g, match, timeout_s=0.1)
+    assert time.monotonic() - start < 10
 
 
 def test_plan_deleted_sets_match_shapes():

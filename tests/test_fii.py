@@ -8,8 +8,8 @@ from starpart.graphs import Graph, balls2
 from starpart.generators import (gen_corpus, gen_cycle, gen_complete, gen_g5n,
                                  gen_mad_bounded, gen_path, gen_star,
                                  gen_tree_random)
-from starpart.fii import (FiiPartition, boundary_search, count_fii_bruteforce,
-                          enumerate_fii, fii_to_star5, find_fii,
+from starpart.fii import (BudgetExhausted, FiiPartition, boundary_search,
+                          count_fii_bruteforce, enumerate_fii, fii_to_star5, find_fii,
                           lemma_forcing_patterns, parse_label, verify_fii)
 from starpart.starcolor import is_star_coloring
 
@@ -196,6 +196,13 @@ def test_timeout_returns_unknown():
     res = find_fii(gen_g5n(1), 2, forcing=False, node_limit=50)
     assert res.status == "unknown"
     assert not res.exhausted
+
+
+def test_enumeration_stops_at_its_time_budget():
+    # a 60-vertex path has about 10^20 FI_2-partitions
+    with pytest.raises(BudgetExhausted, match="time budget"):
+        for _ in enumerate_fii(gen_path(60), 2, timeout_s=0.05):
+            pass
 
 
 def test_mad_bounded_graphs_feasible():

@@ -5,7 +5,7 @@ import types
 
 import pytest
 
-from starpart.graphs import (Graph, GraphBuilder, GraphError, ParseError,
+from starpart.graphs import (Graph, GraphError, ParseError,
                              PendentCycle, ValidationError, VertexClass,
                              INFINITY, classify_vertices, find_pendent_cycles,
                              find_pendent_triangles, girth, parse_edge_list,
@@ -55,15 +55,6 @@ def test_adjacency_sorted_and_symmetric():
             assert u in g.adj[v]
     assert g.edge_count == 3
     assert sum(g.degrees()) == 2 * g.edge_count
-
-
-def test_builder():
-    b = GraphBuilder()
-    b.add_edge(0, 1)
-    b.add_edge(1, 2)
-    b.ensure_vertex(4)
-    g = b.build()
-    assert g.n == 5 and g.edge_count == 2
 
 
 # -- graph6 -------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """The package's lazy submodules: what ``import starpart`` exposes, and
-which modules a CLI call leaves unexecuted or never imports."""
+which modules a CLI call leaves unexecuted or never imports; and the CLI
+process itself, which must print and exit exactly as ``main`` returns."""
 
 import ast
 import importlib
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 import types
 from pathlib import Path
 
@@ -44,11 +47,14 @@ print(json.dumps({{"code": code, "unexecuted": sorted(
 """
 
 
-def _python(*args: str) -> subprocess.CompletedProcess:
+def _python(*args: str, text: bool = True) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    # block-buffered stdout, the default: a process that skips a flush loses
+    # output
+    env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          text=True, timeout=60)
+                          text=text, timeout=60)
 
 
 def test_every_exported_name_resolves_to_its_module_object():
@@ -125,8 +131,8 @@ _BENCH_CALLS = {
 }
 
 
-@pytest.mark.parametrize("sub", _BENCH_CALLS)
-def test_cli_call_imports_no_dataclasses_or_inspect(tmp_path, sub):
+def _bench_argv(tmp_path, sub: str) -> list[str]:
+    """``_BENCH_CALLS[sub]`` with ``G`` and ``D`` made under ``tmp_path``."""
     from starpart.graphs import serialize_graph
     from starpart.instances import shipped_instance
     graph = tmp_path / "c5.g6"
@@ -134,7 +140,12 @@ def test_cli_call_imports_no_dataclasses_or_inspect(tmp_path, sub):
     (tmp_path / "corpus").mkdir()
     (tmp_path / "corpus" / "c5.g6").write_text(graph.read_text())
     paths = {"G": str(graph), "D": str(tmp_path / "corpus")}
-    argv = [paths.get(a, a) for a in _BENCH_CALLS[sub]]
+    return [paths.get(a, a) for a in _BENCH_CALLS[sub]]
+
+
+@pytest.mark.parametrize("sub", _BENCH_CALLS)
+def test_cli_call_imports_no_dataclasses_or_inspect(tmp_path, sub):
+    argv = _bench_argv(tmp_path, sub)
     proc = _python("-c", _UNEXECUTED, "--json", *argv)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
@@ -203,3 +214,108 @@ def test_no_function_calls_itself():
                         and f.value.id in ("self", "cls")):
                     recursive.append(f"{path.name}:{call.lineno} {node.name}")
     assert recursive == []
+
+
+# -- the process exit -----------------------------------------------------------
+
+def _files(directory: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def _in_process(capsys, argv: list[str]) -> tuple[int, bytes]:
+    from starpart import cli
+    code = cli.main(argv)
+    return code, capsys.readouterr().out.encode()
+
+
+@pytest.mark.parametrize("sub", _BENCH_CALLS)
+def test_process_prints_and_exits_as_main_returns(tmp_path, capsys, sub):
+    argv = ["--json", *_bench_argv(tmp_path, sub)]
+    corpus = tmp_path / "corpus"
+    given = _files(corpus)
+    expected = _in_process(capsys, argv), _files(corpus)
+    for name in expected[1].keys() - given.keys():  # the process writes them anew
+        (corpus / name).unlink()
+    proc = _python("-m", "starpart.cli", *argv, text=False)
+    assert (proc.returncode, proc.stdout) == expected[0], proc.stderr
+    assert _files(corpus) == expected[1]
+
+
+def test_process_flushes_a_multi_megabyte_document_and_out_files(tmp_path,
+                                                                 capsys):
+    argv = ["--json", "gen", "g5n", "-n", "400"]
+    code, out = _in_process(capsys, argv)
+    assert code == 0 and len(out) > 3_000_000
+    proc = _python("-m", "starpart.cli", *argv, text=False)
+    assert (proc.returncode, proc.stdout) == (code, out), proc.stderr
+    graph = tmp_path / "g5n.g6"
+    argv = ["--json", "gen", "g5n", "-n", "400", "--out", str(graph)]
+    expected = _in_process(capsys, argv), graph.read_bytes()
+    graph.unlink()
+    proc = _python("-m", "starpart.cli", *argv, text=False)
+    assert ((proc.returncode, proc.stdout), graph.read_bytes()) == expected
+
+
+def test_process_lemma_check_times_out_with_exit_3(tmp_path):
+    from starpart.generators import gen_path
+    from starpart.graphs import to_graph6
+    path = tmp_path / "p2000.g6"
+    path.write_text(to_graph6(gen_path(2000)) + "\n")
+    # the reduced path has exponentially many partitions: only the budget ends
+    # the check
+    start = time.monotonic()
+    proc = _python("-m", "starpart.cli", "--json", "--timeout-ms", "1000",
+                   "lemma-check", "--config", "C1", str(path))
+    took = time.monotonic() - start
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads(proc.stdout) == {"schema": 1, "command": "lemma-check",
+                                       "status": "unknown"}
+    assert took < 30, took
+
+
+def test_process_internal_error_exits_4_with_traceback(tmp_path):
+    graph = tmp_path / "triangle.el"
+    graph.write_text("0 1\n1 2\n0 2\n")
+    entry = ("import sys\n"
+             "from starpart import cli, density\n"
+             "def boom(g):\n"
+             "    raise KeyError('boom')\n"
+             "density.mad = boom\n"
+             "cli.run()\n")
+    proc = _python("-c", entry, "--json", "mad", str(graph))
+    assert proc.returncode == 4
+    assert json.loads(proc.stdout) == {"schema": 1, "error": "internal",
+                                       "detail": "KeyError: 'boom'"}
+    assert proc.stderr.startswith("Traceback") and "KeyError: 'boom'" in proc.stderr
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader went away: every flush fails."""
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("stdout, code", [(io.StringIO, 0), (_ClosedPipe, 2)],
+                         ids=["open", "closed"])
+def test_run_flushes_then_exits_with_the_code(monkeypatch, capsys, tmp_path,
+                                              stdout, code):
+    from starpart import cli
+    graph = tmp_path / "triangle.el"
+    graph.write_text("0 1\n1 2\n0 2\n")
+    exits = []
+    monkeypatch.setattr(os, "_exit", exits.append)
+    monkeypatch.setattr(sys, "argv", ["starpart", "--json", "girth", str(graph)])
+    out = stdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    cli.run()
+    assert exits == [code]
+    assert json.loads(out.getvalue())["girth"] == 3
+    assert capsys.readouterr().err == ""
+
+
+def test_console_script_enters_through_run():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(SRC).parent / "pyproject.toml", "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    assert scripts == {"starpart": "starpart.cli:run"}
