@@ -18,8 +18,7 @@ import sys
 #: submodule -> the names the package re-exports from it
 _EXPORTS = {
     "graphs": ("Graph", "GraphError", "ParseError", "ValidationError",
-               "VertexClass", "PendentCycle",
-               "classify_vertices", "find_pendent_cycles",
+               "VertexClass", "classify_vertices", "find_pendent_cycles",
                "find_pendent_triangles", "girth", "parse_graph",
                "serialize_graph", "INFINITY"),
     "density": ("Density", "PotentialResult", "mad", "mad_oracle", "mad_le",
@@ -30,7 +29,6 @@ _EXPORTS = {
             "find_fii", "enumerate_fii", "fii_to_star5", "boundary_search"),
     "configs": ("ConfigMatch", "ReductionPlan", "scan_configs",
                 "attach_gadget", "reduction_plan", "verify_lemma_extension",
-                "PendentTriangle", "J1", "J2", "AddEdge", "AddPath2",
                 "ALL_CONFIG_IDS", "GADGET_BUDGET"),
     "discharging": ("ChargeTable", "Transfer", "AuditReport",
                     "run_discharging", "audit_final_charges",

@@ -9,7 +9,9 @@ otherwise a short human summary.  Exit codes: 0 computed, 1 property
 violated / infeasible, 2 usage or input error, 3 timeout ("unknown"),
 4 internal error (a fault in starpart itself; the traceback goes to
 stderr).  ``--timeout-ms`` bounds the searches of ``fii-find``, ``star5``,
-``boundary`` and ``lemma-check``.
+``boundary`` and ``lemma-check`` and the cycle listing of ``config-scan``
+and ``discharge-audit``; an engine that runs out of it raises
+``fii.BudgetExhausted``, reported as ``{"status": "unknown"}``.
 
 The ``COMMANDS`` and ``GEN_FAMILIES`` tables are the whole grammar: the
 parser reads ``argv`` straight from them, and ``-h`` at any level prints
@@ -188,7 +190,7 @@ def _cmd_classify(args, g: Graph) -> int:
     tris = find_pendent_triangles(g)
     payload = {"classes": [c.value for c in cls],
                "degrees": g.degrees(),
-               "pendent_triangles": [list(t.cycle) for t in tris]}
+               "pendent_triangles": [list(t) for t in tris]}
     human = "\n".join(f"{v} ({g.name_of(v)}): {cls[v].value}" for v in range(g.n)) \
         or "(empty graph)"
     _emit(args, payload, human)
@@ -317,7 +319,7 @@ def _config_ids(ids: tuple[str, ...]) -> tuple[str, ...]:
 
 def _cmd_config_scan(args, g: Graph) -> int:
     ids = _config_ids(tuple(args.ids.split(","))) if args.ids else None
-    matches = configs.scan_configs(g, ids)
+    matches = configs.scan_configs(g, ids, timeout_s=args.timeout_s)
     payload = {"matches": [
         {"config": m.config_id,
          "vertices": {k: (list(v) if isinstance(v, tuple) else v)
@@ -354,12 +356,8 @@ def _cmd_lemma_check(args, g: Graph) -> int:
         plan = configs.reduction_plan(g, match)
     except ValueError as exc:  # a match shape with no cataloged reduction
         raise _CliError(str(exc)) from exc
-    try:
-        report = configs.verify_lemma_extension(g, match, plan,
-                                                timeout_s=args.timeout_s)
-    except fii.BudgetExhausted as exc:
-        _emit(args, {"status": "unknown"}, f"unknown ({exc})")
-        return EXIT_TIMEOUT
+    report = configs.verify_lemma_extension(g, match, plan,
+                                            timeout_s=args.timeout_s)
     payload = {"config": args.config,
                "deleted": list(report.plan.deleted),
                "mods": [list(m) for m in report.plan.mods],
@@ -403,7 +401,7 @@ def _cmd_discharge(args, g: Graph) -> int:
 
 
 def _cmd_discharge_audit(args, g: Graph) -> int:
-    report = discharging.audit_final_charges(g)
+    report = discharging.audit_final_charges(g, timeout_s=args.timeout_s)
     payload = {"deficits": [
         {"vertex": d.vertex, "final": _frac(d.final),
          "nearby_configs": list(d.nearby_configs), "special": d.special}
@@ -480,8 +478,10 @@ _GLOBALS = (
     ("--json", {"action": "store_true",
                 "help": "emit one JSON document on stdout"}),
     ("--timeout-ms", {"type": int,
-                      "help": "search budget, a positive number of "
-                      "milliseconds; expiry exits 3 with status unknown"}),
+                      "help": "budget of fii-find, star5, boundary, "
+                      "lemma-check, config-scan and discharge-audit, a "
+                      "positive number of milliseconds; expiry exits 3 "
+                      "with status unknown"}),
 )
 
 #: (name, help, handler, reads a graph file, options); a graph file adds the
@@ -701,6 +701,9 @@ def main(argv: list[str] | None = None) -> int:
         code, detail = EXIT_USAGE, str(exc)
     except BrokenPipeError:
         return EXIT_USAGE
+    except fii.BudgetExhausted as exc:  # read only once a handler has raised
+        _emit(args, {"status": "unknown"}, f"unknown ({exc})")
+        return EXIT_TIMEOUT
     except Exception as exc:  # a fault in starpart, never a verdict
         import traceback  # here, to keep it off every call's start-up time
         traceback.print_exc()

@@ -15,7 +15,7 @@ import time
 from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .graphs import (Graph, PendentCycle, VertexClass, classify_vertices,
+from .graphs import (INFINITY, Graph, VertexClass, classify_vertices,
                      pendent_triangles_at)
 from . import density, fii
 
@@ -56,14 +56,17 @@ def _match(config_id: str, **roles) -> ConfigMatch:
     return ConfigMatch(config_id, tuple(roles.items()))
 
 
-def _all_cycles_within(g: Graph, allowed: set[int]) -> list[tuple[int, ...]]:
+def _all_cycles_within(g: Graph, allowed: set[int],
+                       deadline: float) -> list[tuple[int, ...]]:
     """Every simple cycle of G[allowed], canonically rotated/oriented: it
     starts at its least vertex, and its second vertex is below its last.
 
     A depth-first search from each start through larger vertices only; the
     stack holds one neighbour iterator per path vertex, so a long path costs
-    no recursion."""
+    no recursion.  Past ``deadline`` (a ``time.monotonic`` value, read every
+    1024 steps) it raises ``fii.BudgetExhausted``."""
     cycles: list[tuple[int, ...]] = []
+    steps = 0
     adj = {v: [w for w in g.adj[v] if w in allowed] for v in allowed}
     for start in sorted(allowed):
         # a cycle found from start leaves and returns through two larger
@@ -78,6 +81,9 @@ def _all_cycles_within(g: Graph, allowed: set[int]) -> list[tuple[int, ...]]:
                     if len(path) >= 3 and path[1] < u:
                         cycles.append(tuple(path))
                 elif w > start and w not in seen:
+                    steps += 1
+                    if not steps % 1024 and time.monotonic() > deadline:
+                        raise fii.BudgetExhausted("time budget ran out")
                     seen.add(w)
                     path.append(w)
                     stack.append(iter(adj[w]))
@@ -93,17 +99,15 @@ def _two_neighbors(g: Graph, v: int) -> list[int]:
     return sorted(u for u in g.adj[v] if g.degree(u) == 2)
 
 
-def _tri_vertices(tri_at: Mapping[int, tuple[PendentCycle, ...]],
+def _tri_vertices(tri_at: Mapping[int, tuple[tuple[int, ...], ...]],
                   v: int) -> list[int]:
     """The 2-vertices of the pendent triangles at v, triangle by triangle."""
-    flat: list[int] = []
-    for tri in sorted(tri_at.get(v, ()), key=lambda t: min(t.two_vertices)):
-        flat.extend(sorted(tri.two_vertices))
-    return flat
+    pairs = sorted(sorted(tri[1:]) for tri in tri_at.get(v, ()))
+    return [x for pair in pairs for x in pair]
 
 
 def _local_matches(g: Graph, cls: Sequence[VertexClass],
-                   tri_at: Mapping[int, tuple[PendentCycle, ...]],
+                   tri_at: Mapping[int, tuple[tuple[int, ...], ...]],
                    v: int) -> list[ConfigMatch]:
     """The matches of C1-C10 and Cp3-Cp5 anchored at v.
 
@@ -168,7 +172,8 @@ def _local_matches(g: Graph, cls: Sequence[VertexClass],
     return out
 
 
-def scan_configs(g: Graph, ids: Iterable[str] | None = None) -> list[ConfigMatch]:
+def scan_configs(g: Graph, ids: Iterable[str] | None = None,
+                 timeout_s: float | None = None) -> list[ConfigMatch]:
     """All occurrences of the requested configurations (default: all 15),
     sorted by id, then by role tuple.
 
@@ -178,24 +183,28 @@ def scan_configs(g: Graph, ids: Iterable[str] | None = None) -> list[ConfigMatch
     the only whole-graph searches.  They list every simple cycle there,
     exponentially many on some sparse inputs (twice-subdivided cubic graphs:
     4210 Cp1 matches at 96 vertices, 184105 at 144); ``ids`` can leave them
-    out."""
+    out, and one deadline ``timeout_s`` seconds away bounds both: past it
+    they raise ``fii.BudgetExhausted``."""
     want = tuple(ids) if ids is not None else ALL_CONFIG_IDS
     for cid in want:
         if cid not in ALL_CONFIG_IDS:
             raise ValueError(f"unknown configuration id {cid!r}")
+    deadline = INFINITY if timeout_s is None else time.monotonic() + timeout_s
     cls = classify_vertices(g)
     tri_at = pendent_triangles_at(g)
     out = [m for v in range(g.n) for m in _local_matches(g, cls, tri_at, v)
            if m.config_id in want]
     if "Cp1" in want:
         w23 = {v for v in range(g.n) if cls[v] in _W23}
-        out += [_match("Cp1", cycle=cyc) for cyc in _all_cycles_within(g, w23)]
+        out += [_match("Cp1", cycle=cyc)
+                for cyc in _all_cycles_within(g, w23, deadline)]
     if "Cp2" in want:
         # each V3 vertex of a Cp2 cycle needs a W23 neighbour, so the other
         # V3 vertices are left out of the search
         inside = {v for v in range(g.n) if cls[v] == _W.W4 or (
             cls[v] == _W.V3 and any(cls[u] in _W23 for u in g.adj[v]))}
-        out += [_match("Cp2", cycle=cyc) for cyc in _all_cycles_within(g, inside)]
+        out += [_match("Cp2", cycle=cyc)
+                for cyc in _all_cycles_within(g, inside, deadline)]
     order = {cid: i for i, cid in enumerate(ALL_CONFIG_IDS)}
     out.sort(key=lambda mch: (order[mch.config_id], mch.vertices))
     return out
@@ -205,56 +214,8 @@ def scan_configs(g: Graph, ids: Iterable[str] | None = None) -> list[ConfigMatch
 # Gadgets
 # ---------------------------------------------------------------------------
 
-class PendentTriangle:
-    """Two new vertices forming a triangle with the attachment point."""
-
-
-class J1:
-    """A new degree-5 apex adjacent to the attachment point and carrying two
-    pendent triangles (5 new vertices).  Attaching it at v with rho*(v) >= 1
-    preserves mad <= 8/3."""
-
-
-class J2:
-    """A path of two double-triangle apexes hung off the attachment point
-    (10 new vertices).  Attaching it at v with rho*(v) >= 2 preserves
-    mad <= 8/3, and pins v to the forest part of any FI_2-partition."""
-
-
-class _ToVertex(NamedTuple):
-    """A gadget that joins the attachment point to vertex ``other``.
-
-    Equality and hashing include the class, so ``AddEdge(3)``,
-    ``AddPath2(3)`` and ``(3,)`` are three different values."""
-
-    other: int
-
-    def __eq__(self, o: object) -> bool:
-        return type(o) is type(self) and tuple.__eq__(self, o)
-
-    def __ne__(self, o: object) -> bool:
-        return not self == o
-
-    def __hash__(self) -> int:
-        return hash((type(self), self.other))
-
-
-class AddEdge(_ToVertex):
-    """An edge from the attachment point to ``other``."""
-
-    __slots__ = ()
-
-
-class AddPath2(_ToVertex):
-    """A path of length two to ``other`` through one new middle vertex."""
-
-    __slots__ = ()
-
-
-Gadget = PendentTriangle | J1 | J2 | AddEdge | AddPath2
-
 #: rho*(attachment point) needed for the attachment to preserve mad <= 8/3
-GADGET_BUDGET = {PendentTriangle: 1, J1: 1, J2: 2}
+GADGET_BUDGET = {"triangle": 1, "j1": 1, "j2": 2}
 
 
 def _double_triangle_edges(apex: int, base: int) -> list[tuple[int, int]]:
@@ -262,52 +223,60 @@ def _double_triangle_edges(apex: int, base: int) -> list[tuple[int, int]]:
     return [(apex, a), (apex, b), (a, b), (apex, c), (apex, d), (c, d)]
 
 
-def attach_gadget(g: Graph, at: int, gadget: Gadget) -> Graph:
+def attach_gadget(g: Graph, at: int, gadget: tuple) -> Graph:
     """Graft a gadget at vertex ``at``; new vertices get ids n, n+1, ...
 
-    The graft is non-invasive for the vertex-adding gadgets: restricting the
+    A gadget is a tuple whose first item names its kind:
+
+    - ``("triangle",)``: two new vertices forming a triangle with ``at``;
+    - ``("j1",)``: a new degree-5 apex adjacent to ``at`` and carrying two
+      pendent triangles (5 new vertices);
+    - ``("j2",)``: a path of two double-triangle apexes hung off ``at``
+      (10 new vertices); it pins ``at`` to the forest part of any
+      FI_2-partition;
+    - ``("edge", w)``: an edge from ``at`` to vertex w;
+    - ``("path2", w)``: a path of length two to w through one new vertex.
+
+    Attaching a triangle or J1 at a vertex with rho*(at) >= 1, or J2 at one
+    with rho*(at) >= 2 (``GADGET_BUDGET``), preserves mad <= 8/3.  The
+    graft is non-invasive for the vertex-adding gadgets: restricting the
     result to the original vertex set recovers ``g``.
     """
     if not 0 <= at < g.n:
         raise ValueError(f"vertex {at} out of range")
-    n = g.n
-    if isinstance(gadget, PendentTriangle):
+    n, kind = g.n, gadget[0]
+    if kind == "triangle":
         return g.with_additions(2, [(at, n), (at, n + 1), (n, n + 1)])
-    if isinstance(gadget, J1):
-        w = n
-        edges = [(at, w)] + _double_triangle_edges(w, n + 1)
-        return g.with_additions(5, edges)
-    if isinstance(gadget, J2):
-        w1, w2 = n, n + 1
-        edges = [(at, w1), (w1, w2)]
-        edges += _double_triangle_edges(w1, n + 2)
-        edges += _double_triangle_edges(w2, n + 6)
+    if kind == "j1":
+        return g.with_additions(5, [(at, n)] + _double_triangle_edges(n, n + 1))
+    if kind == "j2":
+        edges = [(at, n), (n, n + 1)]
+        edges += _double_triangle_edges(n, n + 2)
+        edges += _double_triangle_edges(n + 1, n + 6)
         return g.with_additions(10, edges)
-    if isinstance(gadget, AddEdge):
-        if not 0 <= gadget.other < g.n:
-            raise ValueError(f"vertex {gadget.other} out of range")
-        if gadget.other == at or g.has_edge(at, gadget.other):
-            raise ValueError(f"edge ({at}, {gadget.other}) invalid or present")
-        return g.with_additions(0, [(at, gadget.other)])
-    if isinstance(gadget, AddPath2):
-        if not 0 <= gadget.other < g.n:
-            raise ValueError(f"vertex {gadget.other} out of range")
-        return g.with_additions(1, [(at, n), (n, gadget.other)])
-    raise TypeError(f"unknown gadget {gadget!r}")
+    if kind not in ("edge", "path2"):
+        raise ValueError(f"unknown gadget {gadget!r}")
+    w = gadget[1]
+    if not 0 <= w < g.n:
+        raise ValueError(f"vertex {w} out of range")
+    if kind == "path2":
+        return g.with_additions(1, [(at, n), (n, w)])
+    if w == at or g.has_edge(at, w):
+        raise ValueError(f"edge ({at}, {w}) invalid or present")
+    return g.with_additions(0, [(at, w)])
 
 
-def gadget_by_name(name: str) -> Gadget:
+def gadget_by_name(name: str) -> tuple:
+    """The gadget for a command-line name, in any case: ``triangle`` (or
+    ``pendent-triangle``, ``pt``), ``J1``, ``J2``, ``edge:W``, ``path2:W``."""
     name = name.strip().lower()
+    kind, colon, target = name.partition(":")
     if name in ("triangle", "pendent-triangle", "pt"):
-        return PendentTriangle()
-    if name == "j1":
-        return J1()
-    if name == "j2":
-        return J2()
-    if name.startswith("edge:"):
-        return AddEdge(int(name.split(":", 1)[1]))
-    if name.startswith("path2:"):
-        return AddPath2(int(name.split(":", 1)[1]))
+        return ("triangle",)
+    if name in ("j1", "j2"):
+        return (name,)
+    if colon and kind in ("edge", "path2"):
+        return (kind, int(target))
     raise ValueError(f"unknown gadget {name!r}")
 
 
@@ -318,7 +287,8 @@ def gadget_by_name(name: str) -> Gadget:
 class ReductionPlan(NamedTuple):
     """The deleted set S and modifications applied to H = G - S.
 
-    ``mods`` entries are ("triangle"|"j1"|"j2", v) or ("edge"|"path2", u, v)
+    Each ``mods`` entry is a gadget kind, its attachment point, then the
+    gadget's own fields: ("triangle"|"j1"|"j2", v) or ("edge"|"path2", v, w),
     with vertices named in G's numbering (they must survive into H).
     """
 
@@ -459,22 +429,6 @@ class LemmaExtensionReport(NamedTuple):
         return not self.failures
 
 
-def _apply_mods(h: Graph, idx: dict[int, int], mods: Sequence[tuple]) -> Graph:
-    out = h
-    for mod in mods:
-        kind = mod[0]
-        if kind in ("triangle", "j1", "j2"):
-            gadget = {"triangle": PendentTriangle(), "j1": J1(), "j2": J2()}[kind]
-            out = attach_gadget(out, idx[mod[1]], gadget)
-        elif kind == "edge":
-            out = attach_gadget(out, idx[mod[1]], AddEdge(idx[mod[2]]))
-        elif kind == "path2":
-            out = attach_gadget(out, idx[mod[1]], AddPath2(idx[mod[2]]))
-        else:
-            raise ValueError(f"unknown modification {mod!r}")
-    return out
-
-
 def verify_lemma_extension(g: Graph, match: ConfigMatch,
                            plan: ReductionPlan | None = None,
                            max_partitions: int = 500_000,
@@ -496,9 +450,10 @@ def verify_lemma_extension(g: Graph, match: ConfigMatch,
         if not 0 <= v < g.n:
             raise ValueError(f"deleted vertex {v} out of range")
     keep = [v for v in range(g.n) if v not in s]
-    h0, keep_list = g.induced(keep)
+    h, keep_list = g.induced(keep)
     idx = {old: new for new, old in enumerate(keep_list)}
-    h = _apply_mods(h0, idx, plan.mods)
+    for kind, at, *fields in plan.mods:
+        h = attach_gadget(h, idx[at], (kind, *(idx[w] for w in fields)))
 
     h_partitions = extended = 0
     failures: list[tuple[int, ...]] = []

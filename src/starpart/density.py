@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .graphs import Graph
+from .graphs import Graph, per_graph
 
 _ORACLE_LIMIT = 24
 
@@ -210,16 +210,30 @@ def mad_oracle(g: Graph) -> Density:
     return Density(Fraction(2 * best_e, best_k), witness)
 
 
+@per_graph
+def _orientation_order(g: Graph) -> tuple[tuple[int, int], ...]:
+    """Every edge once, as (u, v) with u its earlier end in the order of
+    increasing degree, ties broken by id, grouped by u in that order.
+
+    A low-degree vertex shares its room with few edges, so in this order the
+    inline fill of ``_orient`` places nearly every unit: on g5n(400) ``mad``
+    makes 1 augmenting search, where ``g.edges()`` order made 1999."""
+    order = sorted(range(g.n), key=lambda v: (len(g.adj[v]), v))
+    pos = {v: i for i, v in enumerate(order)}
+    return tuple((u, v) for u in order for v in g.adj[u] if pos[v] > pos[u])
+
+
 def _orient(g: Graph, seed: Iterable[int], vertex_weight: int,
             edge_weight: int) -> tuple[int, set[int], list[dict[int, int]], list[int]]:
     """One orientation for min over K >= seed of vw|K| - ew|E(G[K])|.
 
     Returns the minimum, the final dead set (the least minimizer), and the
-    placement ``held``/``load`` that ``place_units`` left.  An edge with both
-    endpoints dead is skipped before any write: all its units are unplaced
-    and ``held`` gets no entry for it.  Otherwise the endpoints' own room is
-    filled inline, as ``place_units`` would do first, and it is called only
-    for the units left over.
+    placement ``held``/``load`` that ``place_units`` left.  The edges are
+    walked in ``_orientation_order``.  An edge with both endpoints dead is
+    skipped before any write: all its units are unplaced and ``held`` gets
+    no entry for it.  Otherwise the endpoints' own room is filled inline, as
+    ``place_units`` would do first, and it is called only for the units left
+    over.  The minimum and the least minimizer do not depend on the order.
     """
     if vertex_weight < 0 or edge_weight < 0:
         raise ValueError("weights must be non-negative")
@@ -230,7 +244,7 @@ def _orient(g: Graph, seed: Iterable[int], vertex_weight: int,
     value = vertex_weight * len(dead)
     held: list[dict[int, int]] = [{} for _ in range(g.n)]
     load = [0] * g.n
-    for u, v in g.edges():
+    for u, v in _orientation_order(g):
         if u in dead:
             if v in dead:
                 value -= edge_weight

@@ -59,7 +59,7 @@ def _apply_transfers(initial: list[Fraction],
 def run_discharging(g: Graph) -> ChargeTable:
     """Apply R1-R4 and return the full transfer log with final charges."""
     cls = classify_vertices(g)
-    on_pendent_cycle = {v for c in find_pendent_cycles(g) for v in c.two_vertices}
+    on_pendent_cycle = {v for c in find_pendent_cycles(g) for v in c[1:]}
     amounts = {1: Fraction(1, 3), 2: Fraction(2, 3)}
     thirds = [3 * len(a) for a in g.adj]  # each charge, times 3
     transfers: list[Transfer] = []
@@ -112,16 +112,17 @@ class AuditReport(NamedTuple):
         return not self.deficits
 
 
-def audit_final_charges(g: Graph) -> AuditReport:
+def audit_final_charges(g: Graph, timeout_s: float | None = None) -> AuditReport:
     """List vertices with final charge below 8/3, each cross-referenced with
     the configurations matched within distance two.
 
     On inputs avoiding C1-C10 (and containing no identified-triangles
     component) the deficit list is empty; for arbitrary inputs the report is
     diagnostic and lists every candidate explanation without tie-breaking.
+    ``timeout_s`` bounds the configuration scan (``configs.scan_configs``).
     """
     table = run_discharging(g)
-    matches = configs.scan_configs(g)
+    matches = configs.scan_configs(g, timeout_s=timeout_s)
     tri_at = pendent_triangles_at(g)
     configs_at: dict[int, set[str]] = {}
     for m in matches:
@@ -211,7 +212,7 @@ def _check_component(g: Graph, comp: list[int], cls, tri_at) -> None:
     for v in comp:
         ntri = len(tri_at.get(v, ()))
         nontri = [u for u in g.adj[v]
-                  if all(u not in t.two_vertices for t in tri_at.get(v, ()))]
+                  if all(u not in t[1:] for t in tri_at.get(v, ()))]
         if cls[v] == _W.V6:
             if ntri != 2:
                 raise _Inapplicable(
@@ -279,7 +280,7 @@ def _construct_component(g: Graph, comp: list[int], cls, tri_at,
     ya, yb = set(y_alpha), set(y_beta)
     for w in w5:
         fifth = next(u for u in g.adj[w]
-                     if all(u not in t.two_vertices for t in tri_at[w]))
+                     if all(u not in t[1:] for t in tri_at[w]))
         if fifth in xs:
             w_x.append(w)
         elif fifth in yb:
@@ -293,13 +294,13 @@ def _construct_component(g: Graph, comp: list[int], cls, tri_at,
     t_alpha: list[int] = []
     t_beta: list[int] = []
     for w in sorted(w_x):
-        tris = sorted(tri_at[w], key=lambda t: min(t.two_vertices))
-        t_alpha.append(min(tris[0].two_vertices))
-        t_beta.append(min(tris[1].two_vertices))
+        tris = sorted(min(t[1:]) for t in tri_at[w])
+        t_alpha.append(tris[0])
+        t_beta.append(tris[1])
     for x in sorted(x_set):
         tris = tri_at.get(x, ())
         if tris:
-            t_alpha.append(min(tris[0].two_vertices))
+            t_alpha.append(min(tris[0][1:]))
     t_all = sorted(v for v in comp if cls[v] == _W.T2)
     t_x = sorted(set(t_all) - set(t_alpha) - set(t_beta))
 

@@ -483,46 +483,14 @@ def girth(g: Graph) -> int | float:
     return best
 
 
-class PendentCycle:
-    """A cycle whose vertices all have degree 2 except the apex.
-
-    ``cycle`` starts at the apex and walks the cycle; a free-standing cycle
-    (every vertex of degree 2) is *not* pendent: the apex must have degree
-    at least 3.  ``len`` is the cycle's length, so this immutable record is
-    a plain class: a tuple of its two fields would break the sequence
-    protocol.
-    """
-
-    __slots__ = ("apex", "cycle")
-
-    def __init__(self, apex: int, cycle: tuple[int, ...]) -> None:
-        object.__setattr__(self, "apex", apex)
-        object.__setattr__(self, "cycle", cycle)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to PendentCycle.{name}")
-
-    def __eq__(self, o: object) -> bool:
-        return (type(o) is PendentCycle
-                and (self.apex, self.cycle) == (o.apex, o.cycle))
-
-    def __hash__(self) -> int:
-        return hash((self.apex, self.cycle))
-
-    def __repr__(self) -> str:
-        return f"PendentCycle(apex={self.apex!r}, cycle={self.cycle!r})"
-
-    def __len__(self) -> int:
-        return len(self.cycle)
-
-    @property
-    def two_vertices(self) -> tuple[int, ...]:
-        return self.cycle[1:]
-
-
 @per_graph
-def find_pendent_cycles(g: Graph) -> tuple[PendentCycle, ...]:
-    """All pendent cycles, each reported once, apexes ascending."""
+def find_pendent_cycles(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """All pendent cycles, each reported once, apexes ascending.
+
+    A pendent cycle is the tuple ``(apex, x1, ..., xk)``: the apex, of
+    degree at least 3, then the cycle's 2-vertices in walk order, so its
+    ``len`` is the cycle's length and ``c[1:]`` its 2-vertices.  A
+    free-standing cycle (every vertex of degree 2) is not pendent."""
     out = []
     used: set[int] = set()
     for apex in range(g.n):
@@ -545,21 +513,21 @@ def find_pendent_cycles(g: Graph) -> tuple[PendentCycle, ...]:
                 walk.append(cur)
             if closed and len(walk) >= 2:
                 used.update(walk)
-                out.append(PendentCycle(apex, (apex, *walk)))
+                out.append((apex, *walk))
     return tuple(out)
 
 
-def find_pendent_triangles(g: Graph) -> list[PendentCycle]:
+def find_pendent_triangles(g: Graph) -> list[tuple[int, ...]]:
     """Pendent 3-cycles: triangles with exactly two degree-2 vertices."""
     return [c for c in find_pendent_cycles(g) if len(c) == 3]
 
 
 @per_graph
-def pendent_triangles_at(g: Graph) -> Mapping[int, tuple[PendentCycle, ...]]:
+def pendent_triangles_at(g: Graph) -> Mapping[int, tuple[tuple[int, ...], ...]]:
     """The pendent triangles, listed by apex (a read-only mapping)."""
-    at: dict[int, tuple[PendentCycle, ...]] = {}
+    at: dict[int, tuple[tuple[int, ...], ...]] = {}
     for c in find_pendent_triangles(g):
-        at[c.apex] = at.get(c.apex, ()) + (c,)
+        at[c[0]] = at.get(c[0], ()) + (c,)
     return MappingProxyType(at)
 
 
@@ -594,7 +562,7 @@ def classify_vertices(g: Graph) -> tuple[VertexClass, ...]:
     on_tri_2 = set()
     for tris in tri_at.values():
         for tri in tris:
-            on_tri_2.update(tri.two_vertices)
+            on_tri_2.update(tri[1:])
     out = []
     for v in range(g.n):
         d = g.degree(v)

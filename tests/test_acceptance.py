@@ -22,8 +22,8 @@ from starpart.density import (mad, mad_le_8_3, mad_oracle, rho_star,
 from starpart.starcolor import (is_star_coloring, star_chromatic_number,
                                 star_chromatic_number_oracle)
 from starpart.fii import boundary_search, fii_to_star5, find_fii, verify_fii
-from starpart.configs import (ALL_CONFIG_IDS, J1, J2, PendentTriangle,
-                              attach_gadget, verify_lemma_extension)
+from starpart.configs import (ALL_CONFIG_IDS, attach_gadget,
+                              verify_lemma_extension)
 from starpart.discharging import (audit_final_charges,
                                   run_discharging)
 from starpart import instances
@@ -148,7 +148,7 @@ def test_criterion_4_potential_inequalities(bounded_corpus):
 def test_criterion_5_gadget_budgets(bounded_corpus):
     rng = random.Random(16180)
     graphs = [g for _, g in bounded_corpus]
-    gadgets = ((PendentTriangle(), 1), (J1(), 1), (J2(), 2))
+    gadgets = ((("triangle",), 1), (("j1",), 1), (("j2",), 2))
     trials = 0
     while trials < 1000:
         g = graphs[rng.randrange(len(graphs))]

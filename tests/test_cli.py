@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -354,6 +355,38 @@ def test_scan_and_audit_on_a_long_cycle_and_path(capsys, tmp_path):
     code, doc = run_json(capsys, "config-scan", str(path))
     assert code == 0 and doc["matches"]
     assert not [m for m in doc["matches"] if m["config"] == "Cp1"]
+
+
+def _subdivided_prism(k):
+    """C_k x K2 with every edge subdivided twice (6k vertices): every branch
+    vertex is W3, so G[W23] is the whole graph, whose cycles grow
+    exponentially in k."""
+    rungs = [e for i in range(k) for e in ((i, (i + 1) % k),
+                                           (k + i, k + (i + 1) % k), (i, k + i))]
+    n, edges = 2 * k, []
+    for u, v in rungs:
+        edges += [(u, n), (n, n + 1), (n + 1, v)]
+        n += 2
+    return Graph(n, edges)
+
+
+def test_scan_and_audit_honour_the_timeout(capsys, tmp_path):
+    # listing the cycles of the 16-prism takes seconds: only the budget ends
+    # these runs, and they print no partial list
+    big, small = tmp_path / "prism16.g6", tmp_path / "prism4.g6"
+    big.write_text(to_graph6(_subdivided_prism(16)))
+    small.write_text(to_graph6(_subdivided_prism(4)))
+    for command in ("config-scan", "discharge-audit"):
+        start = time.monotonic()
+        code, doc = run_json(capsys, "--timeout-ms", "200", command, str(big))
+        assert time.monotonic() - start < 3
+        assert (code, doc) == (3, {"schema": 1, "command": command,
+                                   "status": "unknown"})
+        # a scan that finishes inside its budget prints what it prints without
+        untimed = run(capsys, "--json", command, str(small))
+        assert untimed[1].count("Cp1") > 10
+        assert run(capsys, "--json", "--timeout-ms", "60000", command,
+                   str(small)) == untimed
 
 
 def test_terminal_partition_cli(capsys, tmp_path):

@@ -11,8 +11,7 @@ from starpart.graphs import (Graph, VertexClass, balls2, classify_vertices,
 from starpart.generators import (gen_complete, gen_cycle, gen_g5n,
                                  gen_mad_bounded, gen_path, gen_star)
 from starpart.density import mad, mad_le_8_3, rho_star
-from starpart.configs import (ALL_CONFIG_IDS, AddEdge, AddPath2, ConfigMatch,
-                              GADGET_BUDGET, J1, J2, PendentTriangle,
+from starpart.configs import (ALL_CONFIG_IDS, ConfigMatch, GADGET_BUDGET,
                               attach_gadget, gadget_by_name, reduction_plan,
                               scan_configs, verify_lemma_extension)
 from starpart import fii, instances
@@ -46,7 +45,7 @@ def _naive_local(g):
             found.add(("C3", v))
         if g.degree(v) == 3:
             for tri in tri_at.get(v, ()):
-                found.add(("C4", v, tuple(sorted(tri.two_vertices))))
+                found.add(("C4", v, tuple(sorted(tri[1:]))))
     for u, v in itertools.combinations(range(g.n), 2):
         if g.has_edge(u, v) and cls[u] == _W.W3 and cls[v] == _W.W3:
             found.add(("C5", u, v))
@@ -61,17 +60,17 @@ def _naive_local(g):
                 found.add(("C7", v, v1, v2))
     for v in range(g.n):
         if cls[v] == _W.W4:
-            tri2 = set(tri_at[v][0].two_vertices)
+            tri2 = set(tri_at[v][0][1:])
             for v1 in g.adj[v]:
                 if v1 not in tri2 and cls[v1] in w2345:
                     found.add(("C8", v, v1))
         if cls[v] == _W.W5:
-            tri2 = {t for tri in tri_at[v] for t in tri.two_vertices}
+            tri2 = {t for tri in tri_at[v] for t in tri[1:]}
             v1 = next(u for u in g.adj[v] if u not in tri2)
             if g.degree(v1) == 3 or cls[v1] in (_W.W2, _W.W5):
                 found.add(("C9", v, v1))
         if g.degree(v) == 7 and len(tri_at.get(v, ())) == 3:
-            tri2 = {t for tri in tri_at[v] for t in tri.two_vertices}
+            tri2 = {t for tri in tri_at[v] for t in tri[1:]}
             v1 = next(u for u in g.adj[v] if u not in tri2)
             if cls[v1] in w235:
                 found.add(("C10", v, v1))
@@ -81,13 +80,13 @@ def _naive_local(g):
             if n2 >= 2 or n5 >= 2:
                 found.add(("Cp3", v))
         if g.degree(v) == 5 and len(tri_at.get(v, ())) == 1:
-            tri2 = set(tri_at[v][0].two_vertices)
+            tri2 = set(tri_at[v][0][1:])
             rest = [u for u in g.adj[v] if u not in tri2]
             if all(cls[u] in w235 for u in rest) \
                     and sum(1 for u in rest if cls[u] == _W.W2) >= 2:
                 found.add(("Cp4", v))
         if g.degree(v) == 6 and len(tri_at.get(v, ())) == 2:
-            tri2 = {t for tri in tri_at[v] for t in tri.two_vertices}
+            tri2 = {t for tri in tri_at[v] for t in tri[1:]}
             rest = [u for u in g.adj[v] if u not in tri2]
             for u1, u2 in itertools.permutations(rest, 2):
                 if cls[u1] in (_W.W2, _W.W5) and cls[u2] in w235:
@@ -206,7 +205,7 @@ def _pin_decorated(rng):
             edges.append((u, v))
     g = Graph(n, edges)
     for _ in range(rng.randint(0, 6)):
-        gadget = rng.choice((PendentTriangle(), PendentTriangle(), J1(), J2()))
+        gadget = rng.choice((("triangle",), ("triangle",), ("j1",), ("j2",)))
         g = attach_gadget(g, rng.randrange(n), gadget)
     return g
 
@@ -281,16 +280,16 @@ def test_unknown_id_rejected():
 
 def test_gadget_vertex_counts():
     g = gen_path(6)
-    assert attach_gadget(g, 0, PendentTriangle()).n == g.n + 2
-    assert attach_gadget(g, 0, J1()).n == g.n + 5
-    assert attach_gadget(g, 0, J2()).n == g.n + 10
-    assert attach_gadget(g, 0, AddPath2(5)).n == g.n + 1
-    assert attach_gadget(g, 0, AddEdge(5)).n == g.n
+    assert attach_gadget(g, 0, ("triangle",)).n == g.n + 2
+    assert attach_gadget(g, 0, ("j1",)).n == g.n + 5
+    assert attach_gadget(g, 0, ("j2",)).n == g.n + 10
+    assert attach_gadget(g, 0, ("path2", 5)).n == g.n + 1
+    assert attach_gadget(g, 0, ("edge", 5)).n == g.n
 
 
 def test_gadget_graft_noninvasive():
     rng = random.Random(43)
-    for gadget in (PendentTriangle(), J1(), J2(), AddPath2(3)):
+    for gadget in (("triangle",), ("j1",), ("j2",), ("path2", 3)):
         g = random_graph(rng, 6, 0.4)
         h = attach_gadget(g, 2, gadget)
         restricted, _ = h.induced(range(g.n))
@@ -300,38 +299,50 @@ def test_gadget_graft_noninvasive():
 def test_gadget_errors():
     g = gen_path(4)
     with pytest.raises(ValueError):
-        attach_gadget(g, 9, PendentTriangle())
+        attach_gadget(g, 9, ("triangle",))
     with pytest.raises(ValueError):
-        attach_gadget(g, 0, AddEdge(1))  # already present
+        attach_gadget(g, 0, ("edge", 1))  # already present
     with pytest.raises(ValueError):
-        attach_gadget(g, 0, AddEdge(0))
-    assert isinstance(gadget_by_name("J2"), J2)
-    assert gadget_by_name("edge:3") == AddEdge(3)
-    assert type(gadget_by_name("edge:3")) is AddEdge
-    assert type(gadget_by_name("path2:3")) is AddPath2
+        attach_gadget(g, 0, ("edge", 0))
+    with pytest.raises(ValueError):
+        attach_gadget(g, 0, ("path2", 4))
+    with pytest.raises(ValueError):
+        attach_gadget(g, 0, ("j3",))
     with pytest.raises(ValueError):
         gadget_by_name("nope")
+    with pytest.raises(ValueError):
+        gadget_by_name("edge")
+    assert gadget_by_name(" J2 ") == ("j2",) and gadget_by_name("j1") == ("j1",)
+    for name in ("triangle", "Pendent-Triangle", "PT"):
+        assert gadget_by_name(name) == ("triangle",)
+    assert gadget_by_name("edge:3") == ("edge", 3)
+    assert gadget_by_name("PATH2:3") == ("path2", 3)
 
 
 def test_gadgets_with_a_target_differ_by_class():
-    assert AddEdge(3) != AddPath2(3) and AddPath2(3) != AddEdge(3)
-    assert AddEdge(3) != (3,) and (3,) != AddEdge(3)
-    assert AddEdge(3) == AddEdge(3) and AddEdge(3) != AddEdge(4)
-    assert len({AddEdge(3), AddPath2(3), AddEdge(3)}) == 2
+    # the kind tells a gadget with a target from the other kind and from
+    # the bare target, and the gadget is an immutable, hashable value
+    edge, path2 = gadget_by_name("edge:3"), gadget_by_name("path2:3")
+    assert edge != path2 != (3,) and edge != (3,)
+    assert edge == ("edge", 3) and edge != gadget_by_name("edge:4")
+    assert len({edge, path2, gadget_by_name("edge:3")}) == 2
+    with pytest.raises(TypeError):
+        edge[1] = 4
 
 
 def test_gadget_internal_potentials_match_budgets():
     # the attachment-point potential inside each gadget is 4 - budget
     seed = Graph(1, [])
-    for gadget, budget in ((PendentTriangle(), 1), (J1(), 1), (J2(), 2)):
+    for gadget, budget in ((("triangle",), 1), (("j1",), 1), (("j2",), 2)):
         lone = attach_gadget(seed, 0, gadget)
         assert rho_star(lone, (0,)).value == 4 - budget
-        assert GADGET_BUDGET[type(gadget)] == budget
+        assert GADGET_BUDGET[gadget[0]] == budget
+    assert len(GADGET_BUDGET) == 3
 
 
 def test_attach_preserves_bound_on_path():
     g = gen_path(10)
-    h = attach_gadget(g, 4, PendentTriangle())
+    h = attach_gadget(g, 4, ("triangle",))
     ok, _ = mad_le_8_3(h)
     assert ok
 
@@ -339,8 +350,8 @@ def test_attach_preserves_bound_on_path():
 def test_attach_two_triangles_at_star_leaf():
     g = gen_star(3)
     before = rho_star(g, (1,)).value
-    h = attach_gadget(g, 1, PendentTriangle())
-    h = attach_gadget(h, 1, PendentTriangle())
+    h = attach_gadget(g, 1, ("triangle",))
+    h = attach_gadget(h, 1, ("triangle",))
     assert mad(h).value <= Fraction(8, 3)
     assert rho_star(h, (1,)).value >= before - 2
 
@@ -352,7 +363,7 @@ def test_budget_violation_can_break_bound():
                   (0, 5), (0, 6), (5, 6)])
     assert rho_star(g, (0,)).value == 1
     assert mad_le_8_3(g)[0]
-    h = attach_gadget(g, 0, J2())
+    h = attach_gadget(g, 0, ("j2",))
     ok, witness = mad_le_8_3(h)
     assert not ok and witness is not None
 
@@ -362,7 +373,7 @@ def test_gadget_budget_property():
     checked = 0
     for i in range(40):
         g = gen_mad_bounded(rng.randint(4, 12), Fraction(8, 3), 4000 + i)
-        for gadget, budget in ((PendentTriangle(), 1), (J1(), 1), (J2(), 2)):
+        for gadget, budget in ((("triangle",), 1), (("j1",), 1), (("j2",), 2)):
             vs = [v for v in range(g.n)
                   if rho_star(g, (v,)).value >= budget]
             if not vs:

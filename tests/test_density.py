@@ -122,6 +122,21 @@ def test_mad_witness_is_maximal_densest_set():
     assert forests >= 40
 
 
+def test_mad_on_g5n_makes_almost_no_augmenting_search(monkeypatch):
+    # walking the edges from their low-degree ends lets the inline fill place
+    # nearly every unit; in g.edges() order mad(g5n(50)) searched 249 times
+    calls = []
+    place = density.place_units
+
+    def counted(*args):
+        calls.append(args[3])
+        return place(*args)
+
+    monkeypatch.setattr(density, "place_units", counted)
+    assert mad(gen_g5n(50)).value == Fraction(46, 17)
+    assert len(calls) <= 2
+
+
 def test_mad_makes_one_orientation_where_it_starts_at_the_answer(monkeypatch):
     # the 2-core start density is already mad/2 on both graphs, so the first
     # orientation certifies it

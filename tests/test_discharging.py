@@ -1,10 +1,11 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from starpart.cli import main
-from starpart.graphs import (Graph, PendentCycle, VertexClass, classify_vertices,
+from starpart.graphs import (Graph, VertexClass, classify_vertices,
                              find_pendent_cycles, serialize_graph)
 from starpart.generators import (gen_cycle, gen_g5n, gen_mad_bounded,
                                  gen_path, gen_tree_random)
@@ -122,19 +123,22 @@ def test_audit_identified_triangles_special():
     (instances.shipped_instance("C10")[0],
      lambda g: [reduction_plan(g, m) for m in scan_configs(g)]),
 ], ids=["audit", "scan-and-plans"])
-def test_pendent_cycles_walked_once(monkeypatch, graph, run):
+def test_pendent_cycles_walked_once(graph, run):
     g = Graph(graph.n, graph.edges())  # a graph no earlier call has seen
-    built = []
-    init = PendentCycle.__init__
+    walk = find_pendent_cycles.__wrapped__.__code__
+    walked = []
 
-    def counting(self, apex, cycle):
-        built.append((apex, cycle))
-        init(self, apex, cycle)
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is walk:
+            walked.append(frame.f_locals["g"])
 
-    monkeypatch.setattr(PendentCycle, "__init__", counting)
-    run(g)
-    cycles = find_pendent_cycles(g)
-    assert cycles and built == [(c.apex, c.cycle) for c in cycles]
+    before = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run(g)
+    finally:
+        sys.setprofile(before)
+    assert len(walked) == 1 and walked[0] is g and find_pendent_cycles(g)
 
 
 def test_deficit_vertices_have_explanations_on_corpus():

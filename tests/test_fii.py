@@ -124,15 +124,15 @@ def test_forcing_soundness():
 def test_forcing_rules_validated_by_plain_enumeration():
     # the propagation rules restated as facts about *all* partitions of the
     # bare gadgets, checked by forcing-free enumeration
-    from starpart.configs import J1, J2, attach_gadget
+    from starpart.configs import attach_gadget
     seed = Graph(1, [])
-    j1 = attach_gadget(seed, 0, J1())     # 0 = attachment point, 1 = apex
+    j1 = attach_gadget(seed, 0, ("j1",))     # 0 = attachment point, 1 = apex
     for part in enumerate_fii(j1, 2):
         if part.labels[0] in (1, 2):
             assert part.labels[1] == 3 - part.labels[0]
         if part.labels[1] == 0:
             assert part.labels[0] == 0
-    j2 = attach_gadget(seed, 0, J2())     # 0 = attachment point
+    j2 = attach_gadget(seed, 0, ("j2",))     # 0 = attachment point
     count = 0
     for part in enumerate_fii(j2, 2):
         assert part.labels[0] == 0

@@ -6,7 +6,7 @@ import types
 import pytest
 
 from starpart.graphs import (Graph, GraphError, ParseError,
-                             PendentCycle, ValidationError, VertexClass,
+                             ValidationError, VertexClass,
                              INFINITY, classify_vertices, find_pendent_cycles,
                              find_pendent_triangles, girth, parse_edge_list,
                              parse_dimacs, parse_graph, parse_graph6,
@@ -313,7 +313,7 @@ def test_bowtie_two_pendent_triangles():
     bow = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
     tris = find_pendent_triangles(bow)
     assert len(tris) == 2
-    assert all(t.apex == 0 for t in tris)
+    assert all(t[0] == 0 for t in tris)
 
 
 def test_g5_pendent_triangle_count():
@@ -326,17 +326,25 @@ def test_pendent_cycle_longer():
     g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5)])
     cycles = find_pendent_cycles(g)
     assert len(cycles) == 1
-    assert cycles[0].apex == 0 and len(cycles[0]) == 5
+    assert cycles[0] == (0, 1, 2, 3, 4) and len(cycles[0]) == 5
     assert find_pendent_triangles(g) == []
 
 
 def test_pendent_cycle_record():
-    c = find_pendent_cycles(gen_g5n(1))[0]
-    assert len(c) == len(c.cycle) == 3 and c.two_vertices == c.cycle[1:]
-    assert c == PendentCycle(c.apex, c.cycle) and c != (c.apex, c.cycle)
-    assert hash(c) == hash(PendentCycle(c.apex, c.cycle))
-    with pytest.raises(AttributeError):
-        c.apex = 0
+    # (apex, x1, ..., xk): len is the cycle's length, the apex has degree
+    # at least 3 and every other vertex degree 2, consecutive vertices are
+    # adjacent, and the value is immutable
+    n = gen_g5n(1).n
+    g = gen_g5n(1).with_additions(4, [(1, n), (n, n + 1), (n + 1, n + 2),
+                                      (n + 2, n + 3), (n + 3, 1)])
+    cycles = find_pendent_cycles(g)
+    assert sorted(map(len, cycles)) == [3] * 6 + [5]
+    for c in cycles:
+        assert g.degree(c[0]) >= 3 and all(g.degree(x) == 2 for x in c[1:])
+        assert all(g.has_edge(c[i - 1], c[i]) for i in range(len(c)))
+    assert (1, n, n + 1, n + 2, n + 3) in cycles
+    with pytest.raises(TypeError):
+        cycles[0][0] = 0
 
 
 def test_classify_examples():
@@ -371,7 +379,7 @@ def test_classify_is_total_and_consistent():
         g = random_graph(rng, rng.randint(1, 11), rng.random() * 0.5)
         cls = classify_vertices(g)
         assert len(cls) == g.n
-        tri2 = {t for c in find_pendent_triangles(g) for t in c.two_vertices}
+        tri2 = {t for c in find_pendent_triangles(g) for t in c[1:]}
         for v in range(g.n):
             d = g.degree(v)
             if d == 2:
@@ -441,7 +449,7 @@ def test_per_graph_tables_are_built_once_and_immutable():
     n = gen_g5n(2).n
     g = gen_g5n(2).with_additions(3, [(0, n), (n, n + 1), (n + 1, n + 2), (n + 2, 0)])
     tables = {neighbor_sets: frozenset, balls2: frozenset,
-              find_pendent_cycles: PendentCycle,
+              find_pendent_cycles: tuple,
               pendent_triangles_at: tuple, classify_vertices: VertexClass,
               _branch_orders: tuple}
     for table, item_type in tables.items():
