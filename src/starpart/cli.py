@@ -8,10 +8,10 @@ JSON document (schema version 1) on stdout, usage errors included,
 otherwise a short human summary.  Exit codes: 0 computed, 1 property
 violated / infeasible, 2 usage or input error, 3 timeout ("unknown"),
 4 internal error (a fault in starpart itself; the traceback goes to
-stderr).  ``--timeout-ms`` bounds the searches of ``fii-find``, ``star5``,
-``boundary`` and ``lemma-check`` and the cycle listing of ``config-scan``
-and ``discharge-audit``; an engine that runs out of it raises
-``fii.BudgetExhausted``, reported as ``{"status": "unknown"}``.
+stderr).  ``--timeout-ms`` gives the call one deadline, which :func:`main`
+computes once, after reading the input, and hands unchanged to every engine
+call; an engine past it raises ``fii.BudgetExhausted`` or returns status
+"unknown", reported as ``{"status": "unknown"}``.
 
 The ``COMMANDS`` and ``GEN_FAMILIES`` tables are the whole grammar: the
 parser reads ``argv`` straight from them, and ``-h`` at any level prints
@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -128,13 +129,6 @@ def _emit_graph(args, g: Graph) -> int:
     else:
         sys.stdout.write(text)
     return EXIT_OK
-
-
-def _timeout_s(ms: int | None) -> float | None:
-    """The search budget in seconds; ``None`` (no option) means no limit."""
-    if ms is not None and ms <= 0:
-        raise _CliError(f"--timeout-ms must be positive, got {ms}")
-    return None if ms is None else ms / 1000.0
 
 
 # -- subcommand handlers: (args, input graph or None) -> exit code -------------
@@ -234,7 +228,7 @@ def _cmd_star_color(args, g: Graph) -> int:
 
 def _cmd_fii_find(args, g: Graph) -> int:
     res = fii.find_fii(g, args.k, forcing=not args.no_forcing,
-                       timeout_s=args.timeout_s)
+                       deadline=args.deadline)
     payload = {"status": res.status, "k": args.k, "nodes": res.nodes,
                "forced": res.forced, "exhausted": res.exhausted,
                "partition": res.partition.names() if res.partition else None}
@@ -264,7 +258,7 @@ def _cmd_fii_verify(args, g: Graph) -> int:
 
 
 def _cmd_star5(args, g: Graph) -> int:
-    res = fii.find_fii(g, 2, timeout_s=args.timeout_s)
+    res = fii.find_fii(g, 2, deadline=args.deadline)
     if res.status == "unknown":
         _emit(args, {"status": "unknown"}, "unknown (timeout)")
         return EXIT_TIMEOUT
@@ -294,7 +288,7 @@ def _cmd_boundary(args, _) -> int:
                 corpus.append((p.name, parse_graph(text, args.format)))
             except GraphError as exc:
                 raise _CliError(f"bad graph in {p.name}: {exc}") from exc
-    report = fii.boundary_search(args.k, corpus, timeout_s=args.timeout_s)
+    report = fii.boundary_search(args.k, corpus, deadline=args.deadline)
     payload = {
         "k": args.k,
         "entries": [{"name": e.name, "n": e.n, "mad": _frac(e.mad),
@@ -319,7 +313,7 @@ def _config_ids(ids: tuple[str, ...]) -> tuple[str, ...]:
 
 def _cmd_config_scan(args, g: Graph) -> int:
     ids = _config_ids(tuple(args.ids.split(","))) if args.ids else None
-    matches = configs.scan_configs(g, ids, timeout_s=args.timeout_s)
+    matches = configs.scan_configs(g, ids, deadline=args.deadline)
     payload = {"matches": [
         {"config": m.config_id,
          "vertices": {k: (list(v) if isinstance(v, tuple) else v)
@@ -332,7 +326,8 @@ def _cmd_config_scan(args, g: Graph) -> int:
 
 
 def _cmd_lemma_check(args, g: Graph) -> int:
-    matches = configs.scan_configs(g, _config_ids((args.config,)))
+    matches = configs.scan_configs(g, _config_ids((args.config,)),
+                                   deadline=args.deadline)
     if not matches:
         raise _CliError(f"no {args.config} match in input", EXIT_VIOLATED)
     if args.match:
@@ -357,7 +352,7 @@ def _cmd_lemma_check(args, g: Graph) -> int:
     except ValueError as exc:  # a match shape with no cataloged reduction
         raise _CliError(str(exc)) from exc
     report = configs.verify_lemma_extension(g, match, plan,
-                                            timeout_s=args.timeout_s)
+                                            deadline=args.deadline)
     payload = {"config": args.config,
                "deleted": list(report.plan.deleted),
                "mods": [list(m) for m in report.plan.mods],
@@ -401,7 +396,7 @@ def _cmd_discharge(args, g: Graph) -> int:
 
 
 def _cmd_discharge_audit(args, g: Graph) -> int:
-    report = discharging.audit_final_charges(g, timeout_s=args.timeout_s)
+    report = discharging.audit_final_charges(g)
     payload = {"deficits": [
         {"vertex": d.vertex, "final": _frac(d.final),
          "nearby_configs": list(d.nearby_configs), "special": d.special}
@@ -478,10 +473,11 @@ _GLOBALS = (
     ("--json", {"action": "store_true",
                 "help": "emit one JSON document on stdout"}),
     ("--timeout-ms", {"type": int,
-                      "help": "budget of fii-find, star5, boundary, "
-                      "lemma-check, config-scan and discharge-audit, a "
-                      "positive number of milliseconds; expiry exits 3 "
-                      "with status unknown"}),
+                      "help": "budget of the whole call, a positive number "
+                      "of milliseconds from when the command starts its "
+                      "work, shared by the searches of fii-find, star5, "
+                      "boundary, lemma-check and config-scan; expiry exits "
+                      "3 with status unknown"}),
 )
 
 #: (name, help, handler, reads a graph file, options); a graph file adds the
@@ -688,10 +684,14 @@ def main(argv: list[str] | None = None) -> int:
     args = SimpleNamespace(json=False)
     try:
         _parse_args(sys.argv[1:] if argv is None else argv, args)
-        args.timeout_s = _timeout_s(args.timeout_ms)
+        ms = args.timeout_ms
+        if ms is not None and ms <= 0:
+            raise _CliError(f"--timeout-ms must be positive, got {ms}")
         if getattr(args, "k", 0) < 0:
             raise _CliError(f"-k must be nonnegative, got {args.k}")
-        return args.fn(args, _load_graph(args) if hasattr(args, "file") else None)
+        g = _load_graph(args) if hasattr(args, "file") else None
+        args.deadline = None if ms is None else time.monotonic() + ms / 1000
+        return args.fn(args, g)
     except _Help as exc:
         sys.stdout.write(str(exc))
         return EXIT_OK

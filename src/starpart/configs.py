@@ -15,8 +15,7 @@ import time
 from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .graphs import (INFINITY, Graph, VertexClass, classify_vertices,
-                     pendent_triangles_at)
+from .graphs import Graph, VertexClass, classify_vertices, pendent_triangles_at
 from . import density, fii
 
 ALL_CONFIG_IDS = (*(f"C{i}" for i in range(1, 11)), *(f"Cp{i}" for i in range(1, 6)))
@@ -42,29 +41,20 @@ class ConfigMatch(NamedTuple):
                 return val
         raise KeyError(name)
 
-    def all_vertices(self) -> tuple[int, ...]:
-        out: set[int] = set()
-        for _, val in self.vertices:
-            if isinstance(val, tuple):
-                out.update(val)
-            else:
-                out.add(val)
-        return tuple(sorted(out))
-
 
 def _match(config_id: str, **roles) -> ConfigMatch:
     return ConfigMatch(config_id, tuple(roles.items()))
 
 
 def _all_cycles_within(g: Graph, allowed: set[int],
-                       deadline: float) -> list[tuple[int, ...]]:
+                       deadline: float | None) -> list[tuple[int, ...]]:
     """Every simple cycle of G[allowed], canonically rotated/oriented: it
     starts at its least vertex, and its second vertex is below its last.
 
     A depth-first search from each start through larger vertices only; the
     stack holds one neighbour iterator per path vertex, so a long path costs
-    no recursion.  Past ``deadline`` (a ``time.monotonic`` value, read every
-    1024 steps) it raises ``fii.BudgetExhausted``."""
+    no recursion.  Past ``deadline`` (a ``time.monotonic()`` instant or
+    ``None``, read every 1024 steps) it raises ``fii.BudgetExhausted``."""
     cycles: list[tuple[int, ...]] = []
     steps = 0
     adj = {v: [w for w in g.adj[v] if w in allowed] for v in allowed}
@@ -82,7 +72,8 @@ def _all_cycles_within(g: Graph, allowed: set[int],
                         cycles.append(tuple(path))
                 elif w > start and w not in seen:
                     steps += 1
-                    if not steps % 1024 and time.monotonic() > deadline:
+                    if not steps % 1024 and deadline is not None \
+                            and time.monotonic() > deadline:
                         raise fii.BudgetExhausted("time budget ran out")
                     seen.add(w)
                     path.append(w)
@@ -93,6 +84,53 @@ def _all_cycles_within(g: Graph, allowed: set[int],
                 seen.discard(path.pop())
     cycles.sort()
     return cycles
+
+
+def _cycle_class_sets(g: Graph) -> tuple[tuple[str, set[int]], ...]:
+    """The class sets whose cycles are the Cp1 and the Cp2 matches: W23 for
+    Cp1; W4 and V3 for Cp2, less the V3 vertices without a W23 neighbour,
+    which no Cp2 cycle can hold."""
+    cls = classify_vertices(g)
+    w23 = {v for v in range(g.n) if cls[v] in _W23}
+    inside = {v for v in range(g.n) if cls[v] == _W.W4 or (
+        cls[v] == _W.V3 and any(cls[u] in _W23 for u in g.adj[v]))}
+    return (("Cp1", w23), ("Cp2", inside))
+
+
+def _on_cycles(g: Graph, allowed: set[int]) -> set[int]:
+    """The vertices on a cycle of G[allowed]: the ends of its non-bridge
+    edges (Tarjan 1974), from one lowlink pass with an explicit stack.  The
+    tree edge p-v is a bridge iff nothing below v reaches p or above it."""
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    out: set[int] = set()
+    for root in allowed:
+        if root in disc:
+            continue
+        disc[root] = low[root] = len(disc)
+        stack = [(root, -1, iter(g.adj[root]))]
+        while stack:
+            v, parent, nbrs = stack[-1]
+            for w in nbrs:
+                if w != parent and w in disc:
+                    low[v] = min(low[v], disc[w])
+                elif w in allowed and w not in disc:
+                    disc[w] = low[w] = len(disc)
+                    stack.append((w, v, iter(g.adj[w])))
+                    break
+            else:
+                stack.pop()
+                if parent != -1:
+                    low[parent] = min(low[parent], low[v])
+                    if low[v] <= disc[parent]:
+                        out.update((v, parent))
+    return out
+
+
+def cycle_cover(g: Graph) -> dict[str, set[int]]:
+    """For Cp1 and for Cp2, the vertices their matches cover: those on a
+    cycle inside its class set, found in linear time without listing one."""
+    return {cid: _on_cycles(g, allowed) for cid, allowed in _cycle_class_sets(g)}
 
 
 def _two_neighbors(g: Graph, v: int) -> list[int]:
@@ -173,7 +211,7 @@ def _local_matches(g: Graph, cls: Sequence[VertexClass],
 
 
 def scan_configs(g: Graph, ids: Iterable[str] | None = None,
-                 timeout_s: float | None = None) -> list[ConfigMatch]:
+                 deadline: float | None = None) -> list[ConfigMatch]:
     """All occurrences of the requested configurations (default: all 15),
     sorted by id, then by role tuple.
 
@@ -183,28 +221,22 @@ def scan_configs(g: Graph, ids: Iterable[str] | None = None,
     the only whole-graph searches.  They list every simple cycle there,
     exponentially many on some sparse inputs (twice-subdivided cubic graphs:
     4210 Cp1 matches at 96 vertices, 184105 at 144); ``ids`` can leave them
-    out, and one deadline ``timeout_s`` seconds away bounds both: past it
-    they raise ``fii.BudgetExhausted``."""
+    out, ``cycle_cover`` gives the vertices they cover in linear time, and
+    past ``deadline`` (a ``time.monotonic()`` instant or ``None``) they
+    raise ``fii.BudgetExhausted``."""
     want = tuple(ids) if ids is not None else ALL_CONFIG_IDS
     for cid in want:
         if cid not in ALL_CONFIG_IDS:
             raise ValueError(f"unknown configuration id {cid!r}")
-    deadline = INFINITY if timeout_s is None else time.monotonic() + timeout_s
     cls = classify_vertices(g)
     tri_at = pendent_triangles_at(g)
     out = [m for v in range(g.n) for m in _local_matches(g, cls, tri_at, v)
            if m.config_id in want]
-    if "Cp1" in want:
-        w23 = {v for v in range(g.n) if cls[v] in _W23}
-        out += [_match("Cp1", cycle=cyc)
-                for cyc in _all_cycles_within(g, w23, deadline)]
-    if "Cp2" in want:
-        # each V3 vertex of a Cp2 cycle needs a W23 neighbour, so the other
-        # V3 vertices are left out of the search
-        inside = {v for v in range(g.n) if cls[v] == _W.W4 or (
-            cls[v] == _W.V3 and any(cls[u] in _W23 for u in g.adj[v]))}
-        out += [_match("Cp2", cycle=cyc)
-                for cyc in _all_cycles_within(g, inside, deadline)]
+    if {"Cp1", "Cp2"} & set(want):  # the class sets cost a pass over g
+        for cid, allowed in _cycle_class_sets(g):
+            if cid in want:
+                out += [_match(cid, cycle=cyc)
+                        for cyc in _all_cycles_within(g, allowed, deadline)]
     order = {cid: i for i, cid in enumerate(ALL_CONFIG_IDS)}
     out.sort(key=lambda mch: (order[mch.config_id], mch.vertices))
     return out
@@ -432,7 +464,7 @@ class LemmaExtensionReport(NamedTuple):
 def verify_lemma_extension(g: Graph, match: ConfigMatch,
                            plan: ReductionPlan | None = None,
                            max_partitions: int = 500_000,
-                           timeout_s: float | None = None) -> LemmaExtensionReport:
+                           deadline: float | None = None) -> LemmaExtensionReport:
     """Check, on this instance, that every FI_2-partition of the (possibly
     modified) reduced graph extends to all of G over labelings of S.
 
@@ -440,8 +472,8 @@ def verify_lemma_extension(g: Graph, match: ConfigMatch,
     gadget vertices) are deduplicated before the extension search.  When H
     has no partitions at all the report is a vacuous pass, flagged as such.
     Both limits are budgets: more than ``max_partitions`` partitions of H, or
-    one deadline ``timeout_s`` seconds away that the enumeration and every
-    extension search share, raise ``fii.BudgetExhausted``.
+    a search past ``deadline`` (shared by the enumeration and every
+    extension search), raise ``fii.BudgetExhausted``.
     """
     if plan is None:
         plan = reduction_plan(g, match)
@@ -458,8 +490,7 @@ def verify_lemma_extension(g: Graph, match: ConfigMatch,
     h_partitions = extended = 0
     failures: list[tuple[int, ...]] = []
     cache: dict[tuple[int, ...], bool] = {}
-    deadline = None if timeout_s is None else time.monotonic() + timeout_s
-    for part in fii.enumerate_fii(h, 2, timeout_s=timeout_s):
+    for part in fii.enumerate_fii(h, 2, deadline=deadline):
         h_partitions += 1
         if h_partitions > max_partitions:
             raise fii.BudgetExhausted(f"reduced graph has more than "
@@ -468,11 +499,9 @@ def verify_lemma_extension(g: Graph, match: ConfigMatch,
         if restricted in cache:
             ok = cache[restricted]
         else:
-            left = None if deadline is None else deadline - time.monotonic()
-            if left is not None and left <= 0:
-                raise fii.BudgetExhausted("time budget ran out")
             fixed = {v: lab for v, lab in zip(keep_list, restricted)}
-            res = fii.find_fii(g, 2, forcing=False, fixed=fixed, timeout_s=left)
+            res = fii.find_fii(g, 2, forcing=False, fixed=fixed,
+                               deadline=deadline)
             if res.status == "unknown":
                 raise fii.BudgetExhausted("time budget ran out")
             ok = res.feasible

@@ -39,21 +39,9 @@ class ChargeTable(NamedTuple):
     transfers: list[Transfer]
     final: list[Fraction]
 
-    def recompute_final(self) -> list[Fraction]:
-        return _apply_transfers(self.initial, self.transfers)
-
     @property
     def total(self) -> Fraction:
         return sum(self.final, Fraction(0))
-
-
-def _apply_transfers(initial: list[Fraction],
-                     transfers: list[Transfer]) -> list[Fraction]:
-    out = list(initial)
-    for t in transfers:
-        out[t.source] -= t.amount
-        out[t.target] += t.amount
-    return out
 
 
 def run_discharging(g: Graph) -> ChargeTable:
@@ -112,22 +100,27 @@ class AuditReport(NamedTuple):
         return not self.deficits
 
 
-def audit_final_charges(g: Graph, timeout_s: float | None = None) -> AuditReport:
+def audit_final_charges(g: Graph) -> AuditReport:
     """List vertices with final charge below 8/3, each cross-referenced with
     the configurations matched within distance two.
 
     On inputs avoiding C1-C10 (and containing no identified-triangles
     component) the deficit list is empty; for arbitrary inputs the report is
     diagnostic and lists every candidate explanation without tie-breaking.
-    ``timeout_s`` bounds the configuration scan (``configs.scan_configs``).
+    Cp1 and Cp2 count through ``configs.cycle_cover``, which lists no cycle,
+    so the audit needs no budget.
     """
     table = run_discharging(g)
-    matches = configs.scan_configs(g, timeout_s=timeout_s)
+    cover = configs.cycle_cover(g)
+    local = configs.scan_configs(
+        g, [cid for cid in configs.ALL_CONFIG_IDS if cid not in cover])
     tri_at = pendent_triangles_at(g)
+    # a local match holds one vertex per role
+    covered = [(m.config_id, x) for m in local for _, x in m.vertices]
+    covered += [(cid, x) for cid, xs in cover.items() for x in xs]
     configs_at: dict[int, set[str]] = {}
-    for m in matches:
-        for x in m.all_vertices():
-            configs_at.setdefault(x, set()).add(m.config_id)
+    for cid, x in covered:
+        configs_at.setdefault(x, set()).add(cid)
     deficits: list[DeficitEntry] = []
     for v in range(g.n):
         if table.final[v] >= EIGHT_THIRDS:

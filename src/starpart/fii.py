@@ -51,9 +51,6 @@ class FiiPartition(NamedTuple):
     labels: tuple[int, ...]
     k: int = 2
 
-    def part(self, lab: int) -> tuple[int, ...]:
-        return tuple(v for v, l in enumerate(self.labels) if l == lab)
-
     def names(self) -> list[str]:
         return [label_name(l) for l in self.labels]
 
@@ -210,7 +207,8 @@ class BudgetExhausted(Exception):
 
 
 class _Solver:
-    def __init__(self, g: Graph, k: int, forcing: bool):
+    def __init__(self, g: Graph, k: int, forcing: bool,
+                 deadline: float | None = None, node_limit: int | None = None):
         self.g = g
         self.k = k
         self.b2 = balls2(g)
@@ -225,8 +223,8 @@ class _Solver:
         self.trail: list[tuple] = []
         self.nodes = 0
         self.forced = 0
-        self.deadline: float | None = None
-        self.node_limit: int | None = None
+        self.deadline = deadline
+        self.node_limit = node_limit
 
     def _find(self, x: int) -> int:
         parent = self.parent
@@ -309,12 +307,7 @@ class _Solver:
         return backtrack(len(order), self.k + 1, place,
                          lambda slot: self._undo_to(marks[slot]))
 
-    def solve(self, fixed: dict[int, int] | None = None,
-              timeout_s: float | None = None,
-              node_limit: int | None = None) -> FiiResult:
-        if timeout_s is not None:
-            self.deadline = time.monotonic() + timeout_s
-        self.node_limit = node_limit
+    def solve(self, fixed: dict[int, int] | None = None) -> FiiResult:
         pins = sorted((fixed or {}).items()) + [(v, F_LABEL) for v in self.j2]
         try:
             # components share no constraint: one that is exhausted proves infeasibility
@@ -352,34 +345,32 @@ def _branch_orders(g: Graph) -> tuple[tuple[int, ...], ...]:
 
 def find_fii(g: Graph, k: int = 2, forcing: bool = True,
              fixed: dict[int, int] | None = None,
-             timeout_s: float | None = None,
+             deadline: float | None = None,
              node_limit: int | None = None) -> FiiResult:
     """Find an FI_k-partition or prove none exists by exhaustion.
 
     Branch order: each connected component on its own, in BFS order from its
     highest-degree vertex (ties by id); labels F, I1, ..., Ik.
     ``fixed`` pins labels before the search (used by the lemma-extension
-    machinery).  Infeasibility is only reported after full exhaustion;
-    hitting ``timeout_s`` or ``node_limit`` yields status "unknown".
+    machinery).  Infeasibility is only reported after full exhaustion; past
+    ``deadline`` (a ``time.monotonic()`` instant, ``None`` for no limit) or
+    ``node_limit`` nodes the status is "unknown".
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return _Solver(g, k, forcing).solve(fixed=fixed, timeout_s=timeout_s,
-                                        node_limit=node_limit)
+    return _Solver(g, k, forcing, deadline, node_limit).solve(fixed)
 
 
 def enumerate_fii(g: Graph, k: int = 2,
-                  timeout_s: float | None = None) -> Iterator[FiiPartition]:
+                  deadline: float | None = None) -> Iterator[FiiPartition]:
     """Yield every FI_k-partition (no forcing, plain backtracking).
 
     Deterministic order (the branch orders of ``find_fii``, concatenated);
-    intended for oracle duty on small graphs.  Once ``timeout_s`` seconds
-    have passed since the first partition was asked for, the next step
-    raises :class:`BudgetExhausted`.
+    intended for oracle duty on small graphs.  Once ``deadline`` (a
+    ``time.monotonic()`` instant) has passed, the next step raises
+    :class:`BudgetExhausted`.
     """
-    solver = _Solver(g, k, forcing=False)
-    if timeout_s is not None:
-        solver.deadline = time.monotonic() + timeout_s
+    solver = _Solver(g, k, False, deadline)
     order = [v for comp in _branch_orders(g) for v in comp]
     for _ in solver._labelings(order):
         yield FiiPartition(tuple(solver.labels), k)
@@ -472,12 +463,13 @@ class BoundaryReport(NamedTuple):
 
 
 def boundary_search(k: int, corpus: Iterable[tuple[str, Graph]],
-                    timeout_s: float | None = None) -> BoundaryReport:
-    """For each corpus graph record (mad, FI_k feasibility); see BoundaryReport."""
+                    deadline: float | None = None) -> BoundaryReport:
+    """For each corpus graph record (mad, FI_k feasibility), all searches
+    within the one ``deadline``; see BoundaryReport."""
     entries = []
     for name, g in corpus:
         d = density.mad(g)
-        res = find_fii(g, k, timeout_s=timeout_s)
+        res = find_fii(g, k, deadline=deadline)
         entries.append(BoundaryEntry(name, g.n, d.value, res.status))
     entries.sort(key=lambda e: e.name)
     return BoundaryReport(k, entries)

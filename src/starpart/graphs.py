@@ -89,9 +89,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in neighbor_sets(self)[u]
 
@@ -127,18 +124,6 @@ class Graph:
             fresh = filterfalse(set(names).__contains__, map(str, count(self.n)))
             names += tuple(islice(fresh, extra_vertices))
         return Graph(self.n + extra_vertices, edges, names)
-
-    def bfs_distances(self, source: int) -> list[float]:
-        dist: list[float] = [INFINITY] * self.n
-        dist[source] = 0
-        q = deque([source])
-        while q:
-            u = q.popleft()
-            for w in self.adj[u]:
-                if dist[w] == INFINITY:
-                    dist[w] = dist[u] + 1
-                    q.append(w)
-        return dist
 
     def components(self, within: Iterable[int] | None = None) -> list[list[int]]:
         """The components of G[within] (default: all of G), each sorted,

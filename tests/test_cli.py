@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -10,7 +14,8 @@ from starpart import cli
 from starpart.cli import _frac, main
 from starpart.density import mad, mad_le_8_3
 from starpart.graphs import Graph, parse_graph, parse_graph6
-from starpart.generators import gen_corpus, gen_g5n, gen_cycle, gen_path
+from starpart.generators import (gen_corpus, gen_g5n, gen_cycle,
+                                 gen_mad_bounded, gen_path)
 from starpart.graphs import to_graph6
 
 
@@ -358,7 +363,7 @@ def test_scan_and_audit_on_a_long_cycle_and_path(capsys, tmp_path):
 
 
 def _subdivided_prism(k):
-    """C_k x K2 with every edge subdivided twice (6k vertices): every branch
+    """C_k x K2 with every edge subdivided twice (8k vertices): every branch
     vertex is W3, so G[W23] is the whole graph, whose cycles grow
     exponentially in k."""
     rungs = [e for i in range(k) for e in ((i, (i + 1) % k),
@@ -372,21 +377,109 @@ def _subdivided_prism(k):
 
 def test_scan_and_audit_honour_the_timeout(capsys, tmp_path):
     # listing the cycles of the 16-prism takes seconds: only the budget ends
-    # these runs, and they print no partial list
+    # the scan, and it prints no partial list
     big, small = tmp_path / "prism16.g6", tmp_path / "prism4.g6"
     big.write_text(to_graph6(_subdivided_prism(16)))
     small.write_text(to_graph6(_subdivided_prism(4)))
-    for command in ("config-scan", "discharge-audit"):
-        start = time.monotonic()
-        code, doc = run_json(capsys, "--timeout-ms", "200", command, str(big))
-        assert time.monotonic() - start < 3
-        assert (code, doc) == (3, {"schema": 1, "command": command,
-                                   "status": "unknown"})
-        # a scan that finishes inside its budget prints what it prints without
-        untimed = run(capsys, "--json", command, str(small))
-        assert untimed[1].count("Cp1") > 10
-        assert run(capsys, "--json", "--timeout-ms", "60000", command,
-                   str(small)) == untimed
+    start = time.monotonic()
+    code, doc = run_json(capsys, "--timeout-ms", "200", "config-scan", str(big))
+    assert time.monotonic() - start < 3
+    assert (code, doc) == (3, {"schema": 1, "command": "config-scan",
+                               "status": "unknown"})
+    # a scan that finishes inside its budget prints what it prints without
+    untimed = run(capsys, "--json", "config-scan", str(small))
+    assert untimed[1].count("Cp1") > 10
+    assert run(capsys, "--json", "--timeout-ms", "60000", "config-scan",
+               str(small)) == untimed
+    # the audit lists no cycle: it answers the 16-prism, budget or none
+    start = time.monotonic()
+    audit = run(capsys, "--json", "discharge-audit", str(big))
+    assert time.monotonic() - start < 1
+    assert audit[0] == 1 and "Cp1" in audit[1]
+    assert run(capsys, "--json", "--timeout-ms", "200", "discharge-audit",
+               str(big)) == audit
+
+
+#: (module, name) of every engine a handler hands the deadline to
+_ENGINES = ((cli.configs, "scan_configs"), (cli.configs, "verify_lemma_extension"),
+            (cli.fii, "find_fii"), (cli.fii, "enumerate_fii"),
+            (cli.fii, "boundary_search"))
+
+
+@pytest.mark.parametrize("command", ["fii-find", "star5", "config-scan",
+                                     "lemma-check", "boundary"])
+def test_every_engine_call_reads_the_one_deadline(capsys, monkeypatch,
+                                                  tmp_path, command):
+    from starpart import instances
+    g, _ = instances.shipped_instance("C5")
+    host = tmp_path / "c5.g6"
+    host.write_text(to_graph6(g))
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name, member in gen_corpus(3, 8, Fraction(8, 3), 0):
+        (corpus / f"{name}.g6").write_text(to_graph6(member))
+    argv = {"lemma-check": ["lemma-check", str(host), "--config", "C5"],
+            "boundary": ["boundary", "-k", "2", "--corpus", str(corpus)]
+            }.get(command, [command, str(host)])
+    calls = []
+    for module, name in _ENGINES:
+        def recording(*args, _engine=getattr(module, name), _name=name,
+                      **kwargs):
+            calls.append((_name, kwargs.get("deadline")))
+            return _engine(*args, **kwargs)
+        monkeypatch.setattr(module, name, recording)
+
+    before = time.monotonic()
+    assert main(["--timeout-ms", "60000", *argv]) == 0
+    after = time.monotonic()
+    deadlines = {deadline for _, deadline in calls}
+    assert len(deadlines) == 1
+    deadline = deadlines.pop()
+    assert before + 60 <= deadline <= after + 60
+    engines = [name for name, _ in calls]
+    if command == "lemma-check":
+        assert engines[:3] == ["scan_configs", "verify_lemma_extension",
+                               "enumerate_fii"] and "find_fii" in engines
+    if command == "boundary":
+        assert engines == ["boundary_search"] + ["find_fii"] * 3
+    calls.clear()
+    assert main(argv) == 0
+    assert calls and {deadline for _, deadline in calls} == {None}
+    capsys.readouterr()
+
+
+def _cli_process(*argv) -> tuple[int, dict, float]:
+    """``starpart --json *argv`` in a process of its own: the exit code, the
+    document and the wall time."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "starpart.cli", "--json", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    return proc.returncode, json.loads(proc.stdout), time.monotonic() - start
+
+
+def test_lemma_check_scan_counts_against_the_timeout(tmp_path):
+    # the Cp1 scan of the 16-prism lists cycles for seconds
+    path = tmp_path / "prism16.g6"
+    path.write_text(to_graph6(_subdivided_prism(16)))
+    code, doc, wall = _cli_process("--timeout-ms", "200", "lemma-check",
+                                   str(path), "--config", "Cp1")
+    assert (code, doc) == (3, {"schema": 1, "command": "lemma-check",
+                               "status": "unknown"})
+    assert wall < 3
+
+
+def test_boundary_shares_one_deadline_across_the_corpus(tmp_path):
+    # the search on this graph is still unknown after 200 ms: twelve copies
+    # each given the whole budget would take 2.4 s
+    text = to_graph6(gen_mad_bounded(200, Fraction(8, 3), 0))
+    for i in range(12):
+        (tmp_path / f"g{i:02}.g6").write_text(text)
+    code, doc, wall = _cli_process("--timeout-ms", "200", "boundary", "-k", "2",
+                                   "--corpus", str(tmp_path))
+    assert code == 3 and doc["unknown"] >= 1
+    assert wall < 1.5
 
 
 def test_terminal_partition_cli(capsys, tmp_path):

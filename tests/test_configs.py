@@ -14,7 +14,7 @@ from starpart.density import mad, mad_le_8_3, rho_star
 from starpart.configs import (ALL_CONFIG_IDS, ConfigMatch, GADGET_BUDGET,
                               attach_gadget, gadget_by_name, reduction_plan,
                               scan_configs, verify_lemma_extension)
-from starpart import fii, instances
+from starpart import configs, fii, instances
 from starpart.fii import enumerate_fii, find_fii
 
 _W = VertexClass
@@ -172,6 +172,24 @@ def test_scan_matches_naive_cycles():
         g = random_graph(rng, rng.randint(3, 8), rng.random() * 0.6)
         got = _matches_as_keys(scan_configs(g, ("Cp1", "Cp2")))
         assert got == _naive_cycles(g)
+
+
+def test_cycle_cover_is_the_union_of_the_listed_cycles():
+    rng = random.Random(43)
+    on_some_cycle = 0
+    for _ in range(300):
+        n = rng.randint(1, 14)
+        g = random_graph(rng, n, rng.random() * 0.4)
+        share = rng.uniform(0.3, 1)
+        allowed = {v for v in range(n) if rng.random() < share}
+        listed = {v for cyc in configs._all_cycles_within(g, allowed, None)
+                  for v in cyc}
+        assert configs._on_cycles(g, allowed) == listed
+        on_some_cycle += bool(listed)
+        covered = {cid: {v for m in scan_configs(g, (cid,))
+                         for v in m.role("cycle")} for cid in ("Cp1", "Cp2")}
+        assert configs.cycle_cover(g) == covered
+    assert on_some_cycle > 50
 
 
 # -- pin: scan and plan output over a fixed corpus -----------------------------------
@@ -394,7 +412,8 @@ def test_all_shipped_instances_pass_nonvacuously():
         assert report.passed, (cid, report.failures[:3])
         assert not report.vacuous, cid
         assert report.extended == report.h_partitions
-        assert verify_lemma_extension(g, match, timeout_s=60) == report, cid
+        assert verify_lemma_extension(
+            g, match, deadline=time.monotonic() + 60) == report, cid
 
 
 def test_lemma_extension_builds_balls2_once(monkeypatch):
@@ -402,8 +421,8 @@ def test_lemma_extension_builds_balls2_once(monkeypatch):
     tables = []
     init = fii._Solver.__init__
 
-    def recording(self, graph, k, forcing):
-        init(self, graph, k, forcing)
+    def recording(self, graph, *rest):
+        init(self, graph, *rest)
         if graph is g:
             tables.append(self.b2)
 
@@ -440,7 +459,7 @@ def test_lemma_extension_budgets_raise_budget_exhausted():
         verify_lemma_extension(g, match, max_partitions=1000)
     start = time.monotonic()
     with pytest.raises(fii.BudgetExhausted, match="time budget"):
-        verify_lemma_extension(g, match, timeout_s=0.1)
+        verify_lemma_extension(g, match, deadline=time.monotonic() + 0.1)
     assert time.monotonic() - start < 10
 
 

@@ -12,9 +12,10 @@ from starpart.generators import (gen_cycle, gen_g5n, gen_mad_bounded,
 from starpart.discharging import (EIGHT_THIRDS, audit_final_charges,
                                   build_terminal_partition, run_discharging)
 from starpart.fii import verify_fii
-from starpart.configs import reduction_plan, scan_configs
+from starpart.configs import ALL_CONFIG_IDS, reduction_plan, scan_configs
 from starpart import instances
 from starpart.density import mad_le_8_3
+from test_cli import _subdivided_prism
 
 
 def random_graph(rng, n, p):
@@ -54,7 +55,11 @@ def test_g5_conservation_and_recompute():
     g5 = gen_g5n(1)
     table = run_discharging(g5)
     assert table.total == 2 * 23
-    assert table.recompute_final() == table.final
+    final = list(table.initial)
+    for t in table.transfers:
+        final[t.source] -= t.amount
+        final[t.target] += t.amount
+    assert final == table.final
 
 
 def test_conservation_and_locality_random():
@@ -139,6 +144,30 @@ def test_pendent_cycles_walked_once(graph, run):
     finally:
         sys.setprofile(before)
     assert len(walked) == 1 and walked[0] is g and find_pendent_cycles(g)
+
+
+def test_audit_equals_one_built_from_every_listed_match():
+    # the audit reads Cp1 and Cp2 through their cover; listing every cycle,
+    # as scan_configs does, must give the same report
+    graphs = [_subdivided_prism(k) for k in range(4, 9)]
+    graphs += [instances.shipped_instance(cid)[0] for cid in ALL_CONFIG_IDS]
+    for g in graphs:
+        configs_at = {}
+        for m in scan_configs(g):
+            for _, val in m.vertices:
+                for x in val if isinstance(val, tuple) else (val,):
+                    configs_at.setdefault(x, set()).add(m.config_id)
+        report = audit_final_charges(g)
+        assert report.table == run_discharging(g)
+        expected = []
+        for v in range(g.n):
+            if report.table.final[v] < EIGHT_THIRDS:
+                near = {v, *g.adj[v], *(w for u in g.adj[v] for w in g.adj[u])}
+                expected.append((v, tuple(sorted(set().union(
+                    *(configs_at.get(x, ()) for x in near))))))
+        assert [(d.vertex, d.nearby_configs) for d in report.deficits] == expected
+    assert any("Cp2" in d.nearby_configs for g in graphs
+               for d in audit_final_charges(g).deficits)
 
 
 def test_deficit_vertices_have_explanations_on_corpus():

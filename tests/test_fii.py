@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -201,7 +202,8 @@ def test_timeout_returns_unknown():
 def test_enumeration_stops_at_its_time_budget():
     # a 60-vertex path has about 10^20 FI_2-partitions
     with pytest.raises(BudgetExhausted, match="time budget"):
-        for _ in enumerate_fii(gen_path(60), 2, timeout_s=0.05):
+        for _ in enumerate_fii(gen_path(60), 2,
+                               deadline=time.monotonic() + 0.05):
             pass
 
 

@@ -216,6 +216,23 @@ def test_no_function_calls_itself():
     assert recursive == []
 
 
+def test_only_the_cli_makes_a_deadline():
+    # a deadline is time.monotonic() plus a budget: the CLI makes one per
+    # call, and every engine takes the one it is given
+    def reads_clock(node):
+        f = node.func if isinstance(node, ast.Call) else None
+        return (isinstance(f, ast.Attribute) and f.attr == "monotonic"
+                or isinstance(f, ast.Name) and f.id == "monotonic")
+
+    made = []
+    for path in sorted(Path(SRC, "starpart").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add) \
+                    and (reads_clock(node.left) or reads_clock(node.right)):
+                made.append(path.name)
+    assert made == ["cli.py"]
+
+
 # -- the process exit -----------------------------------------------------------
 
 def _files(directory: Path) -> dict[str, bytes]:

@@ -51,8 +51,15 @@ def test_monochromatic_edge_witness():
 
 def test_tree_depth_mod3_is_star():
     tree = gen_tree_random(12, 5)
-    dist = tree.bfs_distances(0)
-    colors = tuple(int(d) % 3 for d in dist)
+    depth = [None] * tree.n
+    depth[0] = 0
+    queue = [0]
+    for u in queue:  # grows while it is walked: a BFS from vertex 0
+        for w in tree.adj[u]:
+            if depth[w] is None:
+                depth[w] = depth[u] + 1
+                queue.append(w)
+    colors = tuple(d % 3 for d in depth)
     ok, _ = is_star_coloring(tree, Coloring(colors, 3))
     assert ok
 
