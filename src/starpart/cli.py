@@ -213,7 +213,8 @@ def _cmd_star_verify(args, g: Graph) -> int:
 
 def _cmd_star_color(args, g: Graph) -> int:
     try:
-        res = starcolor.star_chromatic_number(g, args.limit, force=args.force)
+        res = starcolor.star_chromatic_number(g, args.limit, force=args.force,
+                                              deadline=args.deadline)
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
     if res is None:
@@ -361,7 +362,7 @@ def _cmd_lemma_check(args, g: Graph) -> int:
                "extended": report.extended,
                "vacuous": report.vacuous,
                "passed": report.passed,
-               "failures": [list(f) for f in report.failures[:5]]}
+               "failures": [list(f) for f in report.failures]}
     human = (f"{args.config}: {report.extended}/{report.h_partitions} "
              f"partitions extend"
              + (" (vacuous)" if report.vacuous else ""))
@@ -475,9 +476,9 @@ _GLOBALS = (
     ("--timeout-ms", {"type": int,
                       "help": "budget of the whole call, a positive number "
                       "of milliseconds from when the command starts its "
-                      "work, shared by the searches of fii-find, star5, "
-                      "boundary, lemma-check and config-scan; expiry exits "
-                      "3 with status unknown"}),
+                      "work, shared by the searches of star-color, "
+                      "fii-find, star5, boundary, lemma-check and "
+                      "config-scan; expiry exits 3 with status unknown"}),
 )
 
 #: (name, help, handler, reads a graph file, options); a graph file adds the

@@ -15,17 +15,13 @@ import time
 from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .graphs import Graph, VertexClass, classify_vertices, pendent_triangles_at
+from .graphs import (W23, W25, W235, W2345, Graph, VertexClass, classify_vertices,
+                     double_triangle_edges, triangle_split)
 from . import density, fii
 
 ALL_CONFIG_IDS = (*(f"C{i}" for i in range(1, 11)), *(f"Cp{i}" for i in range(1, 6)))
 
 _W = VertexClass
-_W2345 = {_W.W2, _W.W3, _W.W4, _W.W5}
-_W235 = {_W.W2, _W.W3, _W.W5}
-_W25 = {_W.W2, _W.W5}
-_W23 = {_W.W2, _W.W3}
-_V4P = {_W.V4, _W.V5, _W.V6}
 
 
 class ConfigMatch(NamedTuple):
@@ -91,9 +87,9 @@ def _cycle_class_sets(g: Graph) -> tuple[tuple[str, set[int]], ...]:
     Cp1; W4 and V3 for Cp2, less the V3 vertices without a W23 neighbour,
     which no Cp2 cycle can hold."""
     cls = classify_vertices(g)
-    w23 = {v for v in range(g.n) if cls[v] in _W23}
+    w23 = {v for v in range(g.n) if cls[v] in W23}
     inside = {v for v in range(g.n) if cls[v] == _W.W4 or (
-        cls[v] == _W.V3 and any(cls[u] in _W23 for u in g.adj[v]))}
+        cls[v] == _W.V3 and any(cls[u] in W23 for u in g.adj[v]))}
     return (("Cp1", w23), ("Cp2", inside))
 
 
@@ -137,15 +133,8 @@ def _two_neighbors(g: Graph, v: int) -> list[int]:
     return sorted(u for u in g.adj[v] if g.degree(u) == 2)
 
 
-def _tri_vertices(tri_at: Mapping[int, tuple[tuple[int, ...], ...]],
-                  v: int) -> list[int]:
-    """The 2-vertices of the pendent triangles at v, triangle by triangle."""
-    pairs = sorted(sorted(tri[1:]) for tri in tri_at.get(v, ()))
-    return [x for pair in pairs for x in pair]
-
-
 def _local_matches(g: Graph, cls: Sequence[VertexClass],
-                   tri_at: Mapping[int, tuple[tuple[int, ...], ...]],
+                   split: Mapping[int, tuple[tuple[int, ...], tuple[int, ...]]],
                    v: int) -> list[ConfigMatch]:
     """The matches of C1-C10 and Cp3-Cp5 anchored at v.
 
@@ -153,21 +142,16 @@ def _local_matches(g: Graph, cls: Sequence[VertexClass],
     configurations that can sit at v: C1 and C10 at Other, C2 at W2, C3-C5 at
     W3, C6 and C7 at W3 and V3, C8 at W4, C9 at W5, Cp3 at V4, Cp4 at V5 and
     Cp5 at V6.  An edge configuration (C2, C5) is anchored at its smaller
-    end; a T2 vertex anchors nothing.  Adjacency is sorted, so ``nbrs`` and
-    ``rest`` are too."""
+    end; a T2 vertex anchors nothing.  ``ts`` and ``rest`` are v's
+    ``triangle_split``: its triangles' 2-vertices and its other neighbours."""
     c, nbrs = cls[v], g.adj[v]
-    # the triangle split is built only at the few vertices that carry one
-    ts: Sequence[int] = ()
-    rest, tris = nbrs, {}
-    if v in tri_at:
-        ts = _tri_vertices(tri_at, v)
-        rest = [u for u in nbrs if u not in ts]
-        tris = {f"t{i + 1}": t for i, t in enumerate(ts)}
+    ts, rest = split.get(v, ((), nbrs))
+    tris = {f"t{i + 1}": t for i, t in enumerate(ts)} if ts else {}
     out: list[ConfigMatch] = []
     if c == _W.OTHER:
         if len(nbrs) <= 1:
             out.append(_match("C1", v=v))
-        elif len(nbrs) == 7 and len(ts) == 6 and cls[rest[0]] in _W235:
+        elif len(nbrs) == 7 and len(ts) == 6 and cls[rest[0]] in W235:
             out.append(_match("C10", v=v, **tris, v1=rest[0]))
     elif c == _W.W2:
         out += [_match("C2", u=v, v=u) for u in nbrs if u > v and cls[u] == _W.W2]
@@ -189,24 +173,24 @@ def _local_matches(g: Graph, cls: Sequence[VertexClass],
         out += [_match("C7", v=v, v1=v1, v2=v2) for v1, v2 in combinations(w3s, 2)]
     elif c == _W.W4:
         for v1 in rest:
-            if cls[v1] in _W2345:
+            if cls[v1] in W2345:
                 v2 = next(u for u in rest if u != v1)
                 out.append(_match("C8", v=v, **tris, v1=v1, v2=v2))
     elif c == _W.W5:
-        if g.degree(rest[0]) == 3 or cls[rest[0]] in _W25:
+        if g.degree(rest[0]) == 3 or cls[rest[0]] in W25:
             out.append(_match("C9", v=v, **tris, v1=rest[0]))
     elif c == _W.V4:
-        if all(cls[u] in _W235 for u in nbrs) and (
+        if all(cls[u] in W235 for u in nbrs) and (
                 sum(cls[u] == _W.W2 for u in nbrs) >= 2
                 or sum(cls[u] == _W.W5 for u in nbrs) >= 2):
             out.append(_match("Cp3", v=v, **{f"u{i + 1}": u for i, u in enumerate(nbrs)}))
     elif c == _W.V5:
-        if len(ts) == 2 and all(cls[u] in _W235 for u in rest) \
+        if len(ts) == 2 and all(cls[u] in W235 for u in rest) \
                 and sum(cls[u] == _W.W2 for u in rest) >= 2:
             out.append(_match("Cp4", v=v, **tris, u1=rest[0], u2=rest[1], u3=rest[2]))
     elif c == _W.V6 and len(ts) == 4:
         out += [_match("Cp5", v=v, **tris, u1=u1, u2=u2) for u1 in rest for u2 in rest
-                if u1 != u2 and cls[u1] in _W25 and cls[u2] in _W235]
+                if u1 != u2 and cls[u1] in W25 and cls[u2] in W235]
     return out
 
 
@@ -229,8 +213,8 @@ def scan_configs(g: Graph, ids: Iterable[str] | None = None,
         if cid not in ALL_CONFIG_IDS:
             raise ValueError(f"unknown configuration id {cid!r}")
     cls = classify_vertices(g)
-    tri_at = pendent_triangles_at(g)
-    out = [m for v in range(g.n) for m in _local_matches(g, cls, tri_at, v)
+    split = triangle_split(g)
+    out = [m for v in range(g.n) for m in _local_matches(g, cls, split, v)
            if m.config_id in want]
     if {"Cp1", "Cp2"} & set(want):  # the class sets cost a pass over g
         for cid, allowed in _cycle_class_sets(g):
@@ -248,11 +232,6 @@ def scan_configs(g: Graph, ids: Iterable[str] | None = None,
 
 #: rho*(attachment point) needed for the attachment to preserve mad <= 8/3
 GADGET_BUDGET = {"triangle": 1, "j1": 1, "j2": 2}
-
-
-def _double_triangle_edges(apex: int, base: int) -> list[tuple[int, int]]:
-    a, b, c, d = base, base + 1, base + 2, base + 3
-    return [(apex, a), (apex, b), (a, b), (apex, c), (apex, d), (c, d)]
 
 
 def attach_gadget(g: Graph, at: int, gadget: tuple) -> Graph:
@@ -280,11 +259,11 @@ def attach_gadget(g: Graph, at: int, gadget: tuple) -> Graph:
     if kind == "triangle":
         return g.with_additions(2, [(at, n), (at, n + 1), (n, n + 1)])
     if kind == "j1":
-        return g.with_additions(5, [(at, n)] + _double_triangle_edges(n, n + 1))
+        return g.with_additions(5, [(at, n)] + double_triangle_edges(n, n + 1))
     if kind == "j2":
         edges = [(at, n), (n, n + 1)]
-        edges += _double_triangle_edges(n, n + 2)
-        edges += _double_triangle_edges(n + 1, n + 6)
+        edges += double_triangle_edges(n, n + 2)
+        edges += double_triangle_edges(n + 1, n + 6)
         return g.with_additions(10, edges)
     if kind not in ("edge", "path2"):
         raise ValueError(f"unknown gadget {gadget!r}")
@@ -333,6 +312,12 @@ def _outer_neighbor(g: Graph, v: int, exclude: set[int]) -> int | None:
     return min(outs) if outs else None
 
 
+#: the configurations whose deleted set is the set of their match's vertices
+#: less the vertices of these roles (a set: C5's x1, x2, y3, y4 may coincide)
+_SPARED_ROLES = {"C1": (), "C3": (), "C4": ("v",), "C5": (), "C9": ("v1",),
+                 "C10": ("v1",), "Cp1": ()}
+
+
 def reduction_plan(g: Graph, match: ConfigMatch) -> ReductionPlan:
     """The cataloged deletion set / modification for a configuration match.
 
@@ -341,10 +326,12 @@ def reduction_plan(g: Graph, match: ConfigMatch) -> ReductionPlan:
     """
     cid = match.config_id
     cls = classify_vertices(g)
-    tri_at = pendent_triangles_at(g)
 
-    if cid == "C1":
-        return ReductionPlan((match.role("v"),))
+    if cid in _SPARED_ROLES:
+        spared = _SPARED_ROLES[cid]
+        s = {x for role, val in match.vertices if role not in spared
+             for x in (val if isinstance(val, tuple) else (val,))}
+        return ReductionPlan(tuple(sorted(s)))
     if cid == "C2":
         u, v = match.role("u"), match.role("v")
         s = {u, v}
@@ -358,14 +345,6 @@ def reduction_plan(g: Graph, match: ConfigMatch) -> ReductionPlan:
                 mods = (("triangle", cand),)
                 break
         return ReductionPlan((u, v), mods)
-    if cid == "C3":
-        v = match.role("v")
-        return ReductionPlan(tuple(sorted({v, *g.adj[v]})))
-    if cid == "C4":
-        return ReductionPlan((match.role("t1"), match.role("t2")))
-    if cid == "C5":
-        names = ("x", "y", "x1", "x2", "y3", "y4")
-        return ReductionPlan(tuple(sorted({match.role(r) for r in names})))
     if cid == "C6":
         v, v1, v2 = match.role("v"), match.role("v1"), match.role("v2")
         x1, x2 = _two_neighbors(g, v2)[:2]
@@ -384,22 +363,17 @@ def reduction_plan(g: Graph, match: ConfigMatch) -> ReductionPlan:
             mods = (("triangle", z1),) if z1 is not None else ()
             return ReductionPlan(tuple(sorted(s)), mods)
         return ReductionPlan((t1, t2))
-    if cid in ("C9", "C10"):
-        v = match.role("v")
-        return ReductionPlan(tuple(sorted({v, *_tri_vertices(tri_at, v)})))
-    if cid == "Cp1":
-        return ReductionPlan(tuple(sorted(match.role("cycle"))))
     if cid == "Cp2":
         cyc = match.role("cycle")
         s = set(cyc)
         for x in cyc:
             if cls[x] == _W.V3:
-                w23 = min(u for u in g.adj[x] if cls[u] in _W23)
+                w23 = min(u for u in g.adj[x] if cls[u] in W23)
                 s.add(w23)
                 if cls[w23] == _W.W3:
                     s.update(_two_neighbors(g, w23)[:2])
             elif cls[x] == _W.W4:
-                s.update(_tri_vertices(tri_at, x))
+                s.update(triangle_split(g)[x][0])
         return ReductionPlan(tuple(sorted(s)))
     if cid == "Cp3":
         v = match.role("v")
@@ -443,7 +417,8 @@ def reduction_plan(g: Graph, match: ConfigMatch) -> ReductionPlan:
 
 
 class LemmaExtensionReport(NamedTuple):
-    """Outcome of exhaustively extending every FI_2-partition of H to G."""
+    """Outcome of exhaustively extending every FI_2-partition of H to G;
+    ``failures`` holds the first five restrictions that do not extend."""
 
     config_id: str
     plan: ReductionPlan
@@ -469,8 +444,11 @@ def verify_lemma_extension(g: Graph, match: ConfigMatch,
     modified) reduced graph extends to all of G over labelings of S.
 
     Distinct H-partitions that restrict identically (differing only on
-    gadget vertices) are deduplicated before the extension search.  When H
-    has no partitions at all the report is a vacuous pass, flagged as such.
+    gadget vertices) are deduplicated before the extension search, through
+    a table kept only when H has gadget vertices: without them every
+    H-partition is its own restriction, and the check runs in memory
+    bounded by the graph.  When H has no partitions at all the report is a
+    vacuous pass, flagged as such.
     Both limits are budgets: more than ``max_partitions`` partitions of H, or
     a search past ``deadline`` (shared by the enumeration and every
     extension search), raise ``fii.BudgetExhausted``.
@@ -487,28 +465,30 @@ def verify_lemma_extension(g: Graph, match: ConfigMatch,
     for kind, at, *fields in plan.mods:
         h = attach_gadget(h, idx[at], (kind, *(idx[w] for w in fields)))
 
-    h_partitions = extended = 0
+    h_partitions = distinct = extended = 0
     failures: list[tuple[int, ...]] = []
-    cache: dict[tuple[int, ...], bool] = {}
+    cache: dict[tuple[int, ...], bool] | None = {} if h.n > len(keep_list) else None
     for part in fii.enumerate_fii(h, 2, deadline=deadline):
         h_partitions += 1
         if h_partitions > max_partitions:
             raise fii.BudgetExhausted(f"reduced graph has more than "
                                       f"{max_partitions} partitions")
-        restricted = tuple(part.labels[idx[v]] for v in keep_list)
-        if restricted in cache:
-            ok = cache[restricted]
-        else:
-            fixed = {v: lab for v, lab in zip(keep_list, restricted)}
-            res = fii.find_fii(g, 2, forcing=False, fixed=fixed,
+        # the gadget vertices follow H's own, so the restriction is a prefix
+        restricted = part.labels[:len(keep_list)]
+        ok = cache.get(restricted) if cache is not None else None
+        if ok is None:
+            distinct += 1
+            res = fii.find_fii(g, 2, forcing=False,
+                               fixed=dict(zip(keep_list, restricted)),
                                deadline=deadline)
             if res.status == "unknown":
                 raise fii.BudgetExhausted("time budget ran out")
             ok = res.feasible
-            cache[restricted] = ok
-            if not ok:
+            if cache is not None:
+                cache[restricted] = ok
+            if not ok and len(failures) < 5:
                 failures.append(restricted)
         if ok:
             extended += 1
     return LemmaExtensionReport(match.config_id, plan, h_partitions,
-                                len(cache), extended, failures)
+                                distinct, extended, failures)

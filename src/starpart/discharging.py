@@ -19,8 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .graphs import (Graph, VertexClass, classify_vertices, find_pendent_cycles,
-                     pendent_triangles_at)
+from .graphs import (V4P, W23, W235, Graph, VertexClass, classify_vertices,
+                     find_pendent_cycles, triangle_split)
 from . import configs, fii
 
 _W = VertexClass
@@ -76,12 +76,11 @@ def run_discharging(g: Graph) -> ChargeTable:
     return ChargeTable(initial, transfers, final)
 
 
-def _identified_triangles_center(g: Graph, v: int,
-                                 tri_count: int) -> bool:
-    """Is v's component exactly ``tri_count`` triangles identified at v?
-    It is when the triangles' 2-vertices are all of v's neighbors, since a
-    2-vertex has no neighbor but v and its partner."""
-    return tri_count >= 2 and g.degree(v) == 2 * tri_count
+def _identified_triangles_center(split, v: int) -> bool:
+    """Is v's component two or more triangles identified at v?  It is when
+    the triangles' 2-vertices are all of v's neighbors, since a 2-vertex has
+    no neighbor but v and its partner."""
+    return v in split and len(split[v][0]) >= 4 and not split[v][1]
 
 
 class DeficitEntry(NamedTuple):
@@ -114,7 +113,7 @@ def audit_final_charges(g: Graph) -> AuditReport:
     cover = configs.cycle_cover(g)
     local = configs.scan_configs(
         g, [cid for cid in configs.ALL_CONFIG_IDS if cid not in cover])
-    tri_at = pendent_triangles_at(g)
+    split = triangle_split(g)
     # a local match holds one vertex per role
     covered = [(m.config_id, x) for m in local for _, x in m.vertices]
     covered += [(cid, x) for cid, xs in cover.items() for x in xs]
@@ -131,8 +130,7 @@ def audit_final_charges(g: Graph) -> AuditReport:
             near.update(g.adj[u])
         nearby = sorted(set().union(*(configs_at.get(x, ()) for x in near)))
         special = None
-        k = len(tri_at.get(v, ()))
-        if _identified_triangles_center(g, v, k):
+        if _identified_triangles_center(split, v):
             special = "identified-triangles"
         deficits.append(DeficitEntry(v, table.final[v], tuple(nearby), special))
     return AuditReport(table, deficits)
@@ -169,24 +167,27 @@ class _Inapplicable(Exception):
         self.reason = reason
 
 
-def _check_component(g: Graph, comp: list[int], cls, tri_at) -> None:
+#: the classes of the end state: T | W235 | V4+
+_END_STATE = W235 | V4P | {_W.T2}
+
+
+def _check_component(g: Graph, comp: list[int], cls, split) -> None:
     """Raise _Inapplicable naming the first violated end-state property."""
-    allowed = {_W.T2, _W.W2, _W.W3, _W.W5, _W.V4, _W.V5, _W.V6}
     for v in comp:
-        if cls[v] not in allowed:
+        if cls[v] not in _END_STATE:
             raise _Inapplicable(
                 f"vertex {v} ({cls[v].value}, degree {g.degree(v)}) outside "
                 "T | W235 | V4+")
     for v in comp:
-        if cls[v] == _W.W3 and tri_at.get(v):
+        if cls[v] == _W.W3 and v in split:
             raise _Inapplicable(f"3-vertex {v} on a pendent triangle")
-    v4p = [v for v in comp if cls[v] in (_W.V4, _W.V5, _W.V6)]
+    v4p = [v for v in comp if cls[v] in V4P]
     v4pset = set(v4p)
     for v in v4p:
         for u in g.adj[v]:
             if u in v4pset:
                 raise _Inapplicable(f"V4+ not independent: edge ({v}, {u})")
-    w23 = [v for v in comp if cls[v] in (_W.W2, _W.W3)]
+    w23 = [v for v in comp if cls[v] in W23]
     w23set = set(w23)
     w23_degrees = 0
     for v in w23:
@@ -203,9 +204,8 @@ def _check_component(g: Graph, comp: list[int], cls, tri_at) -> None:
     if w23_degrees // 2 + len(g.components(w23)) != len(w23):
         raise _Inapplicable("cycle inside G[W23]")
     for v in comp:
-        ntri = len(tri_at.get(v, ()))
-        nontri = [u for u in g.adj[v]
-                  if all(u not in t[1:] for t in tri_at.get(v, ()))]
+        twos, nontri = split.get(v, ((), g.adj[v]))
+        ntri = len(twos) // 2
         if cls[v] == _W.V6:
             if ntri != 2:
                 raise _Inapplicable(
@@ -216,13 +216,13 @@ def _check_component(g: Graph, comp: list[int], cls, tri_at) -> None:
             if ntri != 1:
                 raise _Inapplicable(
                     f"V5-vertex {v} on {ntri} pendent triangles, need exactly 1")
-            if any(cls[u] not in (_W.W2, _W.W3, _W.W5) for u in nontri):
+            if any(cls[u] not in W235 for u in nontri):
                 raise _Inapplicable(
                     f"V5-vertex {v} with a neighbor outside W235")
             if sum(1 for u in nontri if cls[u] == _W.W2) > 1:
                 raise _Inapplicable(f"V5-vertex {v} with two W2-neighbors")
         elif cls[v] == _W.V4:
-            if any(cls[u] not in (_W.W2, _W.W3, _W.W5) for u in g.adj[v]):
+            if any(cls[u] not in W235 for u in g.adj[v]):
                 raise _Inapplicable(
                     f"V4-vertex {v} with a neighbor outside W235")
             if sum(1 for u in g.adj[v] if cls[u] == _W.W5) > 1:
@@ -230,22 +230,21 @@ def _check_component(g: Graph, comp: list[int], cls, tri_at) -> None:
             if sum(1 for u in g.adj[v] if cls[u] == _W.W2) > 1:
                 raise _Inapplicable(f"V4-vertex {v} with two W2-neighbors")
         elif cls[v] == _W.W5:
-            fifth = nontri[0]
-            if cls[fifth] not in (_W.V4, _W.V5, _W.V6):
+            if cls[nontri[0]] not in V4P:
                 raise _Inapplicable(
                     f"W5-vertex {v} whose fifth neighbor is not in V4+")
 
 
-def _construct_component(g: Graph, comp: list[int], cls, tri_at,
+def _construct_component(g: Graph, comp: list[int], cls, split,
                          labels: list[int], sets: dict[str, list[int]]) -> None:
     """Label one component and add its members to the named terminal sets."""
-    w23 = sorted(v for v in comp if cls[v] in (_W.W2, _W.W3))
+    w23 = sorted(v for v in comp if cls[v] in W23)
     w23set = set(w23)
     z = sorted(v for v in w23 if cls[v] == _W.W2
                and not any(u in w23set for u in g.adj[v]))
     zset = set(z)
     f0 = sorted(set(w23) - zset)
-    v4p = sorted(v for v in comp if cls[v] in (_W.V4, _W.V5, _W.V6))
+    v4p = sorted(v for v in comp if cls[v] in V4P)
     w5 = sorted(v for v in comp if cls[v] == _W.W5)
 
     def w5_nbrs(v: int) -> list[int]:
@@ -267,33 +266,29 @@ def _construct_component(g: Graph, comp: list[int], cls, tri_at,
     y_alpha.sort()
     y_beta.sort()
 
+    # _check_component put every fifth neighbor in V4+ = X | Y_alpha | Y_beta
     w_x: list[int] = []
     w_alpha: list[int] = []
     w_beta: list[int] = []
-    ya, yb = set(y_alpha), set(y_beta)
+    yb = set(y_beta)
     for w in w5:
-        fifth = next(u for u in g.adj[w]
-                     if all(u not in t[1:] for t in tri_at[w]))
+        fifth = split[w][1][0]
         if fifth in xs:
             w_x.append(w)
         elif fifth in yb:
             w_alpha.append(w)
-        elif fifth in ya:
-            w_beta.append(w)
         else:
-            raise _Inapplicable(
-                f"W5-vertex {w} with fifth neighbor outside X | Y")
+            w_beta.append(w)
 
     t_alpha: list[int] = []
     t_beta: list[int] = []
     for w in sorted(w_x):
-        tris = sorted(min(t[1:]) for t in tri_at[w])
-        t_alpha.append(tris[0])
-        t_beta.append(tris[1])
+        t1, t2 = split[w][0][0::2]  # the least 2-vertex of each triangle
+        t_alpha.append(t1)
+        t_beta.append(t2)
     for x in sorted(x_set):
-        tris = tri_at.get(x, ())
-        if tris:
-            t_alpha.append(min(tris[0][1:]))
+        if x in split:
+            t_alpha.append(split[x][0][0])
     t_all = sorted(v for v in comp if cls[v] == _W.T2)
     t_x = sorted(set(t_all) - set(t_alpha) - set(t_beta))
 
@@ -324,7 +319,7 @@ def build_terminal_partition(g: Graph) -> TerminalResult:
     Forest components and identified-triangles components are handled
     directly and flagged as degenerate.
     """
-    tri_at = pendent_triangles_at(g)
+    split = triangle_split(g)
     cls = classify_vertices(g)
     labels = [-1] * g.n
     sets: dict[str, list[int]] = {name: [] for name in TerminalSets._fields}
@@ -335,11 +330,8 @@ def build_terminal_partition(g: Graph) -> TerminalResult:
                 labels[v] = 0
             degenerate.append("forest")
             continue
-        center = None
-        for v in comp:
-            if _identified_triangles_center(g, v, len(tri_at.get(v, ()))):
-                center = v
-                break
+        center = next((v for v in comp
+                       if _identified_triangles_center(split, v)), None)
         if center is not None:
             labels[center] = 1
             for v in comp:
@@ -348,8 +340,8 @@ def build_terminal_partition(g: Graph) -> TerminalResult:
             degenerate.append("identified-triangles")
             continue
         try:
-            _check_component(g, comp, cls, tri_at)
-            _construct_component(g, comp, cls, tri_at, labels, sets)
+            _check_component(g, comp, cls, split)
+            _construct_component(g, comp, cls, split, labels, sets)
         except _Inapplicable as exc:
             return TerminalResult(False, reason=exc.reason)
     partition = fii.FiiPartition(tuple(labels), 2)

@@ -16,12 +16,11 @@ k = 2, two sound propagation rules derived from the double-triangle gadgets:
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from typing import Iterable, Iterator, NamedTuple
 
 from .graphs import Graph, balls2, neighbor_sets, per_graph
-from .starcolor import Coloring, backtrack, is_star_coloring
+from .starcolor import BudgetExhausted, Coloring, backtrack, is_star_coloring
 from . import density
 
 F_LABEL = 0
@@ -202,10 +201,6 @@ class FiiResult(NamedTuple):
         return self.status == "feasible"
 
 
-class BudgetExhausted(Exception):
-    """A search ran out of its time or node budget before it could answer."""
-
-
 class _Solver:
     def __init__(self, g: Graph, k: int, forcing: bool,
                  deadline: float | None = None, node_limit: int | None = None):
@@ -288,9 +283,6 @@ class _Solver:
         self.nodes += 1
         if self.node_limit is not None and self.nodes > self.node_limit:
             raise BudgetExhausted("node limit reached")
-        if self.deadline is not None and self.nodes % 128 == 0 \
-                and time.monotonic() > self.deadline:
-            raise BudgetExhausted("time budget ran out")
 
     def _labelings(self, order: Iterable[int]) -> Iterator[None]:
         """Label ``order``'s unlabeled vertices; yield at each complete labeling."""
@@ -305,7 +297,7 @@ class _Solver:
             return self._assign_prop(v, lab)
 
         return backtrack(len(order), self.k + 1, place,
-                         lambda slot: self._undo_to(marks[slot]))
+                         lambda slot: self._undo_to(marks[slot]), self.deadline)
 
     def solve(self, fixed: dict[int, int] | None = None) -> FiiResult:
         pins = sorted((fixed or {}).items()) + [(v, F_LABEL) for v in self.j2]

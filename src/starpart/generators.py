@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 from typing import Iterator
 
-from .graphs import Graph
+from .graphs import Graph, double_triangle_edges
 from . import density
 
 
@@ -62,10 +62,8 @@ def gen_g5n(n: int) -> Graph:
     nxt = cyc
     for i in range(cyc):
         if i % 5 in (1, 2, 3):
-            for _ in range(2):
-                a, b = nxt, nxt + 1
-                nxt += 2
-                edges += [(i, a), (i, b), (a, b)]
+            edges += double_triangle_edges(i, nxt)
+            nxt += 4
     g = Graph(nxt, edges)
     assert g.n == 17 * n and g.edge_count == 23 * n
     return g

@@ -8,9 +8,12 @@ construction: a changed graph is a new ``Graph`` (``induced`` or
 reads the lazy ``neighbor_sets``.
 
 The per-graph tables (``neighbor_sets``, ``balls2``, ``find_pendent_cycles``,
-``pendent_triangles_at``, ``classify_vertices``) are computed once per
-``Graph`` by :func:`per_graph` and shared by every caller, so callers must
-not mutate them: they are tuples, frozensets and read-only mappings.
+``triangle_split``, ``classify_vertices``) are computed once per ``Graph``
+by :func:`per_graph` and shared by every caller, so callers must not mutate
+them: they are tuples, frozensets and read-only mappings.  The class sets
+(``W23``, ``W25``, ``W235``, ``W2345``, ``V4P``) and the double-triangle
+gadget (``double_triangle_edges``) are defined here once for the modules
+that read the taxonomy.
 """
 
 from __future__ import annotations
@@ -508,12 +511,25 @@ def find_pendent_triangles(g: Graph) -> list[tuple[int, ...]]:
 
 
 @per_graph
-def pendent_triangles_at(g: Graph) -> Mapping[int, tuple[tuple[int, ...], ...]]:
-    """The pendent triangles, listed by apex (a read-only mapping)."""
-    at: dict[int, tuple[tuple[int, ...], ...]] = {}
-    for c in find_pendent_triangles(g):
-        at[c[0]] = at.get(c[0], ()) + (c,)
-    return MappingProxyType(at)
+def triangle_split(g: Graph) -> Mapping[int, tuple[tuple[int, ...], tuple[int, ...]]]:
+    """For each apex of a pendent triangle (a read-only mapping), the pair
+    ``(twos, rest)``: ``twos`` the triangles' 2-vertices pair by pair, each
+    pair and the pairs ascending, and ``rest`` the apex's other neighbours
+    ascending.  ``twos[0::2]`` is the least 2-vertex of each triangle and
+    ``len(twos) // 2`` the number of triangles."""
+    twos: dict[int, tuple[int, ...]] = {}
+    for apex, x, y in sorted((a, min(x, y), max(x, y))
+                             for a, x, y in find_pendent_triangles(g)):
+        twos[apex] = twos.get(apex, ()) + (x, y)
+    return MappingProxyType({a: (ts, tuple(u for u in g.adj[a] if u not in ts))
+                             for a, ts in twos.items()})
+
+
+def double_triangle_edges(apex: int, base: int) -> list[tuple[int, int]]:
+    """The edges of two pendent triangles at ``apex`` on the vertices
+    ``base, base + 1`` and ``base + 2, base + 3``."""
+    a, b, c, d = base, base + 1, base + 2, base + 3
+    return [(apex, a), (apex, b), (a, b), (apex, c), (apex, d), (c, d)]
 
 
 class VertexClass(Enum):
@@ -540,18 +556,24 @@ class VertexClass(Enum):
     OTHER = "Other"
 
 
+_W = VertexClass
+W23 = frozenset((_W.W2, _W.W3))
+W25 = frozenset((_W.W2, _W.W5))
+W235 = W23 | W25
+W2345 = W235 | {_W.W4}
+#: V4+: every 4-, 5- and 6-vertex outside W4 and W5
+V4P = frozenset((_W.V4, _W.V5, _W.V6))
+
+
 @per_graph
 def classify_vertices(g: Graph) -> tuple[VertexClass, ...]:
     """Assign every vertex its taxonomy class (a total, disjoint labeling)."""
-    tri_at = pendent_triangles_at(g)
-    on_tri_2 = set()
-    for tris in tri_at.values():
-        for tri in tris:
-            on_tri_2.update(tri[1:])
+    split = triangle_split(g)
+    on_tri_2 = {x for twos, _ in split.values() for x in twos}
     out = []
     for v in range(g.n):
         d = g.degree(v)
-        ntri = len(tri_at.get(v, ()))
+        ntri = len(split[v][0]) // 2 if v in split else 0
         if d == 2:
             out.append(VertexClass.T2 if v in on_tri_2 else VertexClass.W2)
         elif d == 3:

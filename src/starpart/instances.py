@@ -12,21 +12,14 @@ it (see ``fii.lemma_forcing_patterns``).
 
 from __future__ import annotations
 
-from .graphs import Graph
+from .graphs import Graph, double_triangle_edges
 
 
-def _j2_chain(edges: list[tuple[int, int]], attach: int, base: int) -> int:
-    """Append the forcing chain attach - w1 - w2, each w carrying two pendent
-    triangles; returns the next free vertex id (base + 10)."""
-    w1, w2 = base, base + 1
-    edges += [(attach, w1), (w1, w2)]
-    nxt = base + 2
-    for apex in (w1, w2):
-        for _ in range(2):
-            a, b = nxt, nxt + 1
-            nxt += 2
-            edges += [(apex, a), (apex, b), (a, b)]
-    return nxt
+def _j2_chain(attach: int, base: int) -> list[tuple[int, int]]:
+    """The forcing chain attach - w1 - w2 on w1 = base and w2 = base + 1,
+    each carrying two pendent triangles (10 vertices from base)."""
+    return [(attach, base), (base, base + 1), *double_triangle_edges(base, base + 2),
+            *double_triangle_edges(base + 1, base + 6)]
 
 
 def instance_c1() -> tuple[Graph, dict]:
@@ -73,15 +66,14 @@ def instance_c8() -> tuple[Graph, dict]:
 
 
 def instance_c9() -> tuple[Graph, dict]:
-    edges = [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4), (0, 5), (5, 6)]
-    _j2_chain(edges, attach=6, base=7)
+    edges = [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4), (0, 5), (5, 6),
+             *_j2_chain(6, 7)]
     return Graph(17, edges), {"v": 0, "v1": 5}
 
 
 def instance_c10() -> tuple[Graph, dict]:
     edges = [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4),
-             (0, 5), (0, 6), (5, 6), (0, 7), (7, 8)]
-    _j2_chain(edges, attach=8, base=9)
+             (0, 5), (0, 6), (5, 6), (0, 7), (7, 8), *_j2_chain(8, 9)]
     return Graph(19, edges), {"v": 0, "v1": 7}
 
 
@@ -97,10 +89,8 @@ def instance_cp2() -> tuple[Graph, dict]:
 
 
 def instance_cp3() -> tuple[Graph, dict]:
-    edges = [(0, 1), (0, 2), (0, 3), (0, 4), (3, 5), (4, 6)]
-    for apex, base in ((1, 7), (2, 11)):
-        for b in (base, base + 2):
-            edges += [(apex, b), (apex, b + 1), (b, b + 1)]
+    edges = [(0, 1), (0, 2), (0, 3), (0, 4), (3, 5), (4, 6),
+             *double_triangle_edges(1, 7), *double_triangle_edges(2, 11)]
     return Graph(15, edges), {"v": 0}
 
 

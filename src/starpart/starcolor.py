@@ -9,6 +9,7 @@ two color classes induces a star forest.
 from __future__ import annotations
 
 import itertools
+import time
 from typing import Callable, Iterator, NamedTuple
 
 from .graphs import Graph
@@ -127,15 +128,23 @@ def degeneracy_order(g: Graph) -> list[int]:
     return deletion
 
 
+class BudgetExhausted(Exception):
+    """A search ran out of its time or node budget before it could answer."""
+
+
 def backtrack(size: int, width: int, place: Callable[[int, int], bool],
-              undo: Callable[[int], None]) -> Iterator[None]:
+              undo: Callable[[int], None],
+              deadline: float | None = None) -> Iterator[None]:
     """Depth-first search over slots 0..size-1 on an explicit stack.
 
     ``place(slot, c)`` tries choice ``c`` (0..width-1, ascending) at ``slot``
     and says whether the partial assignment still holds; ``undo(slot)``
     retracts the latest ``place`` at that slot, whether it held or not.
     Yields at every complete assignment, left in place until resumed.
+    Past ``deadline`` (a ``time.monotonic()`` instant or ``None``, read
+    every 1024 placements) it raises :class:`BudgetExhausted`.
     """
+    placed = 0
     choices = [0]  # one frame per open slot: the next choice to try there
     while choices:
         slot = len(choices) - 1
@@ -148,14 +157,20 @@ def backtrack(size: int, width: int, place: Callable[[int, int], bool],
                 undo(slot - 1)
         else:
             choices[slot] = c + 1
+            if deadline is not None:
+                placed += 1
+                if not placed % 1024 and time.monotonic() > deadline:
+                    raise BudgetExhausted("time budget ran out")
             if place(slot, c):
                 choices.append(0)
             else:
                 undo(slot)
 
 
-def _search_star_k(g: Graph, k: int, order: list[int]) -> list[int] | None:
-    """Backtracking search for a star k-coloring along ``order``.
+def _search_star_k(g: Graph, k: int, order: list[int],
+                   deadline: float | None = None) -> list[int] | None:
+    """Backtracking search for a star k-coloring along ``order``, within
+    ``deadline`` (see :func:`backtrack`).
 
     Color symmetry is broken by allowing a vertex at position i only colors
     up to 1 + (max color used so far); the first admissible color is tried
@@ -175,17 +190,21 @@ def _search_star_k(g: Graph, k: int, order: list[int]) -> list[int] | None:
     def undo(slot: int) -> None:
         colors[order[slot]] = -1
 
-    for _ in backtrack(g.n, k, place, undo):
+    for _ in backtrack(g.n, k, place, undo, deadline):
         return colors
     return None
 
 
 def star_chromatic_number(g: Graph, limit: int | None = None,
-                          force: bool = False) -> tuple[int, Coloring] | None:
+                          force: bool = False,
+                          deadline: float | None = None
+                          ) -> tuple[int, Coloring] | None:
     """Exact star chromatic number with a witness coloring.
 
     Searches k = 1, 2, ... up to ``limit`` (default n); returns None when
     every k <= limit fails.  Refuses n > DEFAULT_EXACT_CAP unless ``force``.
+    All the searches share ``deadline`` (a ``time.monotonic()`` instant or
+    ``None``); past it they raise :class:`BudgetExhausted`.
     """
     if limit is None:
         limit = max(g.n, 1)
@@ -199,7 +218,7 @@ def star_chromatic_number(g: Graph, limit: int | None = None,
         return 0, Coloring((), 1)
     order = degeneracy_order(g)
     for k in range(1, limit + 1):
-        found = _search_star_k(g, k, order)
+        found = _search_star_k(g, k, order, deadline)
         if found is not None:
             coloring = Coloring(tuple(found), k)
             ok, witness = is_star_coloring(g, coloring)

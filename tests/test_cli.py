@@ -16,7 +16,7 @@ from starpart.density import mad, mad_le_8_3
 from starpart.graphs import Graph, parse_graph, parse_graph6
 from starpart.generators import (gen_corpus, gen_g5n, gen_cycle,
                                  gen_mad_bounded, gen_path)
-from starpart.graphs import to_graph6
+from starpart.graphs import to_edge_list, to_graph6
 
 
 @pytest.fixture
@@ -403,11 +403,11 @@ def test_scan_and_audit_honour_the_timeout(capsys, tmp_path):
 #: (module, name) of every engine a handler hands the deadline to
 _ENGINES = ((cli.configs, "scan_configs"), (cli.configs, "verify_lemma_extension"),
             (cli.fii, "find_fii"), (cli.fii, "enumerate_fii"),
-            (cli.fii, "boundary_search"))
+            (cli.fii, "boundary_search"), (cli.starcolor, "star_chromatic_number"))
 
 
-@pytest.mark.parametrize("command", ["fii-find", "star5", "config-scan",
-                                     "lemma-check", "boundary"])
+@pytest.mark.parametrize("command", ["star-color", "fii-find", "star5",
+                                     "config-scan", "lemma-check", "boundary"])
 def test_every_engine_call_reads_the_one_deadline(capsys, monkeypatch,
                                                   tmp_path, command):
     from starpart import instances
@@ -466,6 +466,16 @@ def test_lemma_check_scan_counts_against_the_timeout(tmp_path):
     code, doc, wall = _cli_process("--timeout-ms", "200", "lemma-check",
                                    str(path), "--config", "Cp1")
     assert (code, doc) == (3, {"schema": 1, "command": "lemma-check",
+                               "status": "unknown"})
+    assert wall < 3
+
+
+def test_star_color_honours_the_timeout(tmp_path):
+    # the exact search on this graph runs for minutes without a budget
+    path = tmp_path / "mad8.el"
+    path.write_text(to_edge_list(gen_mad_bounded(40, 8, 1)))
+    code, doc, wall = _cli_process("--timeout-ms", "500", "star-color", str(path))
+    assert (code, doc) == (3, {"schema": 1, "command": "star-color",
                                "status": "unknown"})
     assert wall < 3
 

@@ -2,12 +2,13 @@ import hashlib
 import itertools
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from starpart.graphs import (Graph, VertexClass, balls2, classify_vertices,
-                             pendent_triangles_at)
+                             find_pendent_triangles, triangle_split)
 from starpart.generators import (gen_complete, gen_cycle, gen_g5n,
                                  gen_mad_bounded, gen_path, gen_star)
 from starpart.density import mad, mad_le_8_3, rho_star
@@ -30,7 +31,9 @@ def random_graph(rng, n, p):
 def _naive_local(g):
     """Re-derive the non-cycle configurations by plain role enumeration."""
     cls = classify_vertices(g)
-    tri_at = pendent_triangles_at(g)
+    tri_at = {}
+    for tri in find_pendent_triangles(g):
+        tri_at.setdefault(tri[0], []).append(tri)
     found = set()
     w2345 = (_W.W2, _W.W3, _W.W4, _W.W5)
     w235 = (_W.W2, _W.W3, _W.W5)
@@ -255,6 +258,29 @@ def test_scan_and_plans_pinned():
     assert (total, scan.hexdigest(), plans.hexdigest()) == PIN
 
 
+def test_triangle_split_matches_the_pendent_triangles():
+    rng = random.Random(20)
+    for g in [_pin_decorated(rng) for _ in range(200)] + [_pin_host()]:
+        pairs = {}
+        for apex, x, y in find_pendent_triangles(g):
+            pairs.setdefault(apex, []).append((min(x, y), max(x, y)))
+        split = triangle_split(g)
+        assert split.keys() == pairs.keys()
+        for apex, (twos, rest) in split.items():
+            assert list(zip(twos[0::2], twos[1::2])) == sorted(pairs[apex])
+            assert rest == tuple(sorted(set(g.adj[apex]) - set(twos)))
+
+
+#: sha256 of (n, sorted edges) of the 15 shipped instances, in id order
+INSTANCES_PIN = "7894b2e781792102f6d48f188e62fcad5659d1bce38df06d79e2335f53d44e8a"
+
+
+def test_shipped_instances_pinned():
+    graphs = [(g.n, sorted(g.edges()))
+              for g, _ in map(instances.shipped_instance, ALL_CONFIG_IDS)]
+    assert hashlib.sha256(repr(graphs).encode()).hexdigest() == INSTANCES_PIN
+
+
 # -- specific examples -------------------------------------------------------------
 
 def test_isolated_vertex_is_c1():
@@ -461,6 +487,24 @@ def test_lemma_extension_budgets_raise_budget_exhausted():
     with pytest.raises(fii.BudgetExhausted, match="time budget"):
         verify_lemma_extension(g, match, deadline=time.monotonic() + 0.1)
     assert time.monotonic() - start < 10
+
+
+def test_lemma_extension_memory_does_not_grow_with_the_partitions():
+    # H, g5n(2) less a W2 pair, has no gadget vertex, so every H-partition
+    # is its own restriction and none need be kept
+    g = gen_g5n(2)
+    match = scan_configs(g, ("C2",))[0]
+    assert reduction_plan(g, match).mods == ()
+    peaks = []
+    for cap in (100, 1000, 6000):  # the first call builds the per-graph tables
+        tracemalloc.start()
+        try:
+            with pytest.raises(fii.BudgetExhausted, match=f"more than {cap} "):
+                verify_lemma_extension(g, match, max_partitions=cap)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] - peaks[1] < 64 * 1024, peaks
 
 
 def test_plan_deleted_sets_match_shapes():

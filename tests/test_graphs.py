@@ -12,7 +12,7 @@ from starpart.graphs import (Graph, GraphError, ParseError,
                              parse_dimacs, parse_graph, parse_graph6,
                              serialize_graph, sniff_format, to_dimacs,
                              to_edge_list, to_graph6, balls2, neighbor_sets,
-                             pendent_triangles_at)
+                             triangle_split)
 from starpart.generators import gen_cycle, gen_complete, gen_g5n, gen_path
 from starpart.fii import _branch_orders
 
@@ -450,12 +450,12 @@ def test_per_graph_tables_are_built_once_and_immutable():
     g = gen_g5n(2).with_additions(3, [(0, n), (n, n + 1), (n + 1, n + 2), (n + 2, 0)])
     tables = {neighbor_sets: frozenset, balls2: frozenset,
               find_pendent_cycles: tuple,
-              pendent_triangles_at: tuple, classify_vertices: VertexClass,
+              triangle_split: tuple, classify_vertices: VertexClass,
               _branch_orders: tuple}
     for table, item_type in tables.items():
         first = table(g)
         assert table(g) is first, table.__name__
-        if table is pendent_triangles_at:
+        if table is triangle_split:
             assert isinstance(first, types.MappingProxyType) and first
             with pytest.raises(TypeError):
                 first[0] = ()

@@ -233,6 +233,23 @@ def test_only_the_cli_makes_a_deadline():
     assert made == ["cli.py"]
 
 
+def test_only_graphs_spells_a_class_set():
+    # the class sets (W23, W25, W235, W2345, V4P) are defined once, in
+    # graphs; three or more VertexClass members in one display elsewhere
+    # spell a set again
+    members = set(starpart.VertexClass.__members__)
+    spelled = []
+    for path in sorted(Path(SRC, "starpart").glob("*.py")):
+        if path.name == "graphs.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.Set, ast.Tuple, ast.List)) and sum(
+                    isinstance(e, ast.Attribute) and e.attr in members
+                    for e in node.elts) >= 3:
+                spelled.append(f"{path.name}:{node.lineno}")
+    assert spelled == []
+
+
 # -- the process exit -----------------------------------------------------------
 
 def _files(directory: Path) -> dict[str, bytes]:
