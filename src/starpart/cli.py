@@ -185,8 +185,8 @@ def _cmd_classify(args, g: Graph) -> int:
     payload = {"classes": [c.value for c in cls],
                "degrees": g.degrees(),
                "pendent_triangles": [list(t) for t in tris]}
-    human = "\n".join(f"{v} ({g.name_of(v)}): {cls[v].value}" for v in range(g.n)) \
-        or "(empty graph)"
+    human = "" if args.json else "\n".join(  # --json prints no text
+        f"{v} ({g.name_of(v)}): {cls[v].value}" for v in range(g.n)) or "(empty graph)"
     _emit(args, payload, human)
     return EXIT_OK
 

@@ -443,12 +443,11 @@ def verify_lemma_extension(g: Graph, match: ConfigMatch,
     """Check, on this instance, that every FI_2-partition of the (possibly
     modified) reduced graph extends to all of G over labelings of S.
 
-    Distinct H-partitions that restrict identically (differing only on
-    gadget vertices) are deduplicated before the extension search, through
-    a table kept only when H has gadget vertices: without them every
-    H-partition is its own restriction, and the check runs in memory
-    bounded by the graph.  When H has no partitions at all the report is a
-    vacuous pass, flagged as such.
+    The enumeration labels gadget vertices last, so the H-partitions that
+    restrict identically (differing only on gadget vertices) come out in
+    one run, which gets one extension search: the check keeps no table and
+    runs in memory bounded by the graph.  When H has no partitions at all
+    the report is a vacuous pass, flagged as such.
     Both limits are budgets: more than ``max_partitions`` partitions of H, or
     a search past ``deadline`` (shared by the enumeration and every
     extension search), raise ``fii.BudgetExhausted``.
@@ -465,18 +464,19 @@ def verify_lemma_extension(g: Graph, match: ConfigMatch,
     for kind, at, *fields in plan.mods:
         h = attach_gadget(h, idx[at], (kind, *(idx[w] for w in fields)))
 
+    own = len(keep_list)
     h_partitions = distinct = extended = 0
     failures: list[tuple[int, ...]] = []
-    cache: dict[tuple[int, ...], bool] | None = {} if h.n > len(keep_list) else None
-    for part in fii.enumerate_fii(h, 2, deadline=deadline):
+    previous, ok = None, False
+    for part in fii.enumerate_fii(h, 2, deadline=deadline, own=own):
         h_partitions += 1
         if h_partitions > max_partitions:
             raise fii.BudgetExhausted(f"reduced graph has more than "
                                       f"{max_partitions} partitions")
         # the gadget vertices follow H's own, so the restriction is a prefix
-        restricted = part.labels[:len(keep_list)]
-        ok = cache.get(restricted) if cache is not None else None
-        if ok is None:
+        restricted = part.labels[:own]
+        if restricted != previous:
+            previous = restricted
             distinct += 1
             res = fii.find_fii(g, 2, forcing=False,
                                fixed=dict(zip(keep_list, restricted)),
@@ -484,8 +484,6 @@ def verify_lemma_extension(g: Graph, match: ConfigMatch,
             if res.status == "unknown":
                 raise fii.BudgetExhausted("time budget ran out")
             ok = res.feasible
-            if cache is not None:
-                cache[restricted] = ok
             if not ok and len(failures) < 5:
                 failures.append(restricted)
         if ok:

@@ -353,18 +353,20 @@ def find_fii(g: Graph, k: int = 2, forcing: bool = True,
     return _Solver(g, k, forcing, deadline, node_limit).solve(fixed)
 
 
-def enumerate_fii(g: Graph, k: int = 2,
-                  deadline: float | None = None) -> Iterator[FiiPartition]:
+def enumerate_fii(g: Graph, k: int = 2, deadline: float | None = None,
+                  own: int | None = None) -> Iterator[FiiPartition]:
     """Yield every FI_k-partition (no forcing, plain backtracking).
 
-    Deterministic order (the branch orders of ``find_fii``, concatenated);
-    intended for oracle duty on small graphs.  Once ``deadline`` (a
-    ``time.monotonic()`` instant) has passed, the next step raises
-    :class:`BudgetExhausted`.
+    Branch order: the vertices below ``own`` (default ``g.n``) in the branch
+    orders of ``find_fii``, then the rest in id order, so the partitions that
+    agree below ``own`` come out in one consecutive run (``attach_gadget``
+    numbers a gadget's vertices after its host's).  Past ``deadline`` (a
+    ``time.monotonic()`` instant) the next step raises BudgetExhausted.
     """
+    own = g.n if own is None else own
     solver = _Solver(g, k, False, deadline)
-    order = [v for comp in _branch_orders(g) for v in comp]
-    for _ in solver._labelings(order):
+    order = [v for comp in _branch_orders(g) for v in comp if v < own]
+    for _ in solver._labelings([*order, *range(own, g.n)]):
         yield FiiPartition(tuple(solver.labels), k)
 
 

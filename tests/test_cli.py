@@ -111,6 +111,18 @@ def test_timeout_not_positive_exit_2(capsys, g5_file, ms):
     assert doc["error"] == "usage" and "--timeout-ms" in doc["detail"]
 
 
+def test_classify_builds_its_text_only_when_printing(capsys, monkeypatch, g5_file):
+    code, out = run(capsys, "classify", g5_file)
+    assert code == 0 and out.splitlines()[:2] == ["0 (0): W2", "1 (1): V6"]
+
+    def unnamed(self, v):
+        raise AssertionError("--json prints no vertex names")
+
+    monkeypatch.setattr(Graph, "name_of", unnamed)
+    code, doc = run_json(capsys, "classify", g5_file)
+    assert code == 0 and doc["classes"][:2] == ["W2", "V6"]
+
+
 def test_star_verify_violation_exit_1(capsys, tmp_path):
     gpath = tmp_path / "p4.g6"
     from starpart.generators import gen_path

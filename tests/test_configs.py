@@ -507,6 +507,72 @@ def test_lemma_extension_memory_does_not_grow_with_the_partitions():
     assert peaks[2] - peaks[1] < 64 * 1024, peaks
 
 
+def test_lemma_extension_memory_is_flat_when_a_gadget_hangs_on_h():
+    # H, a path less two middle vertices with a triangle hung at vertex 28,
+    # has gadget vertices: each restriction's completions come out in one
+    # run, so nothing is kept per restriction
+    g = gen_path(60)
+    match = next(m for m in scan_configs(g, ("C2",)) if m.role("u") == 29)
+    assert reduction_plan(g, match).mods == (("triangle", 28),)
+    with pytest.raises(fii.BudgetExhausted):  # builds the per-graph tables
+        verify_lemma_extension(g, match, max_partitions=100)
+    peaks = []
+    for cap in (1000, 6000, 20_000):
+        tracemalloc.start()
+        try:
+            with pytest.raises(fii.BudgetExhausted, match=f"more than {cap} "):
+                verify_lemma_extension(g, match, max_partitions=cap)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) - min(peaks) < 64 * 1024, peaks
+
+
+#: every match on every shipped instance, in scan order: (instance, config,
+#: h_partitions, distinct_restrictions, extended, passed), none of which
+#: depends on the enumeration order.  The two failing rows are the Cp5
+#: matches whose u1 is the W2 vertex, so the plan deletes only N[v]; CHANGES.md
+#: records them as a FOUND: either the plan reads the wrong role or the scan
+#: matches the pair {u1, u2} in an order it should not.
+_ALL_SHIPPED_MATCHES = (
+    ("C1", "C1", 3, 3, 3, True), ("C1", "C1", 3, 3, 3, True),
+    ("C2", "C1", 57, 57, 57, True), ("C2", "C1", 57, 57, 57, True),
+    ("C2", "C2", 156, 39, 156, True), ("C2", "C2", 126, 49, 126, True),
+    ("C2", "C2", 120, 39, 120, True),
+    *[("C3", "C1", 107, 107, 107, True)] * 3, ("C3", "C3", 27, 27, 27, True),
+    ("C4", "C1", 12, 12, 12, True), ("C4", "C4", 7, 7, 7, True),
+    *[("C5", "C1", 1051, 1051, 1051, True)] * 4, ("C5", "C5", 81, 81, 81, True),
+    *[("C5", "C6", 189, 189, 189, True)] * 4,
+    ("C6", "C1", 509, 509, 509, True), ("C6", "C1", 469, 469, 469, True),
+    *[("C6", "C1", 457, 457, 457, True)] * 2, ("C6", "C6", 81, 81, 81, True),
+    ("C7", "C1", 4339, 4339, 4339, True), *[("C7", "C1", 4355, 4355, 4355, True)] * 4,
+    ("C7", "C7", 243, 243, 243, True),
+    ("C8", "C1", 412, 412, 412, True), *[("C8", "C1", 258, 258, 258, True)] * 2,
+    ("C8", "C8", 108, 27, 108, True),
+    ("C9", "C2", 924, 660, 924, True), ("C9", "C9", 196, 196, 196, True),
+    ("C9", "Cp5", 980, 980, 180, False), ("C9", "Cp5", 20, 20, 20, True),
+    ("C10", "C2", 1188, 924, 1188, True), ("C10", "C10", 196, 196, 196, True),
+    ("C10", "Cp5", 784, 784, 144, False), ("C10", "Cp5", 16, 16, 16, True),
+    *[("Cp1", "C1", 36, 36, 36, True)] * 2, ("Cp1", "Cp1", 9, 9, 9, True),
+    *[("Cp2", "C1", 252, 252, 252, True)] * 3, ("Cp2", "Cp2", 27, 27, 27, True),
+    *[("Cp3", "C1", 2518, 2518, 2518, True)] * 2, ("Cp3", "Cp3", 27, 27, 27, True),
+    *[("Cp4", "C1", 178, 178, 178, True)] * 3, ("Cp4", "Cp4", 27, 27, 27, True),
+    *[("Cp5", "C1", 50, 50, 50, True)] * 2, *[("Cp5", "Cp5", 9, 9, 9, True)] * 2,
+)
+
+
+def test_lemma_extension_on_every_shipped_match():
+    seen = []
+    for cid in ALL_CONFIG_IDS:
+        g, _ = instances.shipped_instance(cid)
+        for match in scan_configs(g):
+            r = verify_lemma_extension(g, match)
+            seen.append((cid, r.config_id, r.h_partitions, r.distinct_restrictions,
+                         r.extended, r.passed))
+    assert len(seen) == 63
+    assert seen == list(_ALL_SHIPPED_MATCHES)
+
+
 def test_plan_deleted_sets_match_shapes():
     expected_sizes = {"C1": 1, "C2": 2, "C3": 4, "C4": 2, "C5": 6, "C6": 5,
                       "C7": 7, "C8": 6, "C9": 5, "C10": 7, "Cp1": 4,

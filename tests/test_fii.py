@@ -93,6 +93,21 @@ def test_enumeration_equals_bruteforce():
             assert cnt == count_fii_bruteforce(g, k)
 
 
+def test_enumeration_labels_the_vertices_from_own_last():
+    # the same partitions in either order; with the vertices from ``own`` on
+    # labeled last, each labeling of the first ``own`` vertices is one run
+    rng = random.Random(37)
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(2, 7), rng.random() * 0.6)
+        for own in range(g.n + 1):
+            parts = [p.labels for p in enumerate_fii(g, 2, own=own)]
+            assert sorted(parts) == sorted(p.labels for p in enumerate_fii(g, 2))
+            prefixes = [labels[:own] for labels in parts]
+            runs = [a for a, b in zip(prefixes, [None, *prefixes]) if a != b]
+            assert len(runs) == len(set(prefixes))
+        assert list(enumerate_fii(g, 2, own=g.n)) == list(enumerate_fii(g, 2))
+
+
 def test_solver_agrees_with_oracle_feasibility():
     rng = random.Random(32)
     for _ in range(60):

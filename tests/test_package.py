@@ -195,6 +195,23 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     assert crossings == []
 
 
+def test_no_module_reads_a_private_name_of_a_sibling():
+    # the attribute form of the rule above: ``fii._Solver`` read through a
+    # sibling module bound by ``from . import fii``
+    crossings = []
+    for path in sorted(Path(SRC, "starpart").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        siblings = {a.asname or a.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)
+                    and node.module in (None, "starpart") for a in node.names}
+        crossings += [f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+                      for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                      and isinstance(node.value, ast.Name)
+                      and node.value.id in siblings and node.attr.startswith("_")
+                      and not node.attr.startswith("__")]
+    assert crossings == []
+
+
 def test_no_function_calls_itself():
     # every search keeps its state on an explicit stack, so input size never
     # meets the interpreter's recursion limit; a call by the function's own
