@@ -105,7 +105,6 @@ def test_enumeration_labels_the_vertices_from_own_last():
             prefixes = [labels[:own] for labels in parts]
             runs = [a for a, b in zip(prefixes, [None, *prefixes]) if a != b]
             assert len(runs) == len(set(prefixes))
-        assert list(enumerate_fii(g, 2, own=g.n)) == list(enumerate_fii(g, 2))
 
 
 def test_solver_agrees_with_oracle_feasibility():
