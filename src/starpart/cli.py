@@ -74,11 +74,12 @@ def _write_text(path: Path, text: str) -> None:
         raise _CliError(f"cannot write {path}: {exc}") from exc
 
 
-def _load_graph(args) -> Graph:
+def _load_graph(path: str, fmt: str, where: str = "input") -> Graph:
+    """The graph in ``path`` (``-`` is stdin); a bad one is a usage error."""
     try:
-        return parse_graph(_read_text(args.file), args.format)
+        return parse_graph(_read_text(path), fmt)
     except GraphError as exc:
-        raise _CliError(f"bad graph input: {exc}") from exc
+        raise _CliError(f"bad graph {where}: {exc}") from exc
 
 
 def _load_list(path: str, what: str, key: str, n: int,
@@ -281,14 +282,8 @@ def _cmd_boundary(args, _) -> int:
         paths = sorted(Path(args.corpus).iterdir())
     except OSError as exc:
         raise _CliError(f"cannot read corpus directory: {exc}") from exc
-    corpus = []
-    for p in paths:
-        if p.is_file():
-            text = _read_text(str(p))
-            try:
-                corpus.append((p.name, parse_graph(text, args.format)))
-            except GraphError as exc:
-                raise _CliError(f"bad graph in {p.name}: {exc}") from exc
+    corpus = [(p.name, _load_graph(str(p), args.format, f"in {p.name}"))
+              for p in paths if p.is_file()]
     report = fii.boundary_search(args.k, corpus, deadline=args.deadline)
     payload = {
         "k": args.k,
@@ -690,7 +685,7 @@ def main(argv: list[str] | None = None) -> int:
             raise _CliError(f"--timeout-ms must be positive, got {ms}")
         if getattr(args, "k", 0) < 0:
             raise _CliError(f"-k must be nonnegative, got {args.k}")
-        g = _load_graph(args) if hasattr(args, "file") else None
+        g = _load_graph(args.file, args.format) if hasattr(args, "file") else None
         args.deadline = None if ms is None else time.monotonic() + ms / 1000
         return args.fn(args, g)
     except _Help as exc:

@@ -294,20 +294,17 @@ def rho_star(g: Graph, seed: Iterable[int] = ()) -> PotentialResult:
 
 
 def rho_star_oracle(g: Graph, seed: Iterable[int] = ()) -> PotentialResult:
-    """Exhaustive rho* by enumerating every superset of the seed."""
-    seed_set = set(seed)
-    free = [v for v in range(g.n) if v not in seed_set]
-    if len(free) > _ORACLE_LIMIT:
-        raise ValueError(f"oracle limited to {_ORACLE_LIMIT} free vertices")
-    base = sorted(seed_set)
-    best_val = None
-    best = None
-    for mask in range(1 << len(free)):
-        k = base + [free[i] for i in range(len(free)) if mask >> i & 1]
-        val = rho(g, k)
-        if best_val is None or val < best_val:
-            best_val, best = val, tuple(sorted(k))
-    return PotentialResult(best_val, best)
+    """Exhaustive rho*: the first least rho, in mask order, over the supersets
+    of the seed in :func:`rho_all_subsets` (n <= 24)."""
+    seed_mask = 0
+    for v in seed:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range")
+        seed_mask |= 1 << v
+    table = rho_all_subsets(g)
+    best = min((m for m in range(seed_mask, len(table)) if m & seed_mask == seed_mask),
+               key=table.__getitem__)
+    return PotentialResult(table[best], tuple(v for v in range(g.n) if best >> v & 1))
 
 
 def rho_all_subsets(g: Graph) -> list[int]:

@@ -79,8 +79,7 @@ def _density_cap(bound: Fraction | str) -> Fraction:
     return bound
 
 
-def gen_mad_bounded(n: int, bound: Fraction | str, seed: int,
-                    tries: int | None = None) -> Graph:
+def gen_mad_bounded(n: int, bound: Fraction | str, seed: int) -> Graph:
     """Random graph on n vertices with mad <= bound = p/q, deterministic per
     seed.
 
@@ -94,18 +93,13 @@ def gen_mad_bounded(n: int, bound: Fraction | str, seed: int,
     A pair with both endpoints in the run's one dead set is rejected without
     a search.  A rejected edge takes its units back; the paths shifted for it
     stay valid, and ``density.release`` frees the endpoints that regain room.
-    Only the first ``tries`` shuffled pairs are tried, all when None; a
-    negative ``tries`` raises ``ValueError``.
+    Every one of the n(n-1)/2 pairs is tried.
     """
     bound = _density_cap(bound)
-    if tries is not None and tries < 0:
-        raise ValueError(f"tries must be non-negative, got {tries}")
     p, units = bound.numerator, 2 * bound.denominator
     rng = random.Random(seed)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rng.shuffle(pairs)
-    if tries is not None:
-        pairs = pairs[:tries]
     held: list[dict[int, int]] = [{} for _ in range(n)]
     load = [0] * n
     edges: list[tuple[int, int]] = []

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -13,7 +14,7 @@ import pytest
 from starpart import cli
 from starpart.cli import _frac, main
 from starpart.density import mad, mad_le_8_3
-from starpart.graphs import Graph, parse_graph, parse_graph6
+from starpart.graphs import MAX_VERTICES, Graph, parse_graph, parse_graph6
 from starpart.generators import (gen_corpus, gen_g5n, gen_cycle,
                                  gen_mad_bounded, gen_path)
 from starpart.graphs import to_edge_list, to_graph6
@@ -87,6 +88,29 @@ def test_bad_input_exit_2(capsys, tmp_path):
     assert doc["error"] == "usage"
     code, doc = run_json(capsys, "mad", str(tmp_path / "missing.g6"))
     assert code == 2
+
+
+@pytest.mark.parametrize("fmt, text", [
+    ("dimacs", "p edge 3 x\n"),
+    ("dimacs", "p edge 3 1\ne 1 x\n"),
+    ("dimacs", "p edge 3.5 1\n"),
+    ("dimacs", "p edge 0x3 0\n"),
+    ("dimacs", "p edge 3 1\ne 1 \u0663\n"),   # an Arabic-Indic digit 3
+    ("graph6", "DQ\u00e9\n"),   # never read as the "no edge" body byte ?
+    ("graph6", "DQ\n"),
+    ("graph6", "B!\n"),
+    ("edgelist", "0 1\n1 2 3\n"),
+    # graph6 can encode neither a self-loop nor a duplicate edge
+    ("edgelist", "0 1\n1 1\n"),
+    ("edgelist", "0 1\n1 0\n"),
+    ("dimacs", "p edge 2 1\ne 2 2\n"),
+    ("dimacs", "p edge 2 2\ne 1 2\ne 2 1\n"),
+])
+def test_malformed_input_is_a_usage_error(capsys, tmp_path, fmt, text):
+    path = tmp_path / "bad"
+    path.write_text(text, encoding="utf-8")
+    code, doc = run_json(capsys, "mad", "--format", fmt, str(path))
+    assert (code, doc["error"]) == (2, "usage")
 
 
 def test_self_loop_edge_list_exit_2(capsys, tmp_path):
@@ -460,15 +484,29 @@ def test_every_engine_call_reads_the_one_deadline(capsys, monkeypatch,
     capsys.readouterr()
 
 
-def _cli_process(*argv) -> tuple[int, dict, float]:
-    """``starpart --json *argv`` in a process of its own: the exit code, the
-    document and the wall time."""
+def _cli_process(*argv, memory: int | None = None) -> tuple[int, dict, float]:
+    """``starpart --json *argv`` in a process of its own, its address space
+    capped at ``memory`` bytes if given: the exit code, the document and the
+    wall time."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(cli.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
+    cap = None if memory is None else \
+        (lambda: resource.setrlimit(resource.RLIMIT_AS, (memory, memory)))
     start = time.monotonic()
     proc = subprocess.run([sys.executable, "-m", "starpart.cli", "--json", *argv],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=env, capture_output=True, text=True, timeout=120,
+                          preexec_fn=cap)
     return proc.returncode, json.loads(proc.stdout), time.monotonic() - start
+
+
+def test_vertex_count_is_capped_before_allocation(tmp_path):
+    # capped address space: a regression fails fast instead of filling memory
+    path = tmp_path / "huge.col"
+    path.write_text("p edge 99999999999 0\n")
+    code, doc, _ = _cli_process("mad", "--format", "dimacs", str(path),
+                                memory=512 * 2**20)
+    assert (code, doc["error"]) == (2, "usage")
+    assert f"limit of {MAX_VERTICES}" in doc["detail"]
 
 
 def test_lemma_check_scan_counts_against_the_timeout(tmp_path):

@@ -170,6 +170,9 @@ def test_rho_star_k4():
     res = rho_star(gen_complete(4), ())
     assert res.value == -2 and res.minimizer == (0, 1, 2, 3)
     assert rho_star_oracle(gen_complete(4), ()).value == -2
+    for seed in ((4,), (-1,)):
+        with pytest.raises(ValueError, match="out of range"):
+            rho_star_oracle(gen_complete(4), seed)
 
 
 def test_rho_star_g5_seed():

@@ -106,19 +106,6 @@ def test_mad_bounded_replays_against_oracle():
                         kept.append((u, v))
 
 
-def test_mad_bounded_honours_tries():
-    full = gen_mad_bounded(12, Fraction(8, 3), 7)
-    pairs = _shuffled_pairs(12, 7)
-    for tries in (0, 1, 10, 30, 66, 1000):
-        part = gen_mad_bounded(12, Fraction(8, 3), 7, tries=tries)
-        assert part == Graph(12, [e for e in pairs[:tries] if full.has_edge(*e)])
-
-
-def test_mad_bounded_rejects_negative_tries():
-    with pytest.raises(ValueError):
-        gen_mad_bounded(12, Fraction(8, 3), 7, tries=-3)
-
-
 def test_mad_bounded_large_output_pinned():
     # captured before the dead set was kept across candidate pairs
     g = gen_mad_bounded(400, Fraction(8, 3), 0)

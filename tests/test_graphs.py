@@ -5,7 +5,7 @@ import types
 
 import pytest
 
-from starpart.graphs import (Graph, GraphError, ParseError,
+from starpart.graphs import (FORMATS, Graph, GraphError, ParseError,
                              ValidationError, VertexClass,
                              INFINITY, classify_vertices, find_pendent_cycles,
                              find_pendent_triangles, girth, parse_edge_list,
@@ -79,6 +79,13 @@ def test_graph6_header_and_errors():
     except ParseError as exc:
         err = exc
     assert err is not None and err.offset is not None
+    # a non-ASCII character is named, never read as some body byte, even
+    # where the body would then have the wrong length
+    for text, at in (("DQ\u00e9", 2), ("D?\u00e9{", 2), ("\u00e9", 0)):
+        with pytest.raises(ParseError, match=f"non-ASCII character '\u00e9' "
+                                             f"at offset {at}") as exc:
+            parse_graph6(text)
+        assert exc.value.offset == at
 
 
 def test_graph6_extended_form():
@@ -197,6 +204,13 @@ def test_dimacs_round_trip():
         parse_dimacs("p edge 4 5\ne 1 2\n")
     with pytest.raises(ParseError):
         parse_dimacs("e 1 2\n")
+    # numbers are ASCII digits, checked before conversion
+    for bad in ("x", "-3", "+3", "3_0", "3.5", "0x3", "\u0663"):
+        for text in (f"p edge {bad} 0", f"p edge 3 {bad}"):
+            with pytest.raises(ParseError, match="^bad 'p' line at line 1$"):
+                parse_dimacs(text)
+        with pytest.raises(ParseError, match="^bad 'e' line at line 2$"):
+            parse_dimacs(f"p edge 3 1\ne 1 {bad}\n")
     # messages use the 1-based labels; .edge keeps the internal ids
     with pytest.raises(ValidationError, match=r"^duplicate edge \(3, 2\)$") as exc:
         parse_dimacs("p edge 3 2\ne 2 3\ne 3 2\n")
@@ -210,8 +224,12 @@ def test_round_trip_all_formats():
     rng = random.Random(2)
     for _ in range(20):
         g = random_graph(rng, rng.randint(1, 10), 0.4)
-        for fmt in ("graph6", "edgelist", "dimacs"):
+        for fmt in FORMATS:
             assert parse_graph(serialize_graph(g, fmt), fmt) == g
+    with pytest.raises(ParseError, match="^unknown format 'xml'$"):
+        parse_graph("0 1\n", "xml")
+    with pytest.raises(ParseError, match="^unknown format 'xml'$"):
+        serialize_graph(g, "xml")
 
 
 def test_sniff_format():
