@@ -18,7 +18,8 @@ _ORACLE_LIMIT = 24
 
 
 def place_units(held: list[dict[int, int]], load: list[int], cap: int,
-                sources: Sequence[int], want: int, dead: set[int]) -> list[int]:
+                sources: Sequence[int], want: int,
+                dead: set[int]) -> tuple[list[int], Sequence[int]]:
     """Put up to ``want`` units on ``sources``, keeping every load <= cap.
 
     ``held[x][y]`` units of edge xy lie on x and ``load[x]`` sums them; a
@@ -27,12 +28,15 @@ def place_units(held: list[dict[int, int]], load: list[int], cap: int,
     ``held[x][y] >= 1`` finds the nearest vertex with room and shifts the
     path's bottleneck amount one arc along, so only that vertex gains load.
     The path is walked twice through the parent pointers, once for the
-    bottleneck and once to shift.  Returns the units put on each source.  A
-    failed search adds what it reached to ``dead``: that set has no arc out
-    and no room, and keeps both while units are only added, so searches skip
-    it, and a caller may skip an edge with both endpoints dead: the call
-    would place nothing and add nothing to ``dead``.  The set may be kept
-    across calls if units taken back are ``release``d from it.
+    bottleneck and once to shift.  A failed search adds what it reached to
+    ``dead``: that set has no arc out and no room, and keeps both while units
+    are only added, so searches skip it, and a caller may skip an edge with
+    both endpoints dead: the call would place nothing and add nothing to
+    ``dead``.  The set may be kept across calls if units taken back are
+    ``release``d from it.
+
+    Returns the units put on each source and the vertices added to ``dead``:
+    none when every unit is placed, else all that the failed search reached.
     """
     got = []
     for x in sources:
@@ -55,7 +59,7 @@ def place_units(held: list[dict[int, int]], load: list[int], cap: int,
                     queue.append(y)
         else:
             dead.update(queue)
-            return got
+            return got, queue
         amount = min(want, cap - load[x])
         y, w = x, parent[x]
         while w >= 0:
@@ -70,13 +74,16 @@ def place_units(held: list[dict[int, int]], load: list[int], cap: int,
             y, w = w, parent[w]
         got[0 if y == sources[0] else sources.index(y)] += amount
         want -= amount
-    return got
+    return got, ()
 
 
 def release(held: list[dict[int, int]], free: Iterable[int],
-            trapped: set[int]) -> None:
+            trapped: set[int]) -> list[int]:
     """Drop from ``trapped`` each vertex of ``free`` and all that can reach
-    one along arcs x -> y with ``held[x][y] >= 1``, by one reverse search."""
+    one along arcs x -> y with ``held[x][y] >= 1``, by one reverse search.
+
+    Returns ``free`` and then each vertex dropped, in search order; when
+    ``free`` lies inside ``trapped`` that is exactly what left it."""
     queue = list(free)
     trapped.difference_update(queue)
     for y in queue:
@@ -84,6 +91,7 @@ def release(held: list[dict[int, int]], free: Iterable[int],
             if x in trapped and held[x][y]:
                 trapped.remove(x)
                 queue.append(x)
+    return queue
 
 
 class Density(NamedTuple):
@@ -257,7 +265,7 @@ def _orient(g: Graph, seed: Iterable[int], vertex_weight: int,
         load[v] += b
         rest = edge_weight - a - b
         if rest:
-            x, y = place_units(held, load, vertex_weight, (u, v), rest, dead)
+            (x, y), _ = place_units(held, load, vertex_weight, (u, v), rest, dead)
             a += x
             b += y
             rest -= x + y

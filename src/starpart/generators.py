@@ -7,36 +7,51 @@ FII-partition.  ``gen_mad_bounded`` produces random graphs under an exact
 density cap p/q by rejection sampling: it keeps an orientation of the edges,
 each taken 2q times, with every indegree at most p, which by Hakimi's theorem
 exists exactly when mad <= p/q, and updates it at each insertion with
-``density.place_units`` and one dead set kept for the whole run.
+``density.place_units`` and one dead set kept for the whole run.  A pair
+with both ends in the dead set D_t left by some earlier failed search t is
+rejected without a search, because D_t is a tight set:
+
+- D_t is closed and full, so p|D_t| - 2q|E(D_t)| is the units the failed
+  candidate had placed, fewer than 2q;
+- kept edges only add to E(D_t), so that slack never grows;
+- so D_t plus any further edge inside it has slack below 0: mad > p/q.
+
+Each fixed family checks its vertex count with ``graphs.check_vertex_count``
+before it builds an edge list.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterator
 
-from .graphs import Graph, double_triangle_edges
+from .graphs import Graph, check_vertex_count, double_triangle_edges
 from . import density
 
 
 def gen_cycle(k: int) -> Graph:
     if k < 3:
         raise ValueError("cycle needs at least 3 vertices")
+    check_vertex_count(k)
     return Graph(k, [(i, (i + 1) % k) for i in range(k)])
 
 
 def gen_path(k: int) -> Graph:
     if k < 1:
         raise ValueError("path needs at least 1 vertex")
+    check_vertex_count(k)
     return Graph(k, [(i, i + 1) for i in range(k - 1)])
 
 
 def gen_complete(k: int) -> Graph:
+    check_vertex_count(k)
     return Graph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
 
 
 def gen_star(leaves: int) -> Graph:
+    check_vertex_count(leaves + 1)
     return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
@@ -44,6 +59,7 @@ def gen_tree_random(n: int, seed: int) -> Graph:
     """Random tree: vertex i >= 1 hangs off a uniformly chosen earlier vertex."""
     if n < 1:
         raise ValueError("tree needs at least 1 vertex")
+    check_vertex_count(n)
     rng = random.Random(seed)
     return Graph(n, [(rng.randrange(i), i) for i in range(1, n)])
 
@@ -57,6 +73,7 @@ def gen_g5n(n: int) -> Graph:
     """
     if n < 1:
         raise ValueError("n must be positive")
+    check_vertex_count(17 * n)
     cyc = 5 * n
     edges = [(i, (i + 1) % cyc) for i in range(cyc)]
     nxt = cyc
@@ -90,31 +107,60 @@ def gen_mad_bounded(n: int, bound: Fraction | str, seed: int) -> Graph:
     ``held[x][y]`` units of edge xy point at x, ``load[x]`` counts them.  A
     candidate (u, v) places its 2q units by ``density.place_units``, which
     is max-flow: all fit iff min over K >= {u,v} of p|K| - 2q|E(K)| >= 2q.
-    A pair with both endpoints in the run's one dead set is rejected without
-    a search.  A rejected edge takes its units back; the paths shifted for it
-    stay valid, and ``density.release`` frees the endpoints that regain room.
+    A rejected edge takes its units back; the paths shifted for it stay
+    valid, and ``density.release`` frees the endpoints that regain room.
     Every one of the n(n-1)/2 pairs is tried.
+
+    A pair with both ends in D_t, the dead set right after the t-th failed
+    search, is rejected without a search, and no decision changes:
+
+    - D_t is closed and full, so its slack p|D_t| - 2q|E(D_t)| is the units
+      the failed candidate had placed, less than 2q;
+    - kept edges only lower a fixed set's slack;
+    - so an edge inside D_t would leave it with negative slack.
+
+    Each vertex's memberships form runs of consecutive t: ``runs[x]`` has
+    bit t set for each t of a closed run, ``since[x]`` starts the open run
+    (``ALIVE`` if x is not dead now) and ``ended[x]`` is where the last run
+    ended (``DEAD`` while one is open).  A pair shares some D_t iff both
+    ends are dead now, or one is dead since s and the other's last run ended
+    at or after s, which ``ended[u] >= since[v]`` tests either way round, or
+    their closed runs meet.  The runs change only where the dead set does,
+    as ``place_units`` and ``release`` report it.
     """
     bound = _density_cap(bound)
     p, units = bound.numerator, 2 * bound.denominator
     rng = random.Random(seed)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    pairs = list(combinations(range(n), 2))
     rng.shuffle(pairs)
     held: list[dict[int, int]] = [{} for _ in range(n)]
     load = [0] * n
     edges: list[tuple[int, int]] = []
     dead: set[int] = set()
+    # every failure index t is at most len(pairs) < DEAD < ALIVE
+    DEAD, ALIVE = len(pairs) + 1, len(pairs) + 2
+    runs = [0] * n
+    since = [ALIVE] * n
+    ended = [-1] * n
+    t = 0
     for u, v in pairs:
-        if u in dead and v in dead:
+        if ended[u] >= since[v] or ended[v] >= since[u] or runs[u] & runs[v]:
             continue
-        at_u, at_v = density.place_units(held, load, p, (u, v), units, dead)
+        (at_u, at_v), reached = density.place_units(held, load, p, (u, v),
+                                                    units, dead)
         if at_u + at_v == units:
             held[u][v], held[v][u] = at_u, at_v
             edges.append((u, v))
-        else:
-            load[u] -= at_u
-            load[v] -= at_v
-            density.release(held, [x for x, at in ((u, at_u), (v, at_v)) if at], dead)
+            continue
+        t += 1
+        for x in reached:
+            since[x], ended[x] = t, DEAD
+        load[u] -= at_u
+        load[v] -= at_v
+        for x in density.release(held, [x for x, at in ((u, at_u), (v, at_v)) if at],
+                                 dead):
+            runs[x] |= (2 << t) - (1 << since[x])
+            since[x], ended[x] = ALIVE, t
     g = Graph(n, edges)
     assert density.mad_le(g, bound)
     return g

@@ -55,6 +55,13 @@ class ParseError(GraphError):
         self.offset = offset
 
 
+def check_vertex_count(n: int) -> None:
+    """Raise ``GraphError`` if a graph may not have ``n`` vertices: callers
+    check before they allocate anything of size n."""
+    if n > MAX_VERTICES:
+        raise GraphError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
+
+
 class Graph:
     """A simple undirected graph with sorted adjacency tuples.
 
@@ -68,8 +75,7 @@ class Graph:
                  names: Sequence[str] | None = None):
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
-        if n > MAX_VERTICES:
-            raise GraphError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
+        check_vertex_count(n)
         self.names = None if names is None else tuple(str(x) for x in names)
         if self.names is not None and len(self.names) != n:
             raise GraphError("names must have one entry per vertex")
@@ -392,8 +398,10 @@ def _codec(fmt: str, side: int) -> Callable:
 
 
 def sniff_format(text: str) -> str:
-    """Guess the format from the first nonblank line.  Plain graph6 needs the
-    whole text to be one line whose body length fits its size header."""
+    """Guess the format from the first nonblank line.  Plain graph6 is a
+    whole text of one whitespace-free line whose size header parses and
+    whose length fits that size, whatever its body characters are: a bad
+    one is then reported by ``parse_graph6``, not read as an edge list."""
     for line in text.splitlines():
         s = line.strip()
         if not s:
@@ -402,9 +410,11 @@ def sniff_format(text: str) -> str:
             return "dimacs"
         if s.startswith(">>graph6<<"):
             return "graph6"
-        if s == text.strip() and re.fullmatch(r"[?-~]+", s):
+        if s == text.strip() and not re.search(r"\s", s):
             try:
-                n, pos = _g6_number(s.encode("ascii"), 0)
+                # the header is at most 8 characters; any non-ASCII one
+                # encodes to bytes the header cannot hold
+                n, pos = _g6_number(s[:8].encode(), 0)
             except ParseError:
                 return "edgelist"
             if len(s) - pos == (n * (n - 1) // 2 + 5) // 6:

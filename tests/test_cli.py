@@ -97,6 +97,7 @@ def test_bad_input_exit_2(capsys, tmp_path):
     ("dimacs", "p edge 0x3 0\n"),
     ("dimacs", "p edge 3 1\ne 1 \u0663\n"),   # an Arabic-Indic digit 3
     ("graph6", "DQ\u00e9\n"),   # never read as the "no edge" body byte ?
+    ("auto", "DQ\u00e9\n"),     # sniffed as graph6, never as an edge list
     ("graph6", "DQ\n"),
     ("graph6", "B!\n"),
     ("edgelist", "0 1\n1 2 3\n"),
@@ -504,6 +505,16 @@ def test_vertex_count_is_capped_before_allocation(tmp_path):
     path = tmp_path / "huge.col"
     path.write_text("p edge 99999999999 0\n")
     code, doc, _ = _cli_process("mad", "--format", "dimacs", str(path),
+                                memory=512 * 2**20)
+    assert (code, doc["error"]) == (2, "usage")
+    assert f"limit of {MAX_VERTICES}" in doc["detail"]
+
+
+@pytest.mark.parametrize("family", ["g5n", "cycle", "path"])
+def test_gen_families_check_the_vertex_cap_before_building(family):
+    # g5n builds 17n vertices: -n 10^8 is far above the cap, and its edge
+    # list alone would not fit in the capped address space
+    code, doc, _ = _cli_process("gen", family, "-n", "100000000",
                                 memory=512 * 2**20)
     assert (code, doc["error"]) == (2, "usage")
     assert f"limit of {MAX_VERTICES}" in doc["detail"]

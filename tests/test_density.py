@@ -316,9 +316,12 @@ def test_place_units_keeps_a_valid_orientation():
         dead = set()
         unplaced = 0
         for u, v in g.edges():
-            at_u, at_v = place_units(held, load, cap, (u, v), want, dead)
+            before = set(dead)
+            (at_u, at_v), reached = place_units(held, load, cap, (u, v), want, dead)
             held[u][v], held[v][u] = at_u, at_v
             unplaced += want - at_u - at_v
+            assert sorted(reached) == sorted(dead - before)
+            assert not reached or at_u + at_v < want
         assert all(load[x] == sum(held[x].values()) <= cap for x in range(g.n))
         # the dead set is closed: no unit on it can shift out of it
         assert all(not k or y in dead for x in dead for y, k in held[x].items())
@@ -337,12 +340,14 @@ def test_kept_dead_set_stays_dead_and_decides_as_a_fresh_one():
         load = [0] * n
         dead = set()
         for u, v in pairs:
-            fresh = place_units([dict(h) for h in held], list(load), cap,
-                                (u, v), want, set())
+            fresh, _ = place_units([dict(h) for h in held], list(load), cap,
+                                   (u, v), want, set())
+            before = set(dead)
             if u in dead and v in dead:
                 at_u = at_v = 0
             else:
-                at_u, at_v = place_units(held, load, cap, (u, v), want, dead)
+                (at_u, at_v), reached = place_units(held, load, cap, (u, v), want, dead)
+                assert sorted(reached) == sorted(dead - before)
             assert (at_u + at_v == want) == (sum(fresh) == want)
             if at_u + at_v == want:
                 held[u][v], held[v][u] = at_u, at_v
@@ -350,7 +355,10 @@ def test_kept_dead_set_stays_dead_and_decides_as_a_fresh_one():
                 partial += at_u + at_v > 0
                 load[u] -= at_u
                 load[v] -= at_v
-                release(held, [x for x, at in ((u, at_u), (v, at_v)) if at], dead)
+                failed = set(dead)
+                freed = release(held, [x for x, at in ((u, at_u), (v, at_v)) if at],
+                                dead)
+                assert sorted(freed) == sorted(failed - dead)
             assert all(load[x] == sum(held[x].values()) <= cap for x in range(n))
             assert all(load[x] == cap for x in dead)
             assert all(not k or y in dead for x in dead for y, k in held[x].items())
@@ -361,9 +369,9 @@ def test_release_drops_what_reaches_room():
     # arcs 0 -> 1 -> 2, 3 -> 2 and 1 -> 4; no arc leaves 4
     held = [{1: 1}, {0: 0, 2: 1, 4: 1}, {1: 0, 3: 0}, {2: 1}, {1: 0}]
     trapped = {0, 1, 3, 4}
-    release(held, [1], trapped)
+    assert release(held, [1], trapped) == [1, 0]
     assert trapped == {3, 4}
-    release(held, [2], trapped)
+    assert release(held, [2], trapped) == [2, 3]
     assert trapped == {4}
 
 

@@ -1,14 +1,17 @@
 import hashlib
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from starpart import density, generators, graphs
 from starpart.density import mad, mad_le, mad_le_8_3, mad_oracle
-from starpart.generators import (gen_corpus, gen_cycle, gen_g5n,
-                                 gen_mad_bounded, gen_path, gen_tree_random)
-from starpart.graphs import (Graph, girth, serialize_graph, to_graph6,
-                             INFINITY)
+from starpart.generators import (gen_complete, gen_corpus, gen_cycle, gen_g5n,
+                                 gen_mad_bounded, gen_path, gen_star,
+                                 gen_tree_random)
+from starpart.graphs import (Graph, GraphError, girth, serialize_graph,
+                             to_graph6, INFINITY)
 
 
 def _shuffled_pairs(n, seed):
@@ -113,6 +116,27 @@ def test_mad_bounded_large_output_pinned():
         (514, "56936821f5211345952d70b075473398d96d149091507d8900a3cfdd4446b8d8")
 
 
+def test_mad_bounded_search_count_pinned(monkeypatch):
+    # a pair inside the dead set of an earlier failed search is rejected
+    # unsearched; skipping only pairs with both ends dead now took 4274
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return density.place_units(*args)
+
+    monkeypatch.setattr(generators, "density", SimpleNamespace(
+        place_units=counted, release=density.release, mad_le=density.mad_le))
+    counts = {}
+    for n, seed in ((40, 1), (40, 3), (50, 1), (50, 3), (60, 1), (60, 3), (70, 3)):
+        calls.clear()
+        generators.gen_mad_bounded(n, Fraction(8, 3), seed)
+        counts[n, seed] = len(calls)
+    assert counts == {(40, 1): 90, (40, 3): 111, (50, 1): 189, (50, 3): 135,
+                      (60, 1): 208, (60, 3): 128, (70, 3): 185}
+    assert sum(counts.values()) == 1046
+
+
 def test_corpus_deterministic_and_bounded():
     a = list(gen_corpus(10, 12, "8/3", 5))
     b = list(gen_corpus(10, 12, "8/3", 5))
@@ -124,6 +148,19 @@ def test_corpus_deterministic_and_bounded():
     for count, n_max in ((-1, 12), (3, 3)):
         with pytest.raises(ValueError):
             next(gen_corpus(count, n_max, "8/3", 5))
+
+
+def test_families_check_the_vertex_cap_before_building(monkeypatch):
+    def built(*_):
+        raise AssertionError("built before the vertex count was checked")
+
+    monkeypatch.setattr(graphs, "MAX_VERTICES", 16)
+    monkeypatch.setattr(generators, "Graph", built)
+    for make in (lambda: gen_cycle(17), lambda: gen_path(17), lambda: gen_g5n(1),
+                 lambda: gen_complete(17), lambda: gen_star(16),
+                 lambda: gen_tree_random(17, 0)):
+        with pytest.raises(GraphError, match="vertex count 17 exceeds the limit of 16"):
+            make()
 
 
 def test_simple_families():

@@ -242,6 +242,9 @@ def test_sniff_format():
     assert len(line) > 100_000
     assert sniff_format(line + "\n") == "graph6"
     assert sniff_format("0\n1 2\n") == "edgelist"
+    # one line that fits its size header is graph6, whatever its body holds
+    assert sniff_format("DQ\u00e9\n") == sniff_format("DQ!") == "graph6"
+    assert sniff_format("\u00e9QQ\n") == sniff_format("DQ c") == "edgelist"
     # a lone name of letters is a vertex, not graph6 with the wrong body size
     assert sniff_format("gamma\nalpha beta\n") == "edgelist"
     assert sniff_format("gamma\n") == "edgelist"
