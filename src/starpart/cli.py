@@ -23,10 +23,11 @@ subcommand runs: no ``argparse``, and ``fractions`` only where the
 mathematics is rational.
 
 A process started as ``python -m starpart.cli`` or as the ``starpart``
-script enters through :func:`run`, which ends the process as soon as its
-output is flushed: no module teardown, no final garbage collection, and no
-``atexit`` hook runs (so ``coverage run -m starpart.cli`` records nothing).
-:func:`main` returns the exit code instead, for callers in the same process.
+script enters through :func:`run`, which caches the bytecode of the modules
+it ran and ends the process once its output is flushed: no module teardown,
+no final garbage collection, and no ``atexit`` hook runs (so ``coverage run
+-m starpart.cli`` records nothing).  :func:`main` returns the exit code
+instead, for callers in the same process, and writes no bytecode.
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ import json
 import os
 import sys
 import time
+from importlib.util import MAGIC_NUMBER
 from pathlib import Path
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 
 from . import configs, density, discharging, fii, generators, starcolor
 from .graphs import (FORMATS, Graph, GraphError, parse_graph, serialize_graph,
@@ -716,7 +718,8 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     """The process entry: :func:`main` on ``sys.argv``, then flush stdout and
-    stderr and end the process with the exit code.  ``os._exit`` skips the
+    stderr, cache the bytecode of each starpart module that ran (the next call
+    loads it), and end the process with the exit code.  ``os._exit`` skips the
     interpreter's teardown, which frees what no answer needs.  A flush that
     fails (the reader went away) exits ``EXIT_USAGE``, as ``main`` does on a
     broken pipe, and leaves nothing for the interpreter to report."""
@@ -726,7 +729,33 @@ def run() -> None:
             stream.flush()
         except OSError:
             code = EXIT_USAGE
+    for m in list(sys.modules.values()):
+        spec = m.__spec__ if type(m) is ModuleType else None  # runs no lazy module
+        if spec and spec.name.partition(".")[0] == "starpart" and spec.cached:
+            try:
+                _cache_bytecode(spec.origin, spec.cached)
+            except Exception:  # the answer is out: a cache must not change it
+                pass
     os._exit(code)
+
+
+def _cache_bytecode(source: str, cached: str) -> None:
+    """Compile ``source`` to ``cached`` unless the header there matches the
+    source's mtime and size; a stale file never runs, as every load checks it.
+    Done even under ``PYTHONDONTWRITEBYTECODE``, since each call is a new
+    process.  A directory that cannot take the file costs a ``stat``."""
+    st = os.stat(source)
+    stamp = int(st.st_mtime) & 0xFFFFFFFF | (st.st_size & 0xFFFFFFFF) << 32
+    if os.path.isfile(cached) and Path(cached).read_bytes()[:16] == (
+            MAGIC_NUMBER + bytes(4) + stamp.to_bytes(8, "little")):
+        return
+    room = os.path.dirname(cached)
+    while not os.path.lexists(room) and room != os.path.dirname(room):
+        room = os.path.dirname(room)
+    if os.path.isdir(room) and os.access(room, os.W_OK):
+        import py_compile  # only a call that writes imports it
+        py_compile.compile(source, cached, quiet=2, invalidation_mode=(
+            py_compile.PycInvalidationMode.TIMESTAMP))
 
 
 if __name__ == "__main__":

@@ -259,8 +259,8 @@ def parse_graph6(text: str | bytes) -> Graph:
         raise ParseError(f"invalid graph6 byte {body[bad.start()]}",
                          offset=pos + bad.start())
     edges = []
-    for hit in re.finditer(rb"[^?]", body):
-        k = hit.start()
+    marks, k = body.translate(_G6_SET), -1
+    while (k := marks.find(1, k + 1)) >= 0:
         for b in _G6_BITS[body[k]]:
             p = 6 * k + b
             if p < nbits:
@@ -269,8 +269,8 @@ def parse_graph6(text: str | bytes) -> Graph:
     return Graph(n, edges)
 
 
-#: the bytes a graph6 body may hold, 63-126 (for ``bytes.translate``)
-_G6_BYTES = bytes(range(63, 127))
+#: for ``bytes.translate``: the graph6 body bytes (63-126); 0 for "?", else 1
+_G6_BYTES, _G6_SET = bytes(range(63, 127)), bytes(c != 63 for c in range(256))
 #: for each body byte, the positions b (0 = most significant) of its set bits
 _G6_BITS = [tuple(b for b in range(6) if (c - 63) & (32 >> b))
             if 63 <= c <= 126 else () for c in range(256)]

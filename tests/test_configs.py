@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import random
 import time
 import tracemalloc
@@ -8,14 +9,14 @@ from fractions import Fraction
 import pytest
 
 from starpart.graphs import (Graph, VertexClass, balls2, classify_vertices,
-                             find_pendent_triangles, triangle_split)
+                             find_pendent_triangles, to_graph6, triangle_split)
 from starpart.generators import (gen_complete, gen_cycle, gen_g5n,
                                  gen_mad_bounded, gen_path, gen_star)
 from starpart.density import mad, mad_le_8_3, rho_star
 from starpart.configs import (ALL_CONFIG_IDS, ConfigMatch, GADGET_BUDGET,
                               attach_gadget, gadget_by_name, reduction_plan,
                               scan_configs, verify_lemma_extension)
-from starpart import configs, fii, instances
+from starpart import cli, configs, fii, instances
 from starpart.fii import enumerate_fii, find_fii
 
 _W = VertexClass
@@ -587,6 +588,30 @@ def test_c8_plan_uses_triangle_mod():
     g, match = instances.shipped_match("C8")
     plan = reduction_plan(g, match)
     assert plan.mods == (("triangle", 7),)
+
+
+def test_cp3_matches_with_no_plan_are_pinned(tmp_path, capsys):
+    # a known gap: the scanner takes a V4 with at least 2 W2 neighbours in
+    # W235, and the catalogue has a plan only for >= 2 W5 or four W2.  Either
+    # the scan over-matches or a plan is missing; until the configuration's
+    # definition settles which, these matches stay unplanned
+    detail = "no cataloged reduction for this Cp3 sub-shape at {}"
+    for n, seed, v, around in ((60, 3, 8, ["W2", "W2", "W3", "W3"]),
+                               (20, 19, 7, ["W2", "W2", "W2", "W3"])):
+        g = gen_mad_bounded(n, Fraction(8, 3), seed)
+        match = scan_configs(g, ["Cp3"])[0]
+        cls = classify_vertices(g)
+        assert (match.role("v"), cls[v]) == (v, _W.V4)
+        assert sorted(cls[u].value for u in g.adj[v]) == around
+        with pytest.raises(ValueError, match=f"^{detail.format(v)}$"):
+            reduction_plan(g, match)
+    # the CLI reports it as a usage error, not as an internal one
+    path = tmp_path / "host.g6"
+    path.write_text(to_graph6(g) + "\n")
+    code = cli.main(["--json", "lemma-check", str(path), "--config", "Cp3",
+                     "--match-index", "0"])
+    assert (code, json.loads(capsys.readouterr().out)) == (
+        2, {"schema": 1, "error": "usage", "detail": detail.format(7)})
 
 
 def test_cp3_plan_uses_edge_mod():

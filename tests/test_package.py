@@ -1,12 +1,14 @@
 """The package's lazy submodules: what ``import starpart`` exposes, and
-which modules a CLI call leaves unexecuted or never imports; and the CLI
-process itself, which must print and exit exactly as ``main`` returns."""
+which modules a CLI call leaves unexecuted or never imports; the CLI
+process itself, which must print and exit exactly as ``main`` returns; and
+the bytecode that process leaves for the next one."""
 
 import ast
 import importlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -354,13 +356,16 @@ def test_run_flushes_then_exits_with_the_code(monkeypatch, capsys, tmp_path,
     from starpart import cli
     graph = tmp_path / "triangle.el"
     graph.write_text("0 1\n1 2\n0 2\n")
-    exits = []
+    exits, cached = [], []
     monkeypatch.setattr(os, "_exit", exits.append)
+    # record, rather than write into the source tree, what run() would cache
+    monkeypatch.setattr(cli, "_cache_bytecode", lambda source, _: cached.append(source))
     monkeypatch.setattr(sys, "argv", ["starpart", "--json", "girth", str(graph)])
     out = stdout()
     monkeypatch.setattr(sys, "stdout", out)
     cli.run()
     assert exits == [code]
+    assert cli.__file__ in cached
     assert json.loads(out.getvalue())["girth"] == 3
     assert capsys.readouterr().err == ""
 
@@ -370,3 +375,112 @@ def test_console_script_enters_through_run():
     with open(Path(SRC).parent / "pyproject.toml", "rb") as f:
         scripts = tomllib.load(f)["project"]["scripts"]
     assert scripts == {"starpart": "starpart.cli:run"}
+
+
+# -- the bytecode a CLI process leaves ----------------------------------------
+#
+# Each test runs a copy of the package under tmp_path with
+# PYTHONDONTWRITEBYTECODE=1, so the interpreter itself writes no bytecode and
+# nothing is written into the source tree.
+
+@pytest.fixture
+def copy_root(tmp_path):
+    """A directory holding a copy of the starpart sources and no bytecode,
+    beside a triangle at ``tmp_path / "triangle.g6"``."""
+    root = tmp_path / "src"
+    shutil.copytree(Path(SRC, "starpart"), root / "starpart",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp_path / "triangle.g6").write_text("Bw\n")
+    return root
+
+
+def _copy_cli(root: Path, *argv: str, flags: tuple[str, ...] = ()):
+    """``python [flags] -m starpart.cli argv`` on the copy at ``root``."""
+    env = dict(os.environ, PYTHONPATH=str(root), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, *flags, "-m", "starpart.cli", *argv],
+                          env=env, cwd=root.parent, capture_output=True,
+                          text=True, timeout=60)
+
+
+def _cached(root: Path) -> dict[str, int]:
+    """Module name -> ``st_mtime_ns`` of each bytecode file in the copy."""
+    return {p.name.split(".")[0]: p.stat().st_mtime_ns
+            for p in (root / "starpart" / "__pycache__").iterdir()}
+
+
+def _imported(proc, name: str) -> bool:
+    """Whether a ``-X importtime`` run imported the module ``name``."""
+    return any(line.rsplit("|", 1)[-1].strip() == name
+               for line in proc.stderr.splitlines())
+
+
+def test_cold_call_caches_the_modules_it_ran(copy_root):
+    argv = ("--json", "girth", "triangle.g6")
+    proc = _copy_cli(copy_root, *argv, flags=("-X", "importtime"))
+    assert (proc.returncode, json.loads(proc.stdout)["girth"]) == (0, 3)
+    assert _imported(proc, "py_compile")
+    assert sorted(_cached(copy_root)) == ["__init__", "cli", "graphs"]
+
+
+def test_warm_call_compiles_and_rewrites_nothing(copy_root):
+    argv = ("--json", "girth", "triangle.g6")
+    _copy_cli(copy_root, *argv)
+    cold = _cached(copy_root)
+    proc = _copy_cli(copy_root, *argv, flags=("-v",))
+    assert proc.returncode == 0
+    assert _cached(copy_root) == cold
+    # -v names the file each module's code came from: for starpart's, the
+    # bytecode, never the source
+    pkg = str(copy_root / "starpart")
+    loaded = [line.split(" from ", 1)[1].strip("'")
+              for line in proc.stderr.splitlines()
+              if line.startswith("# code object from") and pkg in line]
+    cache, tag = Path(pkg, "__pycache__"), sys.implementation.cache_tag
+    assert sorted(loaded) == sorted(str(cache / f"{m}.{tag}.pyc") for m in cold)
+
+
+def test_edited_source_runs_and_only_its_bytecode_is_rewritten(copy_root):
+    argv = ("--json", "girth", "triangle.g6")
+    _copy_cli(copy_root, *argv)
+    cold = _cached(copy_root)
+    with open(copy_root / "starpart" / "graphs.py", "a") as f:
+        f.write("\n_girth = girth\n\n\ndef girth(g):\n    return _girth(g) + 1\n")
+    proc = _copy_cli(copy_root, *argv)
+    assert json.loads(proc.stdout)["girth"] == 4
+    warm = _cached(copy_root)
+    assert warm.keys() == cold.keys()
+    assert [m for m in cold if warm[m] != cold[m]] == ["graphs"]
+    assert json.loads(_copy_cli(copy_root, *argv).stdout)["girth"] == 4
+    assert _cached(copy_root) == warm
+
+
+def test_unwritable_cache_changes_no_output_and_compiles_nothing(copy_root, capsys):
+    (copy_root / "starpart" / "__pycache__").write_bytes(b"")
+    argv = ["--json", "girth", "triangle.g6"]
+    proc = _copy_cli(copy_root, *argv, flags=("-X", "importtime"))
+    assert (proc.returncode, proc.stdout) == (0, '{"command": "girth", '
+                                              '"girth": 3, "schema": 1}\n')
+    assert not _imported(proc, "py_compile")
+    assert "Error" not in proc.stderr
+    assert (copy_root / "starpart" / "__pycache__").read_bytes() == b""
+
+
+def test_in_process_main_writes_no_bytecode(copy_root):
+    env = dict(os.environ, PYTHONPATH=str(copy_root), PYTHONDONTWRITEBYTECODE="1")
+    code = ("import sys, starpart\n"
+            "from starpart import cli\n"
+            "sys.exit(cli.main(['--json', 'girth', 'triangle.g6']))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=copy_root.parent,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, json.loads(proc.stdout)["girth"]) == (0, 3)
+    assert not (copy_root / "starpart" / "__pycache__").exists()
+
+
+@pytest.mark.parametrize("sub", _BENCH_CALLS)
+def test_cold_and_warm_calls_print_the_same(tmp_path, copy_root, sub):
+    argv = ["--json", *_bench_argv(tmp_path, sub)]
+    cold = _copy_cli(copy_root, *argv)
+    assert _cached(copy_root)
+    warm = _copy_cli(copy_root, *argv)
+    assert (warm.returncode, warm.stdout) == (cold.returncode, cold.stdout)
+    assert cold.returncode in (0, 1), cold.stderr
