@@ -394,12 +394,15 @@ def copy_root(tmp_path):
     return root
 
 
-def _copy_cli(root: Path, *argv: str, flags: tuple[str, ...] = ()):
-    """``python [flags] -m starpart.cli argv`` on the copy at ``root``."""
+#: a CLI call on the triangle beside the copy, as argv after ``python``
+_GIRTH = ("-m", "starpart.cli", "--json", "girth", "triangle.g6")
+
+
+def _copy_python(root: Path, *args: str) -> subprocess.CompletedProcess:
+    """``python args`` on the copy at ``root``, run beside it."""
     env = dict(os.environ, PYTHONPATH=str(root), PYTHONDONTWRITEBYTECODE="1")
-    return subprocess.run([sys.executable, *flags, "-m", "starpart.cli", *argv],
-                          env=env, cwd=root.parent, capture_output=True,
-                          text=True, timeout=60)
+    return subprocess.run([sys.executable, *args], env=env, cwd=root.parent,
+                          capture_output=True, text=True, timeout=60)
 
 
 def _cached(root: Path) -> dict[str, int]:
@@ -415,18 +418,16 @@ def _imported(proc, name: str) -> bool:
 
 
 def test_cold_call_caches_the_modules_it_ran(copy_root):
-    argv = ("--json", "girth", "triangle.g6")
-    proc = _copy_cli(copy_root, *argv, flags=("-X", "importtime"))
+    proc = _copy_python(copy_root, "-X", "importtime", *_GIRTH)
     assert (proc.returncode, json.loads(proc.stdout)["girth"]) == (0, 3)
     assert _imported(proc, "py_compile")
     assert sorted(_cached(copy_root)) == ["__init__", "cli", "graphs"]
 
 
 def test_warm_call_compiles_and_rewrites_nothing(copy_root):
-    argv = ("--json", "girth", "triangle.g6")
-    _copy_cli(copy_root, *argv)
+    _copy_python(copy_root, *_GIRTH)
     cold = _cached(copy_root)
-    proc = _copy_cli(copy_root, *argv, flags=("-v",))
+    proc = _copy_python(copy_root, "-v", *_GIRTH)
     assert proc.returncode == 0
     assert _cached(copy_root) == cold
     # -v names the file each module's code came from: for starpart's, the
@@ -440,47 +441,41 @@ def test_warm_call_compiles_and_rewrites_nothing(copy_root):
 
 
 def test_edited_source_runs_and_only_its_bytecode_is_rewritten(copy_root):
-    argv = ("--json", "girth", "triangle.g6")
-    _copy_cli(copy_root, *argv)
+    _copy_python(copy_root, *_GIRTH)
     cold = _cached(copy_root)
     with open(copy_root / "starpart" / "graphs.py", "a") as f:
         f.write("\n_girth = girth\n\n\ndef girth(g):\n    return _girth(g) + 1\n")
-    proc = _copy_cli(copy_root, *argv)
-    assert json.loads(proc.stdout)["girth"] == 4
-    warm = _cached(copy_root)
-    assert warm.keys() == cold.keys()
-    assert [m for m in cold if warm[m] != cold[m]] == ["graphs"]
-    assert json.loads(_copy_cli(copy_root, *argv).stdout)["girth"] == 4
-    assert _cached(copy_root) == warm
+    assert json.loads(_copy_python(copy_root, *_GIRTH).stdout)["girth"] == 4
+    edited = _cached(copy_root)
+    assert edited.keys() == cold.keys()
+    assert [m for m in cold if edited[m] != cold[m]] == ["graphs"]
+    assert json.loads(_copy_python(copy_root, *_GIRTH).stdout)["girth"] == 4
+    assert _cached(copy_root) == edited
 
 
-def test_unwritable_cache_changes_no_output_and_compiles_nothing(copy_root, capsys):
+def test_unwritable_cache_changes_no_output_and_compiles_nothing(copy_root):
     (copy_root / "starpart" / "__pycache__").write_bytes(b"")
-    argv = ["--json", "girth", "triangle.g6"]
-    proc = _copy_cli(copy_root, *argv, flags=("-X", "importtime"))
-    assert (proc.returncode, proc.stdout) == (0, '{"command": "girth", '
-                                              '"girth": 3, "schema": 1}\n')
+    proc = _copy_python(copy_root, "-X", "importtime", *_GIRTH)
+    assert (proc.returncode, proc.stdout) == (
+        0, '{"command": "girth", "girth": 3, "schema": 1}\n')
     assert not _imported(proc, "py_compile")
     assert "Error" not in proc.stderr
     assert (copy_root / "starpart" / "__pycache__").read_bytes() == b""
 
 
 def test_in_process_main_writes_no_bytecode(copy_root):
-    env = dict(os.environ, PYTHONPATH=str(copy_root), PYTHONDONTWRITEBYTECODE="1")
-    code = ("import sys, starpart\n"
-            "from starpart import cli\n"
-            "sys.exit(cli.main(['--json', 'girth', 'triangle.g6']))\n")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=copy_root.parent,
-                          capture_output=True, text=True, timeout=60)
+    proc = _copy_python(copy_root, "-c", "import sys, starpart\n"
+                        "from starpart import cli\n"
+                        "sys.exit(cli.main(sys.argv[1:]))", *_GIRTH[2:])
     assert (proc.returncode, json.loads(proc.stdout)["girth"]) == (0, 3)
     assert not (copy_root / "starpart" / "__pycache__").exists()
 
 
 @pytest.mark.parametrize("sub", _BENCH_CALLS)
 def test_cold_and_warm_calls_print_the_same(tmp_path, copy_root, sub):
-    argv = ["--json", *_bench_argv(tmp_path, sub)]
-    cold = _copy_cli(copy_root, *argv)
+    argv = ["-m", "starpart.cli", "--json", *_bench_argv(tmp_path, sub)]
+    cold = _copy_python(copy_root, *argv)
     assert _cached(copy_root)
-    warm = _copy_cli(copy_root, *argv)
+    warm = _copy_python(copy_root, *argv)
     assert (warm.returncode, warm.stdout) == (cold.returncode, cold.stdout)
     assert cold.returncode in (0, 1), cold.stderr
