@@ -740,15 +740,16 @@ def run() -> None:
 
 
 def _cache_bytecode(source: str, cached: str) -> None:
-    """Compile ``source`` to ``cached`` unless the header there matches the
-    source's mtime and size; a stale file never runs, as every load checks it.
+    """Compile ``source`` to ``cached`` unless the file's PEP 552 header
+    matches the source; a stale file never runs, as every load checks it.
     Done even under ``PYTHONDONTWRITEBYTECODE``, since each call is a new
     process.  A directory that cannot take the file costs a ``stat``."""
     st = os.stat(source)
     stamp = int(st.st_mtime) & 0xFFFFFFFF | (st.st_size & 0xFFFFFFFF) << 32
-    if os.path.isfile(cached) and Path(cached).read_bytes()[:16] == (
-            MAGIC_NUMBER + bytes(4) + stamp.to_bytes(8, "little")):
-        return
+    if os.path.isfile(cached):
+        with open(cached, "rb") as f:  # the header only, not the code
+            if f.read(16) == MAGIC_NUMBER + bytes(4) + stamp.to_bytes(8, "little"):
+                return
     room = os.path.dirname(cached)
     while not os.path.lexists(room) and room != os.path.dirname(room):
         room = os.path.dirname(room)

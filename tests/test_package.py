@@ -398,9 +398,14 @@ def copy_root(tmp_path):
 _GIRTH = ("-m", "starpart.cli", "--json", "girth", "triangle.g6")
 
 
-def _copy_python(root: Path, *args: str) -> subprocess.CompletedProcess:
-    """``python args`` on the copy at ``root``, run beside it."""
+def _copy_python(root: Path, *args: str,
+                 prefix: Path | None = None) -> subprocess.CompletedProcess:
+    """``python args`` on the copy at ``root``, run beside it; its bytecode
+    goes beside the copy, or under ``prefix`` as ``PYTHONPYCACHEPREFIX``."""
     env = dict(os.environ, PYTHONPATH=str(root), PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONPYCACHEPREFIX", None)
+    if prefix is not None:
+        env["PYTHONPYCACHEPREFIX"] = str(prefix)
     return subprocess.run([sys.executable, *args], env=env, cwd=root.parent,
                           capture_output=True, text=True, timeout=60)
 
@@ -461,6 +466,17 @@ def test_unwritable_cache_changes_no_output_and_compiles_nothing(copy_root):
     assert not _imported(proc, "py_compile")
     assert "Error" not in proc.stderr
     assert (copy_root / "starpart" / "__pycache__").read_bytes() == b""
+
+
+def test_cache_follows_the_pycache_prefix(copy_root, tmp_path):
+    # the prefix mirrors the copy's path in directories no process made yet
+    prefix = tmp_path / "prefix"
+    proc = _copy_python(copy_root, *_GIRTH, prefix=prefix)
+    assert (proc.returncode, json.loads(proc.stdout)["girth"]) == (0, 3)
+    assert not (copy_root / "starpart" / "__pycache__").exists()
+    cache = prefix / (copy_root / "starpart").relative_to(copy_root.anchor)
+    assert sorted(p.name.split(".")[0] for p in cache.iterdir()) == [
+        "__init__", "cli", "graphs"]
 
 
 def test_in_process_main_writes_no_bytecode(copy_root):

@@ -21,7 +21,14 @@ the head's wins and ties, and a verdict:
   differ by more than the distance between the base's quartiles;
 - ``worse``: the head's median is worse than the base's by more than the
   metric's bound, read as a fraction of the base's median;
+- ``unresolved``: the base's own quartiles lie further apart than that
+  bound, and not every head run is better than every base run, so the runs
+  cannot tell "within bound" from worse;
 - ``within bound`` otherwise.
+
+The runs inherit this process's environment, ``PYTHONDONTWRITEBYTECODE``
+included (recorded in the file), less ``PYTHONPYCACHEPREFIX``, so that each
+tree's bytecode stays in the tree that every run starts by clearing.
 """
 
 from __future__ import annotations
@@ -64,10 +71,11 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``perfbench/run.py`` run in ``tree``: its result line and env."""
     for cache in list(tree.rglob("__pycache__")):
         shutil.rmtree(cache)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPYCACHEPREFIX"}
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds)],
-        cwd=tree, capture_output=True, text=True)
+        cwd=tree, env=env, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode or not lines:
         raise SystemExit(f"ab: run in {tree} exited {proc.returncode}:\n"
@@ -96,6 +104,9 @@ def summarize(pairs: list[dict], metric: dict) -> dict:
         verdict = "gain"
     elif -gain > metric["bound"] * abs(b["median"]):
         verdict = "worse"
+    elif b["q3"] - b["q1"] > metric["bound"] * abs(b["median"]) and \
+            max(sign * x for x in head) >= min(sign * x for x in base):
+        verdict = "unresolved"
     else:
         verdict = "within bound"
     return {"unit": metric["unit"], "better": metric["better"],
@@ -147,6 +158,8 @@ def main(argv: list[str] | None = None) -> int:
            "machine": {"python": platform.python_version(),
                        "nproc": len(os.sched_getaffinity(0)),
                        "platform": platform.platform()},
+           "environ": {"PYTHONDONTWRITEBYTECODE":
+                       os.environ.get("PYTHONDONTWRITEBYTECODE")},
            "pairs": pairs,
            "summary": {m["name"]: summarize(pairs, m) for m in bench["end_to_end"]}}
     out = root / f"BENCH_{args.tag}.json"
