@@ -1,0 +1,33 @@
+"""The verdicts of ``tools/ab.py`` on made-up pairs of runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "ab", Path(__file__).resolve().parent.parent / "tools" / "ab.py")
+ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab)
+
+
+def _verdict(base, head, better="lower", bound=0.1):
+    pairs = [{"base": {"metrics": {"m": b}}, "head": {"metrics": {"m": h}}}
+             for b, h in zip(base, head)]
+    return ab.summarize(pairs, {"name": "m", "unit": "s", "better": better,
+                                "bound": bound})["verdict"]
+
+
+@pytest.mark.parametrize("base, head, better, verdict", [
+    # wins every pair, by more than the base's quartile spread
+    ([1.0, 1.5, 1.0, 1.5], [0.5, 0.6, 0.5, 0.6], "lower", "gain"),
+    ([1.0, 1.01, 1.0, 1.01], [1.3, 1.31, 1.3, 1.31], "lower", "worse"),
+    ([1.0, 1.01, 1.0, 1.01], [1.02, 1.03, 1.02, 1.03], "lower", "within bound"),
+    # the base spreads past the bound: a small difference tells nothing
+    ([1.0, 1.5, 1.0, 1.5], [1.05, 1.4, 1.05, 1.4], "lower", "unresolved"),
+    ([1.0, 1.5, 1.0, 1.5], [1.2, 1.3, 1.2, 1.3], "higher", "unresolved"),
+    # ... unless every head run is better than every base run
+    ([1.0, 1.5, 1.0, 1.5], [1.6, 1.7, 1.6, 1.7], "higher", "within bound"),
+])
+def test_summarize_verdicts(base, head, better, verdict):
+    assert _verdict(base, head, better) == verdict
