@@ -270,10 +270,12 @@ def attach_gadget(g: Graph, at: int, gadget: tuple) -> Graph:
     w = gadget[1]
     if not 0 <= w < g.n:
         raise ValueError(f"vertex {w} out of range")
+    if w == at:
+        raise ValueError(f"{kind} ({at}, {w}) joins vertex {at} to itself")
     if kind == "path2":
         return g.with_additions(1, [(at, n), (n, w)])
-    if w == at or g.has_edge(at, w):
-        raise ValueError(f"edge ({at}, {w}) invalid or present")
+    if g.has_edge(at, w):
+        raise ValueError(f"edge ({at}, {w}) already present")
     return g.with_additions(0, [(at, w)])
 
 
@@ -286,7 +288,7 @@ def gadget_by_name(name: str) -> tuple:
         return ("triangle",)
     if name in ("j1", "j2"):
         return (name,)
-    if colon and kind in ("edge", "path2"):
+    if colon and kind in ("edge", "path2") and target.isdecimal():
         return (kind, int(target))
     raise ValueError(f"unknown gadget {name!r}")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .graphs import Graph, per_graph
+from .graphs import Graph, bfs_order, peel_2core, per_graph
 
 _ORACLE_LIMIT = 24
 
@@ -129,30 +129,17 @@ def _core_density(g: Graph) -> Fraction:
     Vertices of degree <= 1 are peeled; each component's edges are counted
     from the degrees that remain, so this takes O(n + m).
     """
-    deg = [len(a) for a in g.adj]
-    gone = [d <= 1 for d in deg]
-    stack = [v for v in range(g.n) if gone[v]]
-    while stack:
-        for w in g.adj[stack.pop()]:
-            if not gone[w]:
-                deg[w] -= 1
-                if deg[w] <= 1:
-                    gone[w] = True
-                    stack.append(w)
+    deg = g.degrees()
+    gone = [False] * g.n
+    peel_2core(g, deg, gone, [v for v in range(g.n) if deg[v] <= 1])
+    core = {v for v in range(g.n) if not gone[v]}
     best_e, best_k = 0, 1
     for s in range(g.n):
-        if gone[s]:
-            continue
-        gone[s] = True
-        comp, twice_e = [s], 0
-        for v in comp:
-            twice_e += deg[v]
-            for w in g.adj[v]:
-                if not gone[w]:
-                    gone[w] = True
-                    comp.append(w)
-        if twice_e * best_k > 2 * best_e * len(comp):
-            best_e, best_k = twice_e // 2, len(comp)
+        if s in core:
+            comp = bfs_order(g, s, core)
+            twice_e = sum(map(deg.__getitem__, comp))
+            if twice_e * best_k > 2 * best_e * len(comp):
+                best_e, best_k = twice_e // 2, len(comp)
     return Fraction(best_e, best_k)
 
 

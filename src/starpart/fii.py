@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Iterator, NamedTuple
 
-from .graphs import Graph, balls2, neighbor_sets, per_graph
+from .graphs import Graph, balls2, bfs_order, neighbor_sets, per_graph
 from .starcolor import BudgetExhausted, Coloring, backtrack, is_star_coloring
 from . import density
 
@@ -320,19 +320,10 @@ class _Solver:
 def _branch_orders(g: Graph) -> tuple[tuple[int, ...], ...]:
     """One branch order per connected component: BFS from its highest-degree
     vertex, ties broken by id, neighbors visited in id order."""
-    seen = [False] * g.n
-    orders = []
-    for comp in g.components():
-        root = max(comp, key=g.degree)  # comp is sorted: the first maximum
-        seen[root] = True
-        order = [root]
-        for v in order:  # grows while it is walked: a BFS queue
-            for w in g.adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    order.append(w)
-        orders.append(tuple(order))
-    return tuple(orders)
+    free = set(range(g.n))
+    # each comp is sorted, so max takes its first maximum
+    return tuple(tuple(bfs_order(g, max(comp, key=g.degree), free))
+                 for comp in g.components())
 
 
 def find_fii(g: Graph, k: int = 2, forcing: bool = True,

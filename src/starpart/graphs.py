@@ -145,20 +145,9 @@ class Graph:
         """The components of G[within] (default: all of G), each sorted,
         ordered by least vertex."""
         left = set(range(self.n) if within is None else within)
-        out = []
-        for s in sorted(left):
-            if s not in left:
-                continue
-            left.discard(s)
-            comp = [s]
-            for u in comp:  # grows while it is walked: a BFS queue
-                for w in self.adj[u]:
-                    if w in left:
-                        left.discard(w)
-                        comp.append(w)
-            comp.sort()
-            out.append(comp)
-        return out
+        # each walk takes its component out of left
+        return [sorted(bfs_order(self, s, left)) for s in sorted(left)
+                if s in left]
 
     def is_forest(self) -> bool:
         # each component has at least |C| - 1 edges, and a tree exactly that
@@ -401,25 +390,30 @@ def sniff_format(text: str) -> str:
     """Guess the format from the first nonblank line.  Plain graph6 is a
     whole text of one whitespace-free line whose size header parses and
     whose length fits that size, whatever its body characters are: a bad
-    one is then reported by ``parse_graph6``, not read as an edge list."""
-    for line in text.splitlines():
-        s = line.strip()
-        if not s:
-            continue
-        if s.startswith(("c ", "c\t", "p ")) or s == "c":
-            return "dimacs"
-        if s.startswith(">>graph6<<"):
+    one is then reported by ``parse_graph6``, not read as an edge list.
+
+    Every line break is whitespace, so the stripped text's first token
+    ``head`` is that line's first token, and the line holds ``head`` alone
+    when the whitespace ``gap`` after it breaks the line or nothing follows.
+    """
+    t = text.strip()
+    head, *rest = t.split(None, 1) or [""]
+    gap = t[len(head):len(t) - len(rest[0])] if rest else ""
+    alone = gap.splitlines() != [gap]
+    if (head == "c" and (alone or gap[0] in " \t")
+            or head == "p" and not alone and gap[0] == " "):
+        return "dimacs"
+    if t.startswith(">>graph6<<"):
+        return "graph6"
+    if not rest:
+        try:
+            # the header is at most 8 characters; any non-ASCII one
+            # encodes to bytes the header cannot hold
+            n, pos = _g6_number(t[:8].encode(), 0)
+        except ParseError:
+            return "edgelist"
+        if len(t) - pos == (n * (n - 1) // 2 + 5) // 6:
             return "graph6"
-        if s == text.strip() and not re.search(r"\s", s):
-            try:
-                # the header is at most 8 characters; any non-ASCII one
-                # encodes to bytes the header cannot hold
-                n, pos = _g6_number(s[:8].encode(), 0)
-            except ParseError:
-                return "edgelist"
-            if len(s) - pos == (n * (n - 1) // 2 + 5) // 6:
-                return "graph6"
-        return "edgelist"
     return "edgelist"
 
 
@@ -441,6 +435,38 @@ def serialize_graph(g: Graph, fmt: str) -> str:
 # Structural queries
 # ---------------------------------------------------------------------------
 
+def bfs_order(g: Graph, root: int, free: set[int]) -> list[int]:
+    """The vertices reachable from ``root`` through ``free``, in BFS order
+    with neighbours in adjacency order.  Each is removed from ``free`` as it
+    is reached, ``root`` first, so one call from each vertex still free
+    splits ``free`` into the components of G[free]."""
+    free.discard(root)
+    order = [root]
+    for u in order:  # grows while it is walked: a BFS queue
+        for w in g.adj[u]:
+            if w in free:
+                free.remove(w)
+                order.append(w)
+    return order
+
+
+def peel_2core(g: Graph, deg: list[int], gone: list[bool],
+               stack: list[int]) -> None:
+    """Delete the vertices on ``stack``, then every vertex whose degree
+    falls to 1.  ``gone`` marks the deleted vertices and ``deg`` counts each
+    vertex's neighbours not yet deleted; both are updated in place.  If the
+    stack holds every vertex left of degree at most 1, the vertices left
+    afterwards are the 2-core of what was left less the stack."""
+    while stack:
+        v = stack.pop()
+        gone[v] = True
+        for w in g.adj[v]:
+            if not gone[w]:
+                deg[w] -= 1
+                if deg[w] == 1:
+                    stack.append(w)
+
+
 def girth(g: Graph) -> int | float:
     """Length of a shortest cycle, or ``INFINITY`` for forests.
 
@@ -458,18 +484,7 @@ def girth(g: Graph) -> int | float:
     deg = g.degrees()
     gone = [False] * g.n
     best: int | float = INFINITY
-
-    def delete(stack: list[int]) -> None:
-        while stack:
-            v = stack.pop()
-            gone[v] = True
-            for w in g.adj[v]:
-                if not gone[w]:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        stack.append(w)
-
-    delete([v for v in range(g.n) if deg[v] <= 1])
+    peel_2core(g, deg, gone, [v for v in range(g.n) if deg[v] <= 1])
     for root in range(g.n):
         if gone[root]:
             continue
@@ -487,7 +502,7 @@ def girth(g: Graph) -> int | float:
                     q.append(w)
                 elif dist[w] >= dist[u]:
                     best = min(best, dist[u] + dist[w] + 1)
-        delete([root])
+        peel_2core(g, deg, gone, [root])
     return best
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -796,3 +797,36 @@ def test_help_covers_the_whole_table(capsys, flag):
             for option, spec in options:
                 assert f"  {option} " in text and spec["help"] in text, \
                     (argv, option)
+
+
+#: seeds of the input fuzzer: one text per format, each edited byte by byte
+_FUZZ_TEXTS = (to_graph6(gen_g5n(1)).encode(), b">>graph6<<Dhc\n",
+               b"0 1\n1 2\n2 0\n2 3\n", b"c k4\np edge 4 3\ne 1 2\ne 2 3\ne 3 4\n")
+_FUZZ_BYTES = b" \t\n\r\x0b\x0c\x1c\x85\xa0\xe9\xffcpe0123456789-:~?@_>"
+
+
+def test_byte_edited_inputs_never_exit_4(capsys, tmp_path):
+    # seeded byte edits in every --format mode: a bad input is a usage
+    # error (2) or an answer (0, 1, 3), never an internal error (4)
+    rng = random.Random(27)
+    path = tmp_path / "fuzz"
+    codes = set()
+    for i in range(400):
+        text = bytearray(rng.choice(_FUZZ_TEXTS))
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(text) + 1)
+            byte = rng.choice(_FUZZ_BYTES)
+            edit = rng.randrange(3)
+            if edit == 0:
+                text.insert(at, byte)
+            elif at < len(text):
+                text[at:at + 1] = b"" if edit == 1 else bytes([byte])
+        path.write_bytes(bytes(text))
+        sub = ("girth", "mad", "classify", "star5")[i % 4]
+        for fmt in ("auto", "graph6", "edgelist", "dimacs"):
+            code = main(["--json", "--timeout-ms", "300", sub, str(path),
+                         "--format", fmt])
+            out = capsys.readouterr()
+            assert code in (0, 1, 2, 3), (bytes(text), sub, fmt, out.err)
+            codes.add(code)
+    assert {0, 2} <= codes

@@ -351,12 +351,18 @@ def test_gadget_errors():
         attach_gadget(g, 0, ("edge", 0))
     with pytest.raises(ValueError):
         attach_gadget(g, 0, ("path2", 4))
+    # a gadget back to its own attachment point names that point, not the
+    # new middle vertex of path2
+    with pytest.raises(ValueError, match=r"^path2 \(2, 2\) joins vertex 2 to itself$"):
+        attach_gadget(g, 2, ("path2", 2))
     with pytest.raises(ValueError):
         attach_gadget(g, 0, ("j3",))
     with pytest.raises(ValueError):
         gadget_by_name("nope")
     with pytest.raises(ValueError):
         gadget_by_name("edge")
+    with pytest.raises(ValueError, match="^unknown gadget 'edge:x'$"):
+        gadget_by_name("Edge:x")
     assert gadget_by_name(" J2 ") == ("j2",) and gadget_by_name("j1") == ("j1",)
     for name in ("triangle", "Pendent-Triangle", "PT"):
         assert gadget_by_name(name) == ("triangle",)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 import types
 
 import pytest
@@ -12,7 +13,7 @@ from starpart.graphs import (FORMATS, Graph, GraphError, ParseError,
                              parse_dimacs, parse_graph, parse_graph6,
                              serialize_graph, sniff_format, to_dimacs,
                              to_edge_list, to_graph6, balls2, neighbor_sets,
-                             triangle_split)
+                             triangle_split, _g6_number)
 from starpart.generators import gen_cycle, gen_complete, gen_g5n, gen_path
 from starpart.fii import _branch_orders
 
@@ -249,6 +250,43 @@ def test_sniff_format():
     assert sniff_format("gamma\nalpha beta\n") == "edgelist"
     assert sniff_format("gamma\n") == "edgelist"
     assert parse_graph("gamma\nalpha beta\n").names == ("gamma", "alpha", "beta")
+
+
+def _sniff_reference(text):
+    """The line-by-line rule ``sniff_format`` must keep."""
+    for line in text.splitlines():
+        s = line.strip()
+        if not s:
+            continue
+        if s.startswith(("c ", "c\t", "p ")) or s == "c":
+            return "dimacs"
+        if s.startswith(">>graph6<<"):
+            return "graph6"
+        if s == text.strip() and not re.search(r"\s", s):
+            try:
+                n, pos = _g6_number(s[:8].encode(), 0)
+            except ParseError:
+                return "edgelist"
+            if len(s) - pos == (n * (n - 1) // 2 + 5) // 6:
+                return "graph6"
+        return "edgelist"
+    return "edgelist"
+
+
+#: every code point ``str.isspace`` accepts; ``re``'s ``\s`` accepts the same
+WHITESPACE = "".join(filter(str.isspace, map(chr, range(0x110000))))
+
+
+def test_sniff_format_keeps_the_line_by_line_rule():
+    assert len(WHITESPACE) == 29 and re.fullmatch(r"\s+", WHITESPACE)
+    breaks = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+    assert all(len(f"a{b}a".splitlines()) == 2 for b in breaks)
+    pieces = [*WHITESPACE, "\r\n", "c", "p", "e", "x", "0", "1", "~", "?",
+              "\u00e9", "Bw", "C~", "D?{", "DQ", ">>graph6<<", "edge 3 1"]
+    rng = random.Random(27)
+    for _ in range(20_000):
+        text = "".join(rng.choices(pieces, k=rng.randint(0, 7)))
+        assert sniff_format(text) == _sniff_reference(text), repr(text)
 
 
 # -- girth ---------------------------------------------------------------------
