@@ -273,15 +273,16 @@ def _sniff_reference(text):
     return "edgelist"
 
 
-#: every code point ``str.isspace`` accepts; ``re``'s ``\s`` accepts the same
-WHITESPACE = "".join(filter(str.isspace, map(chr, range(0x110000))))
-
-
 def test_sniff_format_keeps_the_line_by_line_rule():
-    assert len(WHITESPACE) == 29 and re.fullmatch(r"\s+", WHITESPACE)
+    # str.split and re's \s take the same 29 code points as whitespace
+    every = "".join(map(chr, range(0x110000)))
+    whitespace = "".join(filter(str.isspace, every))
+    assert len(whitespace) == 29 and re.sub(r"\S+", "", every) == whitespace
+    # every line break is whitespace: the premise of the one-split rule
     breaks = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
     assert all(len(f"a{b}a".splitlines()) == 2 for b in breaks)
-    pieces = [*WHITESPACE, "\r\n", "c", "p", "e", "x", "0", "1", "~", "?",
+    assert set(breaks) <= set(whitespace)
+    pieces = [*whitespace, "\r\n", "c", "p", "e", "x", "0", "1", "~", "?",
               "\u00e9", "Bw", "C~", "D?{", "DQ", ">>graph6<<", "edge 3 1"]
     rng = random.Random(27)
     for _ in range(20_000):
