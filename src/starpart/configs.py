@@ -15,8 +15,8 @@ import time
 from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .graphs import (W23, W25, W235, W2345, Graph, VertexClass, classify_vertices,
-                     double_triangle_edges, triangle_split)
+from .graphs import (W23, W25, W235, W2345, Graph, GraphError, VertexClass,
+                     classify_vertices, double_triangle_edges, triangle_split)
 from . import density, fii
 
 ALL_CONFIG_IDS = (*(f"C{i}" for i in range(1, 11)), *(f"Cp{i}" for i in range(1, 6)))
@@ -211,7 +211,7 @@ def scan_configs(g: Graph, ids: Iterable[str] | None = None,
     want = tuple(ids) if ids is not None else ALL_CONFIG_IDS
     for cid in want:
         if cid not in ALL_CONFIG_IDS:
-            raise ValueError(f"unknown configuration id {cid!r}")
+            raise GraphError(f"unknown configuration id {cid!r}")
     cls = classify_vertices(g)
     split = triangle_split(g)
     out = [m for v in range(g.n) for m in _local_matches(g, cls, split, v)
@@ -254,7 +254,7 @@ def attach_gadget(g: Graph, at: int, gadget: tuple) -> Graph:
     result to the original vertex set recovers ``g``.
     """
     if not 0 <= at < g.n:
-        raise ValueError(f"vertex {at} out of range")
+        raise GraphError(f"vertex {at} out of range")
     n, kind = g.n, gadget[0]
     if kind == "triangle":
         return g.with_additions(2, [(at, n), (at, n + 1), (n, n + 1)])
@@ -266,16 +266,16 @@ def attach_gadget(g: Graph, at: int, gadget: tuple) -> Graph:
         edges += double_triangle_edges(n + 1, n + 6)
         return g.with_additions(10, edges)
     if kind not in ("edge", "path2"):
-        raise ValueError(f"unknown gadget {gadget!r}")
+        raise GraphError(f"unknown gadget {gadget!r}")
     w = gadget[1]
     if not 0 <= w < g.n:
-        raise ValueError(f"vertex {w} out of range")
+        raise GraphError(f"vertex {w} out of range")
     if w == at:
-        raise ValueError(f"{kind} ({at}, {w}) joins vertex {at} to itself")
+        raise GraphError(f"{kind} ({at}, {w}) joins vertex {at} to itself")
     if kind == "path2":
         return g.with_additions(1, [(at, n), (n, w)])
     if g.has_edge(at, w):
-        raise ValueError(f"edge ({at}, {w}) already present")
+        raise GraphError(f"edge ({at}, {w}) already present")
     return g.with_additions(0, [(at, w)])
 
 
@@ -289,8 +289,11 @@ def gadget_by_name(name: str) -> tuple:
     if name in ("j1", "j2"):
         return (name,)
     if colon and kind in ("edge", "path2") and target.isdecimal():
-        return (kind, int(target))
-    raise ValueError(f"unknown gadget {name!r}")
+        try:
+            return (kind, int(target))
+        except ValueError:  # past int()'s digit limit
+            pass
+    raise GraphError(f"unknown gadget {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +397,7 @@ def reduction_plan(g: Graph, match: ConfigMatch) -> ReductionPlan:
             u4 = next(u for u in nbrs if u not in w2s[:3])
             if cls[u4] == _W.W2:
                 return ReductionPlan(tuple(sorted({v, *nbrs})))
-        raise ValueError(f"no cataloged reduction for this Cp3 sub-shape at {v}")
+        raise GraphError(f"no cataloged reduction for this Cp3 sub-shape at {v}")
     if cid == "Cp4":
         v = match.role("v")
         t1, t2 = match.role("t1"), match.role("t2")
@@ -415,7 +418,7 @@ def reduction_plan(g: Graph, match: ConfigMatch) -> ReductionPlan:
         if cls[u1] == _W.W5:
             s.update(g.adj[u1])
         return ReductionPlan(tuple(sorted(s)))
-    raise ValueError(f"unknown configuration id {cid!r}")
+    raise GraphError(f"unknown configuration id {cid!r}")
 
 
 class LemmaExtensionReport(NamedTuple):
@@ -459,7 +462,7 @@ def verify_lemma_extension(g: Graph, match: ConfigMatch,
     s = set(plan.deleted)
     for v in s:
         if not 0 <= v < g.n:
-            raise ValueError(f"deleted vertex {v} out of range")
+            raise GraphError(f"deleted vertex {v} out of range")
     keep = [v for v in range(g.n) if v not in s]
     h, keep_list = g.induced(keep)
     idx = {old: new for new, old in enumerate(keep_list)}

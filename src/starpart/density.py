@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .graphs import Graph, bfs_order, peel_2core, per_graph
+from .graphs import Graph, GraphError, bfs_order, peel_2core, per_graph
 
 _ORACLE_LIMIT = 24
 
@@ -118,7 +118,7 @@ def rho(g: Graph, a: Iterable[int]) -> int:
     vs = set(a)
     for v in vs:
         if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
+            raise GraphError(f"vertex {v} out of range")
     return 4 * len(vs) - 3 * _subgraph_edges(g, vs)
 
 
@@ -160,7 +160,7 @@ def mad(g: Graph) -> Density:
     is closed and full, so p|S| = q|E(S)|, and so is every densest set.
     """
     if g.n < 1:
-        raise ValueError("mad requires at least one vertex")
+        raise GraphError("mad requires at least one vertex")
     if g.edge_count == 0:
         return Density(Fraction(0), (0,))
     dens = max(Fraction(g.edge_count, g.n), _core_density(g))
@@ -179,7 +179,7 @@ def mad(g: Graph) -> Density:
 def _subset_edge_counts(g: Graph) -> list[int]:
     """|E(G[S])| for every vertex subset S, indexed by bitmask (n <= 24)."""
     if g.n > _ORACLE_LIMIT:
-        raise ValueError(f"oracle limited to {_ORACLE_LIMIT} vertices")
+        raise GraphError(f"oracle limited to {_ORACLE_LIMIT} vertices")
     nmask = [0] * g.n
     for u, v in g.edges():
         nmask[u] |= 1 << v
@@ -195,7 +195,7 @@ def _subset_edge_counts(g: Graph) -> list[int]:
 def mad_oracle(g: Graph) -> Density:
     """Exhaustive maximum average degree over all nonempty subsets."""
     if g.n < 1:
-        raise ValueError("mad requires at least one vertex")
+        raise GraphError("mad requires at least one vertex")
     best_e, best_k, best_mask = 0, 1, 1
     for mask, e in enumerate(_subset_edge_counts(g)):
         k = mask.bit_count()
@@ -231,11 +231,11 @@ def _orient(g: Graph, seed: Iterable[int], vertex_weight: int,
     over.  The minimum and the least minimizer do not depend on the order.
     """
     if vertex_weight < 0 or edge_weight < 0:
-        raise ValueError("weights must be non-negative")
+        raise GraphError("weights must be non-negative")
     dead = set(seed)
     for v in dead:
         if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
+            raise GraphError(f"vertex {v} out of range")
     value = vertex_weight * len(dead)
     held: list[dict[int, int]] = [{} for _ in range(g.n)]
     load = [0] * g.n
@@ -294,7 +294,7 @@ def rho_star_oracle(g: Graph, seed: Iterable[int] = ()) -> PotentialResult:
     seed_mask = 0
     for v in seed:
         if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
+            raise GraphError(f"vertex {v} out of range")
         seed_mask |= 1 << v
     table = rho_all_subsets(g)
     best = min((m for m in range(seed_mask, len(table)) if m & seed_mask == seed_mask),
@@ -339,6 +339,6 @@ def mad_le(g: Graph, bound: Fraction) -> bool:
     """Decide mad(g) <= p/q exactly via the weighted potential p|S| - 2q|E(S)|."""
     bound = Fraction(bound)
     if bound < 0:
-        raise ValueError("bound must be non-negative")
+        raise GraphError("bound must be non-negative")
     res = rho_star_weighted(g, (), bound.numerator, 2 * bound.denominator)
     return res.value >= 0

@@ -19,7 +19,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Iterator, NamedTuple
 
-from .graphs import Graph, balls2, bfs_order, neighbor_sets, per_graph
+from .graphs import (Graph, GraphError, balls2, bfs_order, neighbor_sets,
+                     per_graph)
 from .starcolor import BudgetExhausted, Coloring, backtrack, is_star_coloring
 from . import density
 
@@ -33,14 +34,16 @@ def label_name(lab: int) -> str:
 def parse_label(name: str, k: int) -> int:
     name = name.strip()
     aliases = {"F": 0, "Ia": 1, "Ib": 2, "Ialpha": 1, "Ibeta": 2}
-    if name in aliases:
-        lab = aliases[name]
-    elif name.startswith("I") and name[1:].isdigit():
-        lab = int(name[1:])
-    else:
-        raise ValueError(f"unknown part label {name!r}")
+    lab = aliases.get(name)
+    if lab is None and name.startswith("I") and name[1:].isdigit():
+        try:
+            lab = int(name[1:])
+        except ValueError:  # a digit such as '²', or past int()'s digit limit
+            pass
+    if lab is None:
+        raise GraphError(f"unknown part label {name!r}")
     if lab > k:
-        raise ValueError(f"label {name!r} exceeds k={k}")
+        raise GraphError(f"label {name!r} exceeds k={k}")
     return lab
 
 
@@ -65,9 +68,9 @@ def verify_fii(g: Graph, p: FiiPartition) -> tuple[bool, Witness | None]:
     ("close_pair", (u, v, part, distance)) for an I-part conflict.
     """
     if len(p.labels) != g.n:
-        raise ValueError(f"partition covers {len(p.labels)} vertices, graph has {g.n}")
+        raise GraphError(f"partition covers {len(p.labels)} vertices, graph has {g.n}")
     if any(l < 0 or l > p.k for l in p.labels):
-        raise ValueError("label out of range")
+        raise GraphError("label out of range")
     labels = p.labels
 
     # forest check: first edge closing a cycle, then an explicit path witness
@@ -109,7 +112,7 @@ def verify_fii(g: Graph, p: FiiPartition) -> tuple[bool, Witness | None]:
 
     # 2-independence from the adjacency lists alone, sharing no table with
     # the solver: the smallest same-part vertex within distance two of v
-    for j in range(1, p.k + 1):
+    for j in sorted(set(labels) - {F_LABEL}):
         for v in range(g.n):
             if labels[v] != j:
                 continue
@@ -340,7 +343,7 @@ def find_fii(g: Graph, k: int = 2, forcing: bool = True,
     ``node_limit`` nodes the status is "unknown".
     """
     if k < 0:
-        raise ValueError("k must be nonnegative")
+        raise GraphError("k must be nonnegative")
     return _Solver(g, k, forcing, deadline, node_limit).solve(fixed)
 
 
@@ -365,7 +368,7 @@ def count_fii_bruteforce(g: Graph, k: int = 2) -> int:
     """Count partitions by checking all (k+1)^n labelings with the verifier."""
     import itertools
     if g.n > 9:
-        raise ValueError("brute-force count limited to 9 vertices")
+        raise GraphError("brute-force count limited to 9 vertices")
     total = 0
     for labels in itertools.product(range(k + 1), repeat=g.n):
         ok, _ = verify_fii(g, FiiPartition(labels, k))
@@ -386,10 +389,10 @@ def fii_to_star5(g: Graph, p: FiiPartition) -> Coloring:
     verified before being returned.
     """
     if p.k != 2:
-        raise ValueError("star-5 conversion needs exactly two independent parts")
+        raise GraphError("star-5 conversion needs exactly two independent parts")
     ok, witness = verify_fii(g, p)
     if not ok:
-        raise ValueError(f"invalid partition: {witness}")
+        raise GraphError(f"invalid partition: {witness}")
     colors = [0] * g.n
     in_f = [l == F_LABEL for l in p.labels]
     seen = [False] * g.n

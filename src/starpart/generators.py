@@ -27,20 +27,20 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator
 
-from .graphs import Graph, check_vertex_count, double_triangle_edges
+from .graphs import Graph, GraphError, check_vertex_count, double_triangle_edges
 from . import density
 
 
 def gen_cycle(k: int) -> Graph:
     if k < 3:
-        raise ValueError("cycle needs at least 3 vertices")
+        raise GraphError("cycle needs at least 3 vertices")
     check_vertex_count(k)
     return Graph(k, [(i, (i + 1) % k) for i in range(k)])
 
 
 def gen_path(k: int) -> Graph:
     if k < 1:
-        raise ValueError("path needs at least 1 vertex")
+        raise GraphError("path needs at least 1 vertex")
     check_vertex_count(k)
     return Graph(k, [(i, i + 1) for i in range(k - 1)])
 
@@ -58,7 +58,7 @@ def gen_star(leaves: int) -> Graph:
 def gen_tree_random(n: int, seed: int) -> Graph:
     """Random tree: vertex i >= 1 hangs off a uniformly chosen earlier vertex."""
     if n < 1:
-        raise ValueError("tree needs at least 1 vertex")
+        raise GraphError("tree needs at least 1 vertex")
     check_vertex_count(n)
     rng = random.Random(seed)
     return Graph(n, [(rng.randrange(i), i) for i in range(1, n)])
@@ -72,7 +72,7 @@ def gen_g5n(n: int) -> Graph:
     first, then triangle vertices in (cycle position, first, second) order.
     """
     if n < 1:
-        raise ValueError("n must be positive")
+        raise GraphError("n must be positive")
     check_vertex_count(17 * n)
     cyc = 5 * n
     edges = [(i, (i + 1) % cyc) for i in range(cyc)]
@@ -90,9 +90,11 @@ def _density_cap(bound: Fraction | str) -> Fraction:
     try:
         bound = Fraction(bound)
     except ZeroDivisionError as exc:
-        raise ValueError(f"bad bound {bound!r}: zero denominator") from exc
+        raise GraphError(f"bad bound {bound!r}: zero denominator") from exc
+    except ValueError as exc:  # no p/q, or past int()'s digit limit
+        raise GraphError(str(exc)) from exc
     if bound < 1:
-        raise ValueError("bound must be at least 1")
+        raise GraphError("bound must be at least 1")
     return bound
 
 
@@ -170,11 +172,11 @@ def check_corpus_args(count: int, n_max: int,
                       bound: Fraction | str) -> Fraction:
     """``bound`` as a Fraction, after checking the arguments of
     :func:`gen_corpus`: a negative ``count``, an ``n_max`` below 4 or a
-    ``bound`` that is no fraction of at least 1 raises ``ValueError``."""
+    ``bound`` that is no fraction of at least 1 raises ``GraphError``."""
     if count < 0:
-        raise ValueError(f"corpus count must be non-negative, got {count}")
+        raise GraphError(f"corpus count must be non-negative, got {count}")
     if n_max < 4:
-        raise ValueError(f"corpus n_max must be at least 4, got {n_max}")
+        raise GraphError(f"corpus n_max must be at least 4, got {n_max}")
     return _density_cap(bound)
 
 
@@ -182,7 +184,7 @@ def gen_corpus(count: int, n_max: int, bound: Fraction | str,
                seed: int) -> Iterator[tuple[str, Graph]]:
     """A deterministic corpus of mad-bounded random graphs, sizes cycling
     through 4..n_max.  Bad arguments (see :func:`check_corpus_args`) raise
-    ``ValueError`` when the corpus is first iterated."""
+    ``GraphError`` when the corpus is first iterated."""
     bound = check_corpus_args(count, n_max, bound)
     rng = random.Random(seed)
     for i in range(count):

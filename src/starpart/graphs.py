@@ -36,7 +36,10 @@ MAX_VERTICES = 8_000_000
 
 
 class GraphError(ValueError):
-    """Base class for graph construction and parsing failures."""
+    """Input that starpart rejects: a malformed or oversized graph, or an
+    argument outside a function's domain.  The CLI reports it as a usage
+    error; any other exception but a timeout's ``BudgetExhausted`` is a
+    fault in starpart."""
 
 
 class ValidationError(GraphError):
@@ -331,8 +334,9 @@ def to_edge_list(g: Graph) -> str:
 def parse_dimacs(text: str) -> Graph:
     """DIMACS ``p edge n m`` / ``e u v`` format with 1-based vertices, named
     ``str(v)``; ``c`` lines are comments.  A ``p`` or ``e`` line whose fields
-    are not all there, or whose numbers are not ASCII decimal digits, is a
-    ``ParseError`` naming the line, raised before any number is converted."""
+    are not all there, whose numbers are not ASCII decimal digits (checked
+    before any is converted), or that holds a number longer than ``int()``
+    converts, is a ``ParseError`` naming the line."""
     n = None
     declared_m = None
     edges: list[tuple[int, int]] = []
@@ -345,13 +349,13 @@ def parse_dimacs(text: str) -> Graph:
                 raise ParseError(f"duplicate 'p' line at line {lineno}", offset=lineno)
             if not re.fullmatch(r"p (edges?|col) [0-9]+ [0-9]+", " ".join(toks)):
                 raise ParseError(f"bad 'p' line at line {lineno}", offset=lineno)
-            n, declared_m = int(toks[2]), int(toks[3])
+            n, declared_m = _dimacs_numbers(toks[2:], lineno)
         elif toks[0] == "e":
             if n is None:
                 raise ParseError(f"'e' line before 'p' at line {lineno}", offset=lineno)
             if not re.fullmatch(r"e [0-9]+ [0-9]+", " ".join(toks)):
                 raise ParseError(f"bad 'e' line at line {lineno}", offset=lineno)
-            u, v = int(toks[1]), int(toks[2])
+            u, v = _dimacs_numbers(toks[1:], lineno)
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ParseError(f"vertex out of range on line {lineno}", offset=lineno)
             edges.append((u - 1, v - 1))
@@ -364,6 +368,14 @@ def parse_dimacs(text: str) -> Graph:
         raise ParseError(f"header declares {declared_m} edges, found {len(edges)}",
                          offset=0)
     return Graph(n, edges, range(1, n + 1))
+
+
+def _dimacs_numbers(tokens: list[str], lineno: int) -> list[int]:
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:  # past int()'s digit limit
+        raise ParseError(f"number too long on line {lineno}",
+                         offset=lineno) from None
 
 
 def to_dimacs(g: Graph) -> str:

@@ -12,7 +12,7 @@ import itertools
 import time
 from typing import Callable, Iterator, NamedTuple
 
-from .graphs import Graph
+from .graphs import Graph, GraphError
 
 DEFAULT_EXACT_CAP = 40
 
@@ -29,7 +29,7 @@ class Coloring(_ColoringFields):
 
     def __new__(cls, colors: tuple[int, ...], palette_size: int):
         if any(c < 0 or c >= palette_size for c in colors):
-            raise ValueError("colors must lie in 0..palette_size-1")
+            raise GraphError("colors must lie in 0..palette_size-1")
         return super().__new__(cls, colors, palette_size)
 
     @classmethod
@@ -54,7 +54,7 @@ def is_star_coloring(g: Graph, coloring: Coloring) -> tuple[bool, Violation | No
     """
     c = coloring.colors
     if len(c) != g.n:
-        raise ValueError(f"coloring covers {len(c)} vertices, graph has {g.n}")
+        raise GraphError(f"coloring covers {len(c)} vertices, graph has {g.n}")
     for u, v in g.edges():
         if c[u] == c[v]:
             return False, ("edge", (u, v))
@@ -209,9 +209,9 @@ def star_chromatic_number(g: Graph, limit: int | None = None,
     if limit is None:
         limit = max(g.n, 1)
     if limit < 1:
-        raise ValueError("limit must be at least 1")
+        raise GraphError("limit must be at least 1")
     if g.n > DEFAULT_EXACT_CAP and not force:
-        raise ValueError(
+        raise GraphError(
             f"n={g.n} exceeds the exact-search cap {DEFAULT_EXACT_CAP}; "
             "pass force=True to override")
     if g.n == 0:
@@ -249,7 +249,7 @@ def greedy_star_coloring(g: Graph, order: list[int] | None = None) -> Coloring:
     if order is None:
         order = degeneracy_order(g)
     if sorted(order) != list(range(g.n)):
-        raise ValueError("order must be a permutation of the vertices")
+        raise GraphError("order must be a permutation of the vertices")
     # a fresh color always fits, so with n colors first-fit never backtracks
     colors = _search_star_k(g, max(g.n, 1), order)
     coloring = Coloring(tuple(colors), max(colors, default=0) + 1)

@@ -31,3 +31,18 @@ def _verdict(base, head, better="lower", bound=0.1):
 ])
 def test_summarize_verdicts(base, head, better, verdict):
     assert _verdict(base, head, better) == verdict
+
+
+@pytest.mark.parametrize("base, head, more", [
+    ([(0, 100), (0, 100)], [(0, 90), (0, 90)], False),
+    ([(1, 100), (0, 100)], [(1, 90), (0, 90)], True),   # 1/180 > 1/200
+    ([(2, 100), (0, 100)], [(1, 90), (0, 90)], False),
+    ([(0, 100), (0, 100)], [(0, 90), (1, 90)], True),
+])
+def test_calls_flags_a_head_that_fails_a_larger_share(base, head, more):
+    pairs = [{side: {"failed": f, "attempted": a} for side, (f, a) in
+              (("base", b), ("head", h))} for b, h in zip(base, head)]
+    out = ab.calls(pairs)
+    assert out["head_fails_more"] is more
+    assert out["base"] == {"failed": sum(f for f, _ in base),
+                           "attempted": sum(a for _, a in base)}

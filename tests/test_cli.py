@@ -216,8 +216,27 @@ def test_unwritable_out_exit_2(capsys, tmp_path):
         assert doc["error"] == "usage" and "cannot write" in doc["detail"]
 
 
-def test_internal_error_exit_4(capsys, monkeypatch, g5_file):
-    from starpart import density
+#: for each subcommand whose engine rejects input of its own, the engine call
+#: that rejects it, as (module, name, argv after ``--json``, the JSON document
+#: in ``J``); ``T`` is a triangle, ``H`` the shipped C1 instance and ``D`` a
+#: directory to write
+_WRAPPED_ENGINE_CALLS = [
+    ("starcolor", "Coloring", ["star-verify", "T", "--coloring", "J"], [0, 1, 2]),
+    ("starcolor", "star_chromatic_number", ["star-color", "T"], None),
+    ("fii", "parse_label", ["fii-verify", "T", "--partition", "J"],
+     ["F", "I1", "F"]),
+    ("configs", "reduction_plan", ["lemma-check", "H", "--config", "C1"], None),
+    ("configs", "attach_gadget", ["attach", "T", "--at", "0", "--gadget", "J1"],
+     None),
+    ("generators", "gen_cycle", ["gen", "cycle", "-n", "5"], None),
+    ("generators", "check_corpus_args",
+     ["gen", "corpus", "--count", "1", "--out", "D"], None),
+]
+
+
+def test_internal_error_exit_4(capsys, monkeypatch, g5_file, tmp_path):
+    import importlib
+    from starpart import density, instances
 
     # an engine's KeyError or ValueError is a fault too, never a usage error
     for error in (RuntimeError("boom"), KeyError("boom"), ValueError("boom")):
@@ -234,11 +253,30 @@ def test_internal_error_exit_4(capsys, monkeypatch, g5_file):
         assert captured.out == ""
         assert captured.err.endswith(f"error: internal: {detail}\n")
 
+    # on every subcommand: only a GraphError is the caller's
+    def value_error(*args, **kwargs):
+        raise ValueError("boom")
+
+    paths = {"T": tmp_path / "t.el", "H": tmp_path / "c1.g6",
+             "J": tmp_path / "doc.json", "D": tmp_path / "corpus"}
+    paths["T"].write_text("0 1\n1 2\n0 2\n")
+    paths["H"].write_text(to_graph6(instances.shipped_instance("C1")[0]))
+    for module, name, argv, doc in _WRAPPED_ENGINE_CALLS:
+        paths["J"].write_text(json.dumps(doc))
+        with monkeypatch.context() as m:
+            m.setattr(importlib.import_module(f"starpart.{module}"), name,
+                      value_error)
+            code, out = run_json(capsys, *(str(paths.get(a, a)) for a in argv))
+        assert (code, out) == (4, {"schema": 1, "error": "internal",
+                                   "detail": "ValueError: boom"}), name
+
 
 #: user input that an engine would reject, as argv after ``--json``; ``T`` is
 #: a triangle, ``E`` the empty graph, ``H`` the shipped C1 instance, ``L`` a
 #: file that is not UTF-8, ``D`` a directory holding ``L`` and ``J`` a JSON
-#: file holding the case's document
+#: file holding the case's document (a str is the file's text); ``_LONG`` is
+#: past ``int()``'s 4300-digit limit
+_LONG = "1" * 5000
 _REJECTED_INPUT = [
     (["mad", "E"], None, "at least one vertex"),
     (["fii-find", "T", "-k", "-1"], None, "-k must be nonnegative"),
@@ -255,12 +293,40 @@ _REJECTED_INPUT = [
     (["fii-verify", "T", "--partition", "J"], ["F", "I3", "F"], "exceeds k=2"),
     (["girth", "L"], None, "cannot read"),
     (["boundary", "-k", "2", "--corpus", "D"], None, "cannot read"),
+    (["star-verify", "T", "--coloring", "J"], "[" * 100_000, "recursion depth"),
+    (["star-verify", "T", "--coloring", "J"], f"[0, 1, {_LONG}]",
+     "4300 digits"),
+    (["fii-verify", "T", "--partition", "J"], "[" * 100_000, "recursion depth"),
+    (["fii-verify", "T", "--partition", "J"], f"[0, 0, {_LONG}]",
+     "4300 digits"),
+    (["fii-verify", "T", "--partition", "J"], ["F", "I\u00b2", "F"],
+     "unknown part label"),
+    (["fii-verify", "T", "--partition", "J"], ["F", f"I{_LONG}", "F"],
+     "unknown part label"),
+    (["lemma-check", "H", "--config", "C1", "--match", "J"], "[" * 100_000,
+     "recursion depth"),
+    (["lemma-check", "H", "--config", "C1", "--match", "J"], f'{{"v": {_LONG}}}',
+     "4300 digits"),
+    (["attach", "T", "--at", "0", "--gadget", f"edge:{_LONG}"], None,
+     "unknown gadget"),
+    (["gen", "corpus", "--count", "1", "--bound", "x", "--out", "D"], None,
+     "Invalid literal for Fraction"),
+    (["gen", "corpus", "--count", "1", "--bound", _LONG, "--out", "D"], None,
+     "4300 digits"),
+    (["--timeout-ms", "1" + "0" * 400, "girth", "T"], None, "--timeout-ms"),
 ]
 
 
+def _case_id(argv: list[str], doc) -> str:
+    """The case's argv and document, each part past 40 characters cut to its
+    first 20 and its length."""
+    parts = [*argv, str(doc)] if doc else argv
+    return " ".join(p if len(p) <= 40 else f"{p[:20]}...({len(p)} chars)"
+                    for p in parts)
+
+
 @pytest.mark.parametrize("argv, doc, detail", _REJECTED_INPUT,
-                         ids=[" ".join(argv) + (f" {doc}" if doc else "")
-                              for argv, doc, _ in _REJECTED_INPUT])
+                         ids=[_case_id(argv, doc) for argv, doc, _ in _REJECTED_INPUT])
 def test_input_an_engine_rejects_is_a_usage_error(capsys, tmp_path, argv, doc,
                                                   detail):
     from starpart import instances
@@ -272,7 +338,7 @@ def test_input_an_engine_rejects_is_a_usage_error(capsys, tmp_path, argv, doc,
     paths["T"].write_text("0 1\n1 2\n0 2\n")
     paths["E"].write_text("?\n")
     paths["L"].write_bytes(b"\xff\xfe\n")
-    paths["J"].write_text(json.dumps(doc))
+    paths["J"].write_text(doc if isinstance(doc, str) else json.dumps(doc))
     paths["H"].write_text(to_graph6(instances.shipped_instance("C1")[0]))
     code, out = run_json(capsys, *(str(paths.get(a, a)) for a in argv))
     assert (code, out["error"]) == (2, "usage")
@@ -519,6 +585,16 @@ def test_gen_families_check_the_vertex_cap_before_building(family):
                                 memory=512 * 2**20)
     assert (code, doc["error"]) == (2, "usage")
     assert f"limit of {MAX_VERTICES}" in doc["detail"]
+
+
+def test_fii_verify_cost_does_not_grow_with_k(tmp_path):
+    # the check visits the parts that occur, not every label up to k
+    graph, part = tmp_path / "t.el", tmp_path / "p.json"
+    graph.write_text("0 1\n1 2\n0 2\n")
+    part.write_text('["F", "F", "I1"]')
+    code, doc, _ = _cli_process("fii-verify", "-k", str(10**100), str(graph),
+                                "--partition", str(part))
+    assert (code, doc["valid"]) == (0, True)
 
 
 def test_lemma_check_scan_counts_against_the_timeout(tmp_path):

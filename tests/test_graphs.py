@@ -212,6 +212,12 @@ def test_dimacs_round_trip():
                 parse_dimacs(text)
         with pytest.raises(ParseError, match="^bad 'e' line at line 2$"):
             parse_dimacs(f"p edge 3 1\ne 1 {bad}\n")
+    # a number past int()'s 4300-digit limit
+    long = "1" * 5000
+    with pytest.raises(ParseError, match="^number too long on line 1$"):
+        parse_dimacs(f"p edge {long} 0\n")
+    with pytest.raises(ParseError, match="^number too long on line 2$"):
+        parse_dimacs(f"p edge 3 1\ne 1 {long}\n")
     # messages use the 1-based labels; .edge keeps the internal ids
     with pytest.raises(ValidationError, match=r"^duplicate edge \(3, 2\)$") as exc:
         parse_dimacs("p edge 3 2\ne 2 3\ne 3 2\n")

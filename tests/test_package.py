@@ -235,6 +235,28 @@ def test_no_function_calls_itself():
     assert recursive == []
 
 
+def test_input_errors_are_graph_errors():
+    # GraphError is the one input-error type, which main maps to exit 2: a
+    # ValueError raised or caught elsewhere would decide again which faults
+    # are the caller's
+    def names(node):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} \
+            if node else set()
+
+    found = []
+    for path in sorted(Path(SRC, "starpart").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and "ValueError" in names(node.exc):
+                found.append(f"{path.name}:{node.lineno} raise")
+            if isinstance(node, ast.FunctionDef) and (
+                    node.name.startswith("_cmd_") or node.name == "_gen_family"):
+                found += [f"{path.name}:{h.lineno} {node.name}"
+                          for h in ast.walk(node)
+                          if isinstance(h, ast.ExceptHandler)
+                          and "ValueError" in names(h.type)]
+    assert found == []
+
+
 def test_only_the_cli_makes_a_deadline():
     # a deadline is time.monotonic() plus a budget: the CLI makes one per
     # call, and every engine takes the one it is given

@@ -15,7 +15,10 @@ from ``BENCHMARK.json``; the base runs first in even pairs and the head in
 odd ones.  ``BENCH_<tag>.json`` at the root of the checkout gets both
 commits, every run's metrics, counts and ``# env`` line, and for each
 end-to-end metric of ``BENCHMARK.json`` both sides' medians and quartiles,
-the head's wins and ties, and a verdict:
+the head's wins and ties, and a verdict; beside them, under ``calls``, each
+side's failed and attempted calls over all pairs, and whether the head
+failed a larger share of them, which rejects a change whatever the
+verdicts:
 
 - ``gain``: the head wins at least nine tenths of the pairs, and the medians
   differ by more than the distance between the base's quartiles;
@@ -115,6 +118,17 @@ def summarize(pairs: list[dict], metric: dict) -> dict:
             "verdict": verdict}
 
 
+def calls(pairs: list[dict]) -> dict:
+    """Each side's failed and attempted calls summed over ``pairs``, and
+    whether the head's failed share is the larger."""
+    out = {side: {k: sum(p[side][k] for p in pairs)
+                  for k in ("failed", "attempted")} for side in ("base", "head")}
+    b, h = out["base"], out["head"]
+    out["head_fails_more"] = h["failed"] * b["attempted"] > \
+        b["failed"] * h["attempted"]
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("base")
@@ -160,7 +174,7 @@ def main(argv: list[str] | None = None) -> int:
                        "platform": platform.platform()},
            "environ": {"PYTHONDONTWRITEBYTECODE":
                        os.environ.get("PYTHONDONTWRITEBYTECODE")},
-           "pairs": pairs,
+           "pairs": pairs, "calls": calls(pairs),
            "summary": {m["name"]: summarize(pairs, m) for m in bench["end_to_end"]}}
     out = root / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
@@ -170,6 +184,11 @@ def main(argv: list[str] | None = None) -> int:
               f"{s['head']['median']:.4g} [{s['head']['q1']:.4g}, "
               f"{s['head']['q3']:.4g}]  wins {s['head_wins']}/{s['pairs']}  "
               f"{s['verdict']}")
+    c = doc["calls"]
+    print(f"{'failed calls':14} base {c['base']['failed']}/"
+          f"{c['base']['attempted']}  head {c['head']['failed']}/"
+          f"{c['head']['attempted']}"
+          + ("  HEAD FAILS A LARGER SHARE" if c["head_fails_more"] else ""))
     print(f"ab: wrote {out}")
     return 0
 
