@@ -17,8 +17,8 @@ commits, every run's metrics, counts and ``# env`` line, and for each
 end-to-end metric of ``BENCHMARK.json`` both sides' medians and quartiles,
 the head's wins and ties, and a verdict; beside them, under ``calls``, each
 side's failed and attempted calls over all pairs, and whether the head
-failed a larger share of them, which rejects a change whatever the
-verdicts:
+failed a larger share of them (such a head is worse whatever the verdicts
+say).  The verdicts:
 
 - ``gain``: the head wins at least nine tenths of the pairs, and the medians
   differ by more than the distance between the base's quartiles;
