@@ -93,19 +93,17 @@ def _load_json(path: str):
         raise _CliError(str(exc)) from exc
 
 
-def _load_list(path: str, what: str, key: str, n: int,
+def _load_list(path: str, what: str, key: str,
                types: tuple[type, ...]) -> tuple[list, dict]:
     """The per-vertex list of a JSON ``what`` file, given either bare or
-    under ``key`` of an object, and that object.  Any other shape, length
-    or item type is a usage error."""
+    under ``key`` of an object, and that object.  Any other shape or item
+    type is a usage error; the engine reading the list checks its length."""
     doc = _load_json(path)
     obj = doc if isinstance(doc, dict) else {key: doc}
     items = obj.get(key)
     if not isinstance(items, list):
         raise _CliError(f"{what} must be a JSON list or an object with a "
                         f"{key!r} list")
-    if len(items) != n:
-        raise _CliError(f"{what} covers {len(items)} vertices, graph has {n}")
     for x in items:
         if isinstance(x, bool) or not isinstance(x, types):
             raise _CliError(f"{what} entry {x!r} is not "
@@ -161,7 +159,7 @@ def _cmd_mad(args, g: Graph) -> int:
 
 
 def _cmd_rho_star(args, g: Graph) -> int:
-    seed = _parse_vertices(args.seed, g.n)
+    seed = _parse_vertices(args.seed)
     res = density.rho_star(g, seed)
     payload = {"value": res.value, "witness": list(res.minimizer),
                "seed": sorted(set(seed))}
@@ -169,17 +167,12 @@ def _cmd_rho_star(args, g: Graph) -> int:
     return EXIT_OK
 
 
-def _parse_vertices(spec: str | None, n: int) -> list[int]:
-    if not spec:
-        return []
+def _parse_vertices(spec: str) -> list[int]:
+    """A comma- or space-separated list; its engine checks the range."""
     try:
-        vs = [int(tok) for tok in spec.replace(",", " ").split()]
+        return [int(tok) for tok in spec.replace(",", " ").split()]
     except ValueError as exc:
         raise _CliError(f"bad vertex list {spec!r}") from exc
-    for v in vs:
-        if not 0 <= v < n:
-            raise _CliError(f"vertex {v} out of range 0..{n - 1}")
-    return vs
 
 
 def _cmd_girth(args, g: Graph) -> int:
@@ -202,7 +195,7 @@ def _cmd_classify(args, g: Graph) -> int:
 
 
 def _cmd_star_verify(args, g: Graph) -> int:
-    colors, doc = _load_list(args.coloring, "coloring", "colors", g.n, (int,))
+    colors, doc = _load_list(args.coloring, "coloring", "colors", (int,))
     palette = doc.get("palette_size")
     if palette is None:
         palette = max(colors, default=0) + 1
@@ -244,7 +237,7 @@ def _cmd_fii_find(args, g: Graph) -> int:
 
 
 def _cmd_fii_verify(args, g: Graph) -> int:
-    labels, _ = _load_list(args.partition, "partition", "labels", g.n, (int, str))
+    labels, _ = _load_list(args.partition, "partition", "labels", (int, str))
     labels = [fii.parse_label(l, args.k) if isinstance(l, str) else l
               for l in labels]
     part = fii.FiiPartition(tuple(labels), args.k)
@@ -718,7 +711,8 @@ def _cache_bytecode(source: str, cached: str) -> None:
     """Compile ``source`` to ``cached`` unless the file's PEP 552 header
     matches the source; a stale file never runs, as every load checks it.
     Done even under ``PYTHONDONTWRITEBYTECODE``, since each call is a new
-    process.  A directory that cannot take the file costs a ``stat``."""
+    process, by the import system's own loader, which writes atomically.
+    A directory that cannot take the file costs a ``stat``."""
     st = os.stat(source)
     stamp = int(st.st_mtime) & 0xFFFFFFFF | (st.st_size & 0xFFFFFFFF) << 32
     if os.path.isfile(cached):
@@ -729,9 +723,9 @@ def _cache_bytecode(source: str, cached: str) -> None:
     while not os.path.lexists(room) and room != os.path.dirname(room):
         room = os.path.dirname(room)
     if os.path.isdir(room) and os.access(room, os.W_OK):
-        import py_compile  # only a call that writes imports it
-        py_compile.compile(source, cached, quiet=2, invalidation_mode=(
-            py_compile.PycInvalidationMode.TIMESTAMP))
+        from importlib.machinery import SourceFileLoader  # only when writing
+        sys.dont_write_bytecode = False  # get_code writes only if it is off
+        SourceFileLoader(source, source).get_code(source)
 
 
 if __name__ == "__main__":

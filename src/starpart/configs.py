@@ -16,7 +16,8 @@ from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .graphs import (W23, W25, W235, W2345, Graph, GraphError, VertexClass,
-                     classify_vertices, double_triangle_edges, triangle_split)
+                     check_vertices, classify_vertices, double_triangle_edges,
+                     triangle_split)
 from . import density, fii
 
 ALL_CONFIG_IDS = (*(f"C{i}" for i in range(1, 11)), *(f"Cp{i}" for i in range(1, 6)))
@@ -253,8 +254,7 @@ def attach_gadget(g: Graph, at: int, gadget: tuple) -> Graph:
     graft is non-invasive for the vertex-adding gadgets: restricting the
     result to the original vertex set recovers ``g``.
     """
-    if not 0 <= at < g.n:
-        raise GraphError(f"vertex {at} out of range")
+    check_vertices(g, (at,))
     n, kind = g.n, gadget[0]
     if kind == "triangle":
         return g.with_additions(2, [(at, n), (at, n + 1), (n, n + 1)])
@@ -268,8 +268,7 @@ def attach_gadget(g: Graph, at: int, gadget: tuple) -> Graph:
     if kind not in ("edge", "path2"):
         raise GraphError(f"unknown gadget {gadget!r}")
     w = gadget[1]
-    if not 0 <= w < g.n:
-        raise GraphError(f"vertex {w} out of range")
+    check_vertices(g, (w,))
     if w == at:
         raise GraphError(f"{kind} ({at}, {w}) joins vertex {at} to itself")
     if kind == "path2":
@@ -459,10 +458,7 @@ def verify_lemma_extension(g: Graph, match: ConfigMatch,
     """
     if plan is None:
         plan = reduction_plan(g, match)
-    s = set(plan.deleted)
-    for v in s:
-        if not 0 <= v < g.n:
-            raise GraphError(f"deleted vertex {v} out of range")
+    s = set(check_vertices(g, plan.deleted, "deleted vertex"))
     keep = [v for v in range(g.n) if v not in s]
     h, keep_list = g.induced(keep)
     idx = {old: new for new, old in enumerate(keep_list)}

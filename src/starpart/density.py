@@ -12,7 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .graphs import Graph, GraphError, bfs_order, peel_2core, per_graph
+from .graphs import (Graph, GraphError, bfs_order, check_vertices, peel_2core,
+                     per_graph)
 
 _ORACLE_LIMIT = 24
 
@@ -115,10 +116,7 @@ def _subgraph_edges(g: Graph, vertices: Iterable[int]) -> int:
 
 def rho(g: Graph, a: Iterable[int]) -> int:
     """The potential 4|A| - 3|E(G[A])| of a vertex set."""
-    vs = set(a)
-    for v in vs:
-        if not 0 <= v < g.n:
-            raise GraphError(f"vertex {v} out of range")
+    vs = set(check_vertices(g, a))
     return 4 * len(vs) - 3 * _subgraph_edges(g, vs)
 
 
@@ -232,10 +230,7 @@ def _orient(g: Graph, seed: Iterable[int], vertex_weight: int,
     """
     if vertex_weight < 0 or edge_weight < 0:
         raise GraphError("weights must be non-negative")
-    dead = set(seed)
-    for v in dead:
-        if not 0 <= v < g.n:
-            raise GraphError(f"vertex {v} out of range")
+    dead = set(check_vertices(g, seed))
     value = vertex_weight * len(dead)
     held: list[dict[int, int]] = [{} for _ in range(g.n)]
     load = [0] * g.n
@@ -292,9 +287,7 @@ def rho_star_oracle(g: Graph, seed: Iterable[int] = ()) -> PotentialResult:
     """Exhaustive rho*: the first least rho, in mask order, over the supersets
     of the seed in :func:`rho_all_subsets` (n <= 24)."""
     seed_mask = 0
-    for v in seed:
-        if not 0 <= v < g.n:
-            raise GraphError(f"vertex {v} out of range")
+    for v in check_vertices(g, seed):
         seed_mask |= 1 << v
     table = rho_all_subsets(g)
     best = min((m for m in range(seed_mask, len(table)) if m & seed_mask == seed_mask),

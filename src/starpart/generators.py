@@ -23,6 +23,7 @@ before it builds an edge list.
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterator
@@ -86,12 +87,21 @@ def gen_g5n(n: int) -> Graph:
     return g
 
 
+#: a str bound's exponent as ``Fraction`` reads it (e or E, a sign, digits),
+#: which it expands in full: past int()'s default digit limit it is refused
+_EXPONENT, _MAX_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z"), 4300
+
+
 def _density_cap(bound: Fraction | str) -> Fraction:
+    exp = _EXPONENT.search(bound) if isinstance(bound, str) else None
     try:
+        if exp and abs(int(exp[1])) > _MAX_EXPONENT:
+            raise GraphError(f"bound {bound!r}: exponent beyond {_MAX_EXPONENT} "
+                             "in magnitude")
         bound = Fraction(bound)
     except ZeroDivisionError as exc:
         raise GraphError(f"bad bound {bound!r}: zero denominator") from exc
-    except ValueError as exc:  # no p/q, or past int()'s digit limit
+    except ValueError as exc:  # the above, no p/q, or past int()'s limit
         raise GraphError(str(exc)) from exc
     if bound < 1:
         raise GraphError("bound must be at least 1")

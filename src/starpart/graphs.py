@@ -65,6 +65,17 @@ def check_vertex_count(n: int) -> None:
         raise GraphError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
 
 
+def check_vertices(g: "Graph", vertices: Iterable[int],
+                   what: str = "vertex") -> tuple[int, ...]:
+    """``vertices`` as a tuple, once each is a vertex of ``g``; else the first
+    that is not, in their order, is named as ``what`` in a ``GraphError``."""
+    vs = tuple(vertices)
+    for v in vs:
+        if not 0 <= v < g.n:
+            raise GraphError(f"{what} {v} out of range 0..{g.n - 1}")
+    return vs
+
+
 class Graph:
     """A simple undirected graph with sorted adjacency tuples.
 

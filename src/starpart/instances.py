@@ -12,14 +12,8 @@ it (see ``fii.lemma_forcing_patterns``).
 
 from __future__ import annotations
 
+from .configs import attach_gadget, scan_configs
 from .graphs import Graph, double_triangle_edges
-
-
-def _j2_chain(attach: int, base: int) -> list[tuple[int, int]]:
-    """The forcing chain attach - w1 - w2 on w1 = base and w2 = base + 1,
-    each carrying two pendent triangles (10 vertices from base)."""
-    return [(attach, base), (base, base + 1), *double_triangle_edges(base, base + 2),
-            *double_triangle_edges(base + 1, base + 6)]
 
 
 def instance_c1() -> tuple[Graph, dict]:
@@ -66,15 +60,14 @@ def instance_c8() -> tuple[Graph, dict]:
 
 
 def instance_c9() -> tuple[Graph, dict]:
-    edges = [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4), (0, 5), (5, 6),
-             *_j2_chain(6, 7)]
-    return Graph(17, edges), {"v": 0, "v1": 5}
+    g = Graph(7, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4), (0, 5), (5, 6)])
+    return attach_gadget(g, 6, ("j2",)), {"v": 0, "v1": 5}
 
 
 def instance_c10() -> tuple[Graph, dict]:
-    edges = [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4),
-             (0, 5), (0, 6), (5, 6), (0, 7), (7, 8), *_j2_chain(8, 9)]
-    return Graph(19, edges), {"v": 0, "v1": 7}
+    g = Graph(9, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4),
+                  (0, 5), (0, 6), (5, 6), (0, 7), (7, 8)])
+    return attach_gadget(g, 8, ("j2",)), {"v": 0, "v1": 7}
 
 
 def instance_cp1() -> tuple[Graph, dict]:
@@ -131,7 +124,6 @@ def shipped_instance(config_id: str) -> tuple[Graph, dict]:
 
 def shipped_match(config_id: str):
     """The intended ConfigMatch on the shipped instance for ``config_id``."""
-    from .configs import scan_configs
     g, roles = shipped_instance(config_id)
     for match in scan_configs(g, (config_id,)):
         if all(match.role(k) == v for k, v in roles.items()):

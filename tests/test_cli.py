@@ -313,7 +313,21 @@ _REJECTED_INPUT = [
      "Invalid literal for Fraction"),
     (["gen", "corpus", "--count", "1", "--bound", _LONG, "--out", "D"], None,
      "4300 digits"),
+    (["gen", "corpus", "--count", "1", "--bound", "1e4301", "--out", "D"], None,
+     "bound '1e4301': exponent beyond 4300 in magnitude"),
+    (["gen", "corpus", "--count", "1", "--bound", "1E-4_301", "--out", "D"], None,
+     "bound '1E-4_301': exponent beyond 4300 in magnitude"),
     (["--timeout-ms", "1" + "0" * 400, "girth", "T"], None, "--timeout-ms"),
+    (["rho-star", "T", "--seed", "99"], None, "vertex 99 out of range 0..2"),
+    (["rho-star", "T", "--seed", "1,99,-1"], None, "vertex 99 out of range 0..2"),
+    (["star-verify", "T", "--coloring", "J"], [0, 1],
+     "coloring covers 2 vertices, graph has 3"),
+    (["star-verify", "T", "--coloring", "J"], {"colors": [0, 1, 2, 0]},
+     "coloring covers 4 vertices, graph has 3"),
+    (["fii-verify", "T", "--partition", "J"], ["F"],
+     "partition covers 1 vertices, graph has 3"),
+    (["fii-verify", "T", "--partition", "J"], {"labels": [0, 1, 2, 0]},
+     "partition covers 4 vertices, graph has 3"),
 ]
 
 
@@ -552,18 +566,19 @@ def test_every_engine_call_reads_the_one_deadline(capsys, monkeypatch,
     capsys.readouterr()
 
 
-def _cli_process(*argv, memory: int | None = None) -> tuple[int, dict, float]:
+def _cli_process(*argv, memory: int | None = None,
+                 timeout: float = 120) -> tuple[int, dict, float]:
     """``starpart --json *argv`` in a process of its own, its address space
-    capped at ``memory`` bytes if given: the exit code, the document and the
-    wall time."""
+    capped at ``memory`` bytes if given and killed after ``timeout``
+    seconds: the exit code, the document and the wall time."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(cli.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
     cap = None if memory is None else \
         (lambda: resource.setrlimit(resource.RLIMIT_AS, (memory, memory)))
     start = time.monotonic()
     proc = subprocess.run([sys.executable, "-m", "starpart.cli", "--json", *argv],
-                          env=env, capture_output=True, text=True, timeout=120,
-                          preexec_fn=cap)
+                          env=env, capture_output=True, text=True,
+                          timeout=timeout, preexec_fn=cap)
     return proc.returncode, json.loads(proc.stdout), time.monotonic() - start
 
 
@@ -585,6 +600,20 @@ def test_gen_families_check_the_vertex_cap_before_building(family):
                                 memory=512 * 2**20)
     assert (code, doc["error"]) == (2, "usage")
     assert f"limit of {MAX_VERTICES}" in doc["detail"]
+
+
+@pytest.mark.parametrize("bound", ["1e10000000000", "1e-10000000000"])
+def test_gen_corpus_refuses_a_bound_exponent_before_expanding_it(tmp_path,
+                                                                 bound):
+    # Fraction would compute 10**(10**10): capped and timed out, a regression
+    # fails the test instead of exhausting the machine
+    code, doc, wall = _cli_process("gen", "corpus", "--count", "1", "--bound",
+                                   bound, "--out", str(tmp_path / "c"),
+                                   memory=2**30, timeout=20)
+    assert (code, doc) == (2, {"schema": 1, "error": "usage", "detail":
+                               f"bound {bound!r}: exponent beyond 4300 in "
+                               "magnitude"})
+    assert wall < 5
 
 
 def test_fii_verify_cost_does_not_grow_with_k(tmp_path):

@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 from starpart.graphs import (Graph, VertexClass, balls2, classify_vertices,
-                             find_pendent_triangles, to_graph6, triangle_split)
+                             double_triangle_edges, find_pendent_triangles,
+                             to_graph6, triangle_split)
 from starpart.generators import (gen_complete, gen_cycle, gen_g5n,
                                  gen_mad_bounded, gen_path, gen_star)
 from starpart.density import mad, mad_le_8_3, rho_star
@@ -341,6 +342,21 @@ def test_gadget_graft_noninvasive():
         assert restricted == g
 
 
+def test_shipped_j2_chains_are_the_j2_gadget():
+    # C9 and C10 pin an outer vertex with the chain at - w - w + 1, each of
+    # w and w + 1 the apex of two pendent triangles, spelled out here
+    def chain(at, w):
+        return [(at, w), (w, w + 1), *double_triangle_edges(w, w + 2),
+                *double_triangle_edges(w + 1, w + 6)]
+
+    c9 = Graph(17, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4), (0, 5),
+                    (5, 6), *chain(6, 7)])
+    c10 = Graph(19, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4), (0, 5),
+                     (0, 6), (5, 6), (0, 7), (7, 8), *chain(8, 9)])
+    assert instances.instance_c9() == (c9, {"v": 0, "v1": 5})
+    assert instances.instance_c10() == (c10, {"v": 0, "v1": 7})
+
+
 def test_gadget_errors():
     g = gen_path(4)
     with pytest.raises(ValueError):
@@ -357,6 +373,14 @@ def test_gadget_errors():
         attach_gadget(g, 2, ("path2", 2))
     with pytest.raises(ValueError):
         attach_gadget(g, 0, ("j3",))
+    # the attachment point is checked before the target, each with the range
+    with pytest.raises(ValueError, match=r"^vertex 9 out of range 0\.\.3$"):
+        attach_gadget(g, 9, ("edge", 7))
+    with pytest.raises(ValueError, match=r"^vertex 7 out of range 0\.\.3$"):
+        attach_gadget(g, 0, ("path2", 7))
+    with pytest.raises(ValueError, match=r"^deleted vertex 4 out of range 0\.\.3$"):
+        verify_lemma_extension(g, scan_configs(g, ["C1"])[0],
+                               configs.ReductionPlan((0, 4)))
     with pytest.raises(ValueError):
         gadget_by_name("nope")
     with pytest.raises(ValueError):

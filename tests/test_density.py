@@ -10,7 +10,7 @@ from starpart.density import (_subset_edge_counts, mad, mad_le, mad_le_8_3,
                               rho_star_oracle,
                               rho_star_table, rho_star_weighted,
                               rho_all_subsets)
-from starpart.graphs import Graph
+from starpart.graphs import Graph, GraphError
 from starpart.generators import (gen_complete, gen_corpus, gen_cycle,
                                  gen_g5n, gen_mad_bounded, gen_path,
                                  gen_tree_random)
@@ -173,6 +173,15 @@ def test_rho_star_k4():
     for seed in ((4,), (-1,)):
         with pytest.raises(ValueError, match="out of range"):
             rho_star_oracle(gen_complete(4), seed)
+
+
+def test_vertex_arguments_are_checked_in_the_callers_order():
+    k4 = gen_complete(4)
+    for fn in (rho, rho_star, rho_star_oracle):
+        with pytest.raises(GraphError, match=r"^vertex 9 out of range 0\.\.3$"):
+            fn(k4, [1, 9, -1])
+        # a one-shot iterable is read once, after its check
+        assert fn(k4, iter((0, 1))) == fn(k4, (0, 1))
 
 
 def test_rho_star_g5_seed():

@@ -5,14 +5,15 @@ from fractions import Fraction
 import pytest
 
 from starpart.cli import main
-from starpart.graphs import (Graph, VertexClass, classify_vertices,
-                             find_pendent_cycles, serialize_graph)
+from starpart.graphs import (Graph, GraphError, VertexClass, classify_vertices,
+                             find_pendent_cycles, peel_2core, serialize_graph)
 from starpart.generators import (gen_cycle, gen_g5n, gen_mad_bounded,
                                  gen_path, gen_tree_random)
 from starpart.discharging import (EIGHT_THIRDS, audit_final_charges,
                                   build_terminal_partition, run_discharging)
 from starpart.fii import verify_fii
-from starpart.configs import ALL_CONFIG_IDS, reduction_plan, scan_configs
+from starpart.configs import (ALL_CONFIG_IDS, cycle_cover, reduction_plan,
+                              scan_configs)
 from starpart import instances
 from starpart.density import mad_le_8_3
 from test_cli import _subdivided_prism
@@ -339,3 +340,53 @@ def test_terminal_partition_cover_violation():
     res = build_terminal_partition(PETERSEN)
     assert not res.applicable  # V3-vertices fall outside the end state
     assert "outside" in res.reason
+
+
+# -- unavoidability on a seeded corpus ---------------------------------------
+
+def _two_core(g: Graph) -> Graph:
+    deg, gone = g.degrees(), [False] * g.n
+    peel_2core(g, deg, gone, [v for v in range(g.n) if deg[v] <= 1])
+    return g.induced(v for v in range(g.n) if not gone[v])[0]
+
+
+def test_unavoidability_sweep():
+    # every non-empty 2-core of the corpus holds a catalogued configuration
+    # (Cp1 and Cp2 through cycle_cover) or is an identified-triangles graph
+    # that the terminal construction handles; every local match has a plan
+    # but the Cp3 gap, pinned by the classes of v's neighbours (a CHANGES.md
+    # FOUND; neither the scanner nor a plan is changed here)
+    graphs = 0
+    identified, gaps = [], {}
+    for n in (8, 12, 16, 20, 30):
+        for b in (Fraction(8, 3), Fraction(5, 2), Fraction(12, 5)):
+            for s in range(30):
+                g = _two_core(gen_mad_bounded(n, b, s))
+                if g.n == 0:
+                    continue
+                graphs += 1
+                cover = cycle_cover(g)
+                local = scan_configs(
+                    g, [cid for cid in ALL_CONFIG_IDS if cid not in cover])
+                if not (local or any(cover.values())):
+                    res = build_terminal_partition(g)
+                    assert res.applicable and res.degenerate == (
+                        "identified-triangles",)
+                    assert {d.special for d in audit_final_charges(g).deficits
+                            } == {"identified-triangles"}
+                    identified.append((n, b, s))
+                cls = classify_vertices(g)
+                for match in local:
+                    try:
+                        reduction_plan(g, match)
+                    except GraphError as exc:
+                        v = match.role("v")
+                        assert (match.config_id, str(exc)) == (
+                            "Cp3", f"no cataloged reduction for this Cp3 "
+                            f"sub-shape at {v}")
+                        around = tuple(sorted(cls[u].value for u in g.adj[v]))
+                        gaps[around] = gaps.get(around, 0) + 1
+    assert graphs == 450
+    assert identified == [(8, Fraction(5, 2), 22)] + [
+        (8, Fraction(12, 5), s) for s in (11, 12, 22, 25)]
+    assert gaps == {("W2", "W2", "W2", "W3"): 23, ("W2", "W2", "W3", "W3"): 16}

@@ -7,8 +7,8 @@ import types
 import pytest
 
 from starpart.graphs import (FORMATS, Graph, GraphError, ParseError,
-                             ValidationError, VertexClass,
-                             INFINITY, classify_vertices, find_pendent_cycles,
+                             ValidationError, VertexClass, INFINITY,
+                             check_vertices, classify_vertices, find_pendent_cycles,
                              find_pendent_triangles, girth, parse_edge_list,
                              parse_dimacs, parse_graph, parse_graph6,
                              serialize_graph, sniff_format, to_dimacs,
@@ -25,6 +25,19 @@ def random_graph(rng, n, p):
 
 
 # -- construction invariants -------------------------------------------------
+
+def test_check_vertices_names_the_first_bad_vertex_in_order():
+    g = gen_cycle(3)
+    assert check_vertices(g, iter([2, 0, 2])) == (2, 0, 2)
+    assert check_vertices(g, ()) == ()
+    for vs, what, detail in (([1, 5, -1], "vertex", "vertex 5 out of range 0..2"),
+                             ([-1, 5], "deleted vertex",
+                              "deleted vertex -1 out of range 0..2")):
+        with pytest.raises(GraphError, match=f"^{re.escape(detail)}$"):
+            check_vertices(g, vs, what)
+    with pytest.raises(GraphError, match=r"^vertex 0 out of range 0\.\.-1$"):
+        check_vertices(Graph(0, []), [0])
+
 
 def test_simplicity_rejected():
     with pytest.raises(ValidationError):

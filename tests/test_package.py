@@ -257,6 +257,22 @@ def test_input_errors_are_graph_errors():
     assert found == []
 
 
+def test_only_graphs_checks_a_vertex_range():
+    # a vertex argument is checked by graphs.check_vertices alone: any other
+    # chained comparison against a graph's vertex count g.n is a second check
+    found = []
+    for path in sorted(Path(SRC, "starpart").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            found += [f"{path.name}:{fn.name}" for node in ast.walk(fn)
+                      if isinstance(node, ast.Compare) and len(node.ops) > 1
+                      and isinstance(node.comparators[-1], ast.Attribute)
+                      and node.comparators[-1].attr == "n"]
+    assert found == ["graphs.py:check_vertices"]
+
+
 def test_only_the_cli_makes_a_deadline():
     # a deadline is time.monotonic() plus a budget: the CLI makes one per
     # call, and every engine takes the one it is given
@@ -447,7 +463,8 @@ def _imported(proc, name: str) -> bool:
 def test_cold_call_caches_the_modules_it_ran(copy_root):
     proc = _copy_python(copy_root, "-X", "importtime", *_GIRTH)
     assert (proc.returncode, json.loads(proc.stdout)["girth"]) == (0, 3)
-    assert _imported(proc, "py_compile")
+    # the import system's loader writes: nothing of py_compile's is imported
+    assert not (_imported(proc, "py_compile") or _imported(proc, "traceback"))
     assert sorted(_cached(copy_root)) == ["__init__", "cli", "graphs"]
 
 
