@@ -89,7 +89,8 @@ def gen_g5n(n: int) -> Graph:
 
 #: a str bound's exponent as ``Fraction`` reads it (e or E, a sign, digits),
 #: which it expands in full: past int()'s default digit limit it is refused
-_EXPONENT, _MAX_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z"), 4300
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+_MAX_EXPONENT = 4300
 
 
 def _density_cap(bound: Fraction | str) -> Fraction:
