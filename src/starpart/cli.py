@@ -5,13 +5,15 @@
 
 One subcommand per operation; with ``--json`` every run emits exactly one
 JSON document (schema version 1) on stdout, usage errors included,
-otherwise a short human summary.  Exit codes: 0 computed, 1 property
-violated / infeasible, 2 usage or input error, 3 timeout ("unknown"),
-4 internal error (a fault in starpart itself; the traceback goes to
-stderr).  ``--timeout-ms`` gives the call one deadline, which :func:`main`
-computes once, after reading the input, and hands unchanged to every engine
-call; an engine past it raises ``fii.BudgetExhausted`` or returns status
-"unknown", reported as ``{"status": "unknown"}``.
+otherwise a short human summary.  Each subcommand's handler returns
+(exit code, payload, human text) and prints nothing; :func:`main` prints
+it through ``_emit``, the one writer of a result.  Exit codes: 0 computed,
+1 property violated / infeasible, 2 usage or input error, 3 timeout
+("unknown"), 4 internal error (a fault in starpart itself; the traceback
+goes to stderr).  ``--timeout-ms`` gives the call one deadline, which
+:func:`main` computes once, after reading the input, and hands unchanged to
+every engine call; an engine past it raises ``fii.BudgetExhausted`` or
+returns status "unknown", reported as ``{"status": "unknown"}``.
 
 The ``COMMANDS`` and ``GEN_FAMILIES`` tables are the whole grammar: the
 parser reads ``argv`` straight from them, and ``-h`` at any level prints
@@ -36,7 +38,7 @@ import json
 import os
 import sys
 import time
-from importlib.util import MAGIC_NUMBER
+from importlib.util import MAGIC_NUMBER, source_hash
 from pathlib import Path
 from types import ModuleType, SimpleNamespace
 
@@ -116,55 +118,67 @@ def _frac(x) -> int | str:
     return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def _emit(args, payload: dict, human: str) -> None:
+def _emit(args, result: tuple[int, dict, str]) -> int:
+    """Print a handler's (exit code, payload, human text): the payload as one
+    JSON document under ``--json``, else the text; return the exit code."""
+    code, payload, human = result
     if args.json:
         payload = {"schema": SCHEMA, "command": args.command, **payload}
         sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
     else:
         sys.stdout.write(human + "\n")
+    return code
 
 
-def _emit_graph(args, g: Graph) -> int:
-    """Write ``g`` to ``--out`` where the subcommand has it, else print it:
-    as ``{"graph", "n", "m"}`` under ``--json``, as plain text otherwise."""
+def _graph_result(args, g: Graph) -> tuple[int, dict, str]:
+    """Write ``g`` to ``--out`` where the subcommand has it, else give it as
+    ``{"graph", "n", "m"}`` and as plain text."""
     text = serialize_graph(g, args.out_format)
     text += "" if text.endswith("\n") else "\n"
     out = getattr(args, "out", None)
     if out:
         _write_text(Path(out), text)
-        _emit(args, {"written": out, "n": g.n, "m": g.edge_count},
-              f"wrote {out} ({g.n} vertices, {g.edge_count} edges)")
-    elif args.json:
-        _emit(args, {"graph": text.strip(), "n": g.n, "m": g.edge_count}, "")
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+        return (EXIT_OK, {"written": out, "n": g.n, "m": g.edge_count},
+                f"wrote {out} ({g.n} vertices, {g.edge_count} edges)")
+    return EXIT_OK, {"graph": text.strip(), "n": g.n, "m": g.edge_count}, text[:-1]
 
 
-# -- subcommand handlers: (args, input graph or None) -> exit code -------------
+#: exit code of each search status
+_STATUS_EXIT = {"feasible": EXIT_OK, "infeasible": EXIT_VIOLATED,
+                "unknown": EXIT_TIMEOUT}
 
-def _cmd_mad(args, g: Graph) -> int:
+
+def _verdict(ok: bool, witness, key: str, valid_text: str) -> tuple[int, dict, str]:
+    """A checker's answer; a ``witness`` (kind, items) puts its items under
+    ``key`` of the violation."""
+    if ok:
+        return EXIT_OK, {"valid": True, "violation": None}, valid_text
+    kind, items = witness
+    return (EXIT_VIOLATED, {"valid": False, "violation": {"kind": kind, key: items}},
+            f"violation: {kind} {list(items)}")
+
+
+# -- subcommand handlers: (args, graph or None) -> (exit code, payload, text) --
+
+def _cmd_mad(args, g: Graph):
     d = density.mad(g)
     # mad <= 8/3 follows from the exact value.  A violation's set is the least
     # minimizer of rho, which contains every densest set, so the orientation
     # may start with the witness dead.
     ok83 = 3 * d.value <= 8
     violation = None if ok83 else density.rho_star(g, d.witness).minimizer
-    payload = {"value": _frac(d.value), "witness": list(d.witness),
-               "le_8_3": ok83,
-               "violating_set": list(violation) if violation else None}
-    _emit(args, payload, f"mad = {_frac(d.value)} witness {list(d.witness)}"
-          f" (mad <= 8/3: {ok83})")
-    return EXIT_OK
+    payload = {"value": _frac(d.value), "witness": d.witness, "le_8_3": ok83,
+               "violating_set": violation}
+    return EXIT_OK, payload, (f"mad = {_frac(d.value)} witness {list(d.witness)}"
+                              f" (mad <= 8/3: {ok83})")
 
 
-def _cmd_rho_star(args, g: Graph) -> int:
+def _cmd_rho_star(args, g: Graph):
     seed = _parse_vertices(args.seed)
     res = density.rho_star(g, seed)
-    payload = {"value": res.value, "witness": list(res.minimizer),
+    payload = {"value": res.value, "witness": res.minimizer,
                "seed": sorted(set(seed))}
-    _emit(args, payload, f"rho* = {res.value} minimizer {list(res.minimizer)}")
-    return EXIT_OK
+    return EXIT_OK, payload, f"rho* = {res.value} minimizer {list(res.minimizer)}"
 
 
 def _parse_vertices(spec: str) -> list[int]:
@@ -175,26 +189,22 @@ def _parse_vertices(spec: str) -> list[int]:
         raise _CliError(f"bad vertex list {spec!r}") from exc
 
 
-def _cmd_girth(args, g: Graph) -> int:
+def _cmd_girth(args, g: Graph):
     val = girth(g)
     out = "infinity" if val == INFINITY else int(val)
-    _emit(args, {"girth": out}, f"girth = {out}")
-    return EXIT_OK
+    return EXIT_OK, {"girth": out}, f"girth = {out}"
 
 
-def _cmd_classify(args, g: Graph) -> int:
+def _cmd_classify(args, g: Graph):
     cls = classify_vertices(g)
-    tris = find_pendent_triangles(g)
-    payload = {"classes": [c.value for c in cls],
-               "degrees": g.degrees(),
-               "pendent_triangles": [list(t) for t in tris]}
+    payload = {"classes": [c.value for c in cls], "degrees": g.degrees(),
+               "pendent_triangles": find_pendent_triangles(g)}
     human = "" if args.json else "\n".join(  # --json prints no text
         f"{v} ({g.name_of(v)}): {cls[v].value}" for v in range(g.n)) or "(empty graph)"
-    _emit(args, payload, human)
-    return EXIT_OK
+    return EXIT_OK, payload, human
 
 
-def _cmd_star_verify(args, g: Graph) -> int:
+def _cmd_star_verify(args, g: Graph):
     colors, doc = _load_list(args.coloring, "coloring", "colors", (int,))
     palette = doc.get("palette_size")
     if palette is None:
@@ -202,73 +212,56 @@ def _cmd_star_verify(args, g: Graph) -> int:
     if isinstance(palette, bool) or not isinstance(palette, int):
         raise _CliError(f"palette_size {palette!r} is not int")
     coloring = starcolor.Coloring(tuple(colors), palette)
-    ok, witness = starcolor.is_star_coloring(g, coloring)
-    payload = {"valid": ok,
-               "violation": {"kind": witness[0], "vertices": list(witness[1])}
-               if witness else None}
-    _emit(args, payload, "valid star coloring" if ok
-          else f"violation: {witness[0]} {list(witness[1])}")
-    return EXIT_OK if ok else EXIT_VIOLATED
+    return _verdict(*starcolor.is_star_coloring(g, coloring), "vertices",
+                    "valid star coloring")
 
 
-def _cmd_star_color(args, g: Graph) -> int:
+def _cmd_star_color(args, g: Graph):
     res = starcolor.star_chromatic_number(g, args.limit, force=args.force,
                                           deadline=args.deadline)
     if res is None:
-        _emit(args, {"chi_s": None, "exceeds_limit": args.limit},
-              f"star chromatic number exceeds limit {args.limit}")
-        return EXIT_VIOLATED
+        return (EXIT_VIOLATED, {"chi_s": None, "exceeds_limit": args.limit},
+                f"star chromatic number exceeds limit {args.limit}")
     k, coloring = res
-    payload = {"chi_s": k, "coloring": list(coloring.colors)}
-    _emit(args, payload, f"chi_s = {k} coloring {list(coloring.colors)}")
-    return EXIT_OK
+    return (EXIT_OK, {"chi_s": k, "coloring": coloring.colors},
+            f"chi_s = {k} coloring {list(coloring.colors)}")
 
 
-def _cmd_fii_find(args, g: Graph) -> int:
+def _cmd_fii_find(args, g: Graph):
     res = fii.find_fii(g, args.k, forcing=not args.no_forcing,
                        deadline=args.deadline)
     payload = {"status": res.status, "k": args.k, "nodes": res.nodes,
                "forced": res.forced, "exhausted": res.exhausted,
                "partition": res.partition.names() if res.partition else None}
-    _emit(args, payload, f"{res.status} (nodes {res.nodes}, forced {res.forced})")
-    if res.status == "feasible":
-        return EXIT_OK
-    return EXIT_TIMEOUT if res.status == "unknown" else EXIT_VIOLATED
+    return (_STATUS_EXIT[res.status], payload,
+            f"{res.status} (nodes {res.nodes}, forced {res.forced})")
 
 
-def _cmd_fii_verify(args, g: Graph) -> int:
+def _cmd_fii_verify(args, g: Graph):
     labels, _ = _load_list(args.partition, "partition", "labels", (int, str))
     labels = [fii.parse_label(l, args.k) if isinstance(l, str) else l
               for l in labels]
     part = fii.FiiPartition(tuple(labels), args.k)
-    ok, witness = fii.verify_fii(g, part)
-    payload = {"valid": ok,
-               "violation": {"kind": witness[0], "detail": list(witness[1])}
-               if witness else None}
-    _emit(args, payload, "valid partition" if ok
-          else f"violation: {witness[0]} {list(witness[1])}")
-    return EXIT_OK if ok else EXIT_VIOLATED
+    return _verdict(*fii.verify_fii(g, part), "detail", "valid partition")
 
 
-def _cmd_star5(args, g: Graph) -> int:
+def _cmd_star5(args, g: Graph):
     res = fii.find_fii(g, 2, deadline=args.deadline)
+    code = _STATUS_EXIT[res.status]
     if res.status == "unknown":
-        _emit(args, {"status": "unknown"}, "unknown (timeout)")
-        return EXIT_TIMEOUT
+        return code, {"status": "unknown"}, "unknown (timeout)"
     if res.status == "infeasible":
-        _emit(args, {"status": "infeasible", "nodes": res.nodes,
-                     "exhausted": res.exhausted},
-              f"no FII-partition (exhausted, nodes {res.nodes})")
-        return EXIT_VIOLATED
+        return (code, {"status": "infeasible", "nodes": res.nodes,
+                       "exhausted": res.exhausted},
+                f"no FII-partition (exhausted, nodes {res.nodes})")
     coloring = fii.fii_to_star5(g, res.partition)
     ok, _ = starcolor.is_star_coloring(g, coloring)
     payload = {"status": "feasible", "partition": res.partition.names(),
-               "coloring": list(coloring.colors), "verified": ok}
-    _emit(args, payload, f"star 5-coloring {list(coloring.colors)}")
-    return EXIT_OK
+               "coloring": coloring.colors, "verified": ok}
+    return code, payload, f"star 5-coloring {list(coloring.colors)}"
 
 
-def _cmd_boundary(args, _) -> int:
+def _cmd_boundary(args, _):
     try:
         paths = sorted(Path(args.corpus).iterdir())
     except OSError as exc:
@@ -287,25 +280,20 @@ def _cmd_boundary(args, _) -> int:
     }
     human = (f"k={args.k}: {len(report.entries)} graphs, "
              f"min infeasible mad = {payload['min_infeasible_mad']}")
-    _emit(args, payload, human)
-    return EXIT_TIMEOUT if report.unknown_count else EXIT_OK
+    return EXIT_TIMEOUT if report.unknown_count else EXIT_OK, payload, human
 
 
-def _cmd_config_scan(args, g: Graph) -> int:
+def _cmd_config_scan(args, g: Graph):
     ids = args.ids.split(",") if args.ids else None
     matches = configs.scan_configs(g, ids, deadline=args.deadline)
-    payload = {"matches": [
-        {"config": m.config_id,
-         "vertices": {k: (list(v) if isinstance(v, tuple) else v)
-                      for k, v in m.vertices}}
-        for m in matches]}
+    payload = {"matches": [{"config": m.config_id, "vertices": dict(m.vertices)}
+                           for m in matches]}
     human = "\n".join(f"{m.config_id}: {dict(m.vertices)}" for m in matches) \
         or "no matches"
-    _emit(args, payload, human)
-    return EXIT_OK
+    return EXIT_OK, payload, human
 
 
-def _cmd_lemma_check(args, g: Graph) -> int:
+def _cmd_lemma_check(args, g: Graph):
     matches = configs.scan_configs(g, (args.config,), deadline=args.deadline)
     if not matches:
         raise _CliError(f"no {args.config} match in input", EXIT_VIOLATED)
@@ -329,81 +317,66 @@ def _cmd_lemma_check(args, g: Graph) -> int:
     report = configs.verify_lemma_extension(g, match,
                                             configs.reduction_plan(g, match),
                                             deadline=args.deadline)
-    payload = {"config": args.config,
-               "deleted": list(report.plan.deleted),
-               "mods": [list(m) for m in report.plan.mods],
-               "h_partitions": report.h_partitions,
+    payload = {"config": args.config, "deleted": report.plan.deleted,
+               "mods": report.plan.mods, "h_partitions": report.h_partitions,
                "distinct_restrictions": report.distinct_restrictions,
-               "extended": report.extended,
-               "vacuous": report.vacuous,
-               "passed": report.passed,
-               "failures": [list(f) for f in report.failures]}
+               "extended": report.extended, "vacuous": report.vacuous,
+               "passed": report.passed, "failures": report.failures}
     human = (f"{args.config}: {report.extended}/{report.h_partitions} "
              f"partitions extend"
              + (" (vacuous)" if report.vacuous else ""))
-    _emit(args, payload, human)
-    return EXIT_OK if report.passed else EXIT_VIOLATED
+    return EXIT_OK if report.passed else EXIT_VIOLATED, payload, human
 
 
-def _cmd_attach(args, g: Graph) -> int:
+def _cmd_attach(args, g: Graph):
     gadget = configs.gadget_by_name(args.gadget)
-    return _emit_graph(args, configs.attach_gadget(g, args.at, gadget))
+    return _graph_result(args, configs.attach_gadget(g, args.at, gadget))
 
 
-def _cmd_discharge(args, g: Graph) -> int:
+def _cmd_discharge(args, g: Graph):
     table = discharging.run_discharging(g)
     total = _frac(table.total)
-    payload = {
-        "initial": [_frac(x) for x in table.initial],
-        "final": [_frac(x) for x in table.final],
-        "total": total,
-        "transfers": [{"from": t.source, "to": t.target,
-                       "amount": _frac(t.amount), "rule": t.rule}
-                      for t in table.transfers],
-    }
-    _emit(args, payload,
-          f"total charge {total} = 2|E| over {g.n} vertices, "
-          f"{len(table.transfers)} transfers")
-    return EXIT_OK
+    payload = {"initial": [_frac(x) for x in table.initial],
+               "final": [_frac(x) for x in table.final], "total": total,
+               "transfers": [{"from": t.source, "to": t.target,
+                              "amount": _frac(t.amount), "rule": t.rule}
+                             for t in table.transfers]}
+    return EXIT_OK, payload, (f"total charge {total} = 2|E| over {g.n} vertices, "
+                              f"{len(table.transfers)} transfers")
 
 
-def _cmd_discharge_audit(args, g: Graph) -> int:
+def _cmd_discharge_audit(args, g: Graph):
     report = discharging.audit_final_charges(g)
     payload = {"deficits": [
         {"vertex": d.vertex, "final": _frac(d.final),
-         "nearby_configs": list(d.nearby_configs), "special": d.special}
+         "nearby_configs": d.nearby_configs, "special": d.special}
         for d in report.deficits]}
     human = "no deficits" if report.clean else "\n".join(
         f"vertex {d.vertex}: {_frac(d.final)} < 8/3, near {list(d.nearby_configs)}"
         + (f" [{d.special}]" if d.special else "")
         for d in report.deficits)
-    _emit(args, payload, human)
-    return EXIT_OK if report.clean else EXIT_VIOLATED
+    return EXIT_OK if report.clean else EXIT_VIOLATED, payload, human
 
 
-def _cmd_terminal_partition(args, g: Graph) -> int:
+def _cmd_terminal_partition(args, g: Graph):
     res = discharging.build_terminal_partition(g)
     if not res.applicable:
-        _emit(args, {"applicable": False, "reason": res.reason},
-              f"inapplicable: {res.reason}")
-        return EXIT_VIOLATED
-    payload = {"applicable": True,
-               "degenerate": list(res.degenerate),
-               "partition": res.partition.names(),
-               "sets": {name: list(vs) for name, vs in res.sets._asdict().items()}}
-    _emit(args, payload, f"FII-partition {res.partition.names()}")
-    return EXIT_OK
+        return (EXIT_VIOLATED, {"applicable": False, "reason": res.reason},
+                f"inapplicable: {res.reason}")
+    payload = {"applicable": True, "degenerate": res.degenerate,
+               "partition": res.partition.names(), "sets": res.sets._asdict()}
+    return EXIT_OK, payload, f"FII-partition {res.partition.names()}"
 
 
 def _gen_family(name: str):
-    """The ``gen`` handler that prints ``generators.<name>(args.n)``, looked
+    """The ``gen`` handler that gives ``generators.<name>(args.n)``, looked
     up at call time so that wrappers installed on the module are seen."""
-    def handler(args, _) -> int:
-        return _emit_graph(args, getattr(generators, name)(args.n))
+    def handler(args, _):
+        return _graph_result(args, getattr(generators, name)(args.n))
     return handler
 
 
-def _cmd_gen_corpus(args, _) -> int:
+def _cmd_gen_corpus(args, _):
     # generated in full first, so that a run that fails leaves no directory
     corpus = list(generators.gen_corpus(args.count, args.n_max, args.bound,
                                         args.seed))
@@ -417,9 +390,8 @@ def _cmd_gen_corpus(args, _) -> int:
         path = outdir / f"{name}.g6"
         _write_text(path, serialize_graph(g, "graph6") + "\n")
         names.append(path.name)
-    _emit(args, {"written": names, "dir": str(outdir)},
-          f"wrote {len(names)} graphs to {outdir}")
-    return EXIT_OK
+    return (EXIT_OK, {"written": names, "dir": str(outdir)},
+            f"wrote {len(names)} graphs to {outdir}")
 
 
 # -- command line -------------------------------------------------------------
@@ -657,7 +629,7 @@ def main(argv: list[str] | None = None) -> int:
             raise _CliError(f"-k must be nonnegative, got {args.k}")
         g = _load_graph(args.file, args.format) if hasattr(args, "file") else None
         args.deadline = None if ms is None else time.monotonic() + ms / 1000
-        return args.fn(args, g)
+        return _emit(args, args.fn(args, g))
     except _Help as exc:
         sys.stdout.write(str(exc))
         return EXIT_OK
@@ -668,8 +640,7 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         return EXIT_USAGE
     except fii.BudgetExhausted as exc:  # read only once a handler has raised
-        _emit(args, {"status": "unknown"}, f"unknown ({exc})")
-        return EXIT_TIMEOUT
+        return _emit(args, (EXIT_TIMEOUT, {"status": "unknown"}, f"unknown ({exc})"))
     except Exception as exc:  # a fault in starpart, never a verdict
         import traceback  # here, to keep it off every call's start-up time
         traceback.print_exc()
@@ -709,16 +680,23 @@ def run() -> None:
 
 def _cache_bytecode(source: str, cached: str) -> None:
     """Compile ``source`` to ``cached`` unless the file's PEP 552 header
-    matches the source; a stale file never runs, as every load checks it.
-    Done even under ``PYTHONDONTWRITEBYTECODE``, since each call is a new
-    process, by the import system's own loader, which writes atomically.
-    A directory that cannot take the file costs a ``stat``."""
+    matches the source: its timestamp (flags 0) or hash (flags 3, checked);
+    an unchecked hash file (flags 1) is left alone.  A stale file never
+    runs, as every load checks it.  Done even under
+    ``PYTHONDONTWRITEBYTECODE``, since each call is a new process, by the
+    import system's own loader, which writes atomically and in the file's
+    own kind.  A directory that cannot take the file costs a ``stat``."""
     st = os.stat(source)
     stamp = int(st.st_mtime) & 0xFFFFFFFF | (st.st_size & 0xFFFFFFFF) << 32
     if os.path.isfile(cached):
         with open(cached, "rb") as f:  # the header only, not the code
-            if f.read(16) == MAGIC_NUMBER + bytes(4) + stamp.to_bytes(8, "little"):
-                return
+            head = f.read(16)
+        flags, key = int.from_bytes(head[4:8], "little"), head[8:]
+        if head[:4] == MAGIC_NUMBER and (
+                flags == 0 and key == stamp.to_bytes(8, "little")
+                or flags == 1  # unchecked hash: the source is never read
+                or flags == 3 and key == source_hash(Path(source).read_bytes())):
+            return
     room = os.path.dirname(cached)
     while not os.path.lexists(room) and room != os.path.dirname(room):
         room = os.path.dirname(room)
