@@ -18,7 +18,13 @@ end-to-end metric of ``BENCHMARK.json`` both sides' medians and quartiles,
 the head's wins and ties, and a verdict; beside them, under ``calls``, each
 side's failed and attempted calls over all pairs, and whether the head
 failed a larger share of them (such a head is worse whatever the verdicts
-say).  The verdicts:
+say).  Under ``output`` it records whether both trees print the same:
+before the timed pairs, each tree runs one round of the workload's calls
+in-process (``tracing.call_inprocess``, judged by ``run.judge``) at the
+first pair's seed, and ``differ`` lists the argv of every call whose exit
+code or stdout differs, the work directory's path read as ``<workdir>``;
+``incorrect`` lists each side's calls that fail the harness's check.  This
+is a record, not a gate.  The verdicts:
 
 - ``gain``: the head wins at least nine tenths of the pairs, and the medians
   differ by more than the distance between the base's quartiles;
@@ -47,6 +53,9 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+#: stands for the work directory in the argv and stdout of an output round
+WORKDIR = "<workdir>"
 
 #: the bench seed of each pair, in order; both sides of a pair share it
 SEEDS = (9101, 9102, 9103, 9104, 9105, 9106, 9107, 9108, 9109, 9110,
@@ -89,6 +98,53 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
             "correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"], "env": env}
+
+
+def round_rows(workload: str, seed: str, workdir: str) -> list[dict]:
+    """One round of ``workload``'s calls at bench seed ``seed``, each run
+    in-process and judged as the harness judges it.  Run by ``outputs`` in
+    a process of its own whose working directory is a tree."""
+    sys.path[:0] = ["src", "perfbench"]
+    import run
+    import tracing
+    import workloads
+    wl = workloads.WORKLOADS[workload](int(seed), False, Path(workdir))
+    wl.setup()
+    rows = []
+    for op in wl.ops(0):
+        code, out, _ = tracing.call_inprocess(
+            ["--json", "--timeout-ms", str(run.BUDGET_MS), *op.args])
+        rows.append({"argv": [a.replace(workdir, WORKDIR) for a in op.args],
+                     "code": code, "stdout": out.replace(workdir, WORKDIR),
+                     "reason": run.judge(op, code, out, "")[1]})
+    return rows
+
+
+def outputs(tree: Path, workload: str, seed: int, workdir: Path) -> list[dict]:
+    """``round_rows`` in ``tree``, in a child process with the harness's
+    fixed hash seed."""
+    workdir.mkdir()
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPYCACHEPREFIX"}
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import ab; "
+            "print(json.dumps(ab.round_rows(*sys.argv[2:])))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(Path(__file__).resolve().parent),
+         workload, str(seed), str(workdir)],
+        cwd=tree, env=dict(env, PYTHONHASHSEED="0"), capture_output=True, text=True)
+    if proc.returncode:
+        raise SystemExit(f"ab: output round in {tree} exited {proc.returncode}:\n"
+                         f"{proc.stderr}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def compare(base: list[dict], head: list[dict]) -> dict:
+    """The calls of two rounds, the argv of each whose exit code or stdout
+    differs, and each side's calls that failed their check."""
+    return {"calls": len(base),
+            "differ": [b["argv"] for b, h in zip(base, head, strict=True)
+                       if (b["code"], b["stdout"]) != (h["code"], h["stdout"])],
+            "incorrect": {side: [r["argv"] for r in rows if r["reason"]]
+                          for side, rows in (("base", base), ("head", head))}}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -153,6 +209,10 @@ def main(argv: list[str] | None = None) -> int:
         if tree_bytes(trees["base"] / "perfbench") != \
                 tree_bytes(trees["head"] / "perfbench"):
             raise SystemExit("ab: the two commits differ under perfbench/")
+        output = compare(*(outputs(trees[side], args.workload, SEEDS[0],
+                                   Path(scratch, f"out-{side}"))
+                           for side in ("base", "head")))
+        print("ab: output " + json.dumps(output, sort_keys=True), flush=True)
         for i, seed in enumerate(SEEDS[:args.pairs]):
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
             pair = {"seed": seed, "first": order[0]}
@@ -174,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
                        "platform": platform.platform()},
            "environ": {"PYTHONDONTWRITEBYTECODE":
                        os.environ.get("PYTHONDONTWRITEBYTECODE")},
-           "pairs": pairs, "calls": calls(pairs),
+           "pairs": pairs, "calls": calls(pairs), "output": output,
            "summary": {m["name"]: summarize(pairs, m) for m in bench["end_to_end"]}}
     out = root / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
