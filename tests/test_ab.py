@@ -46,3 +46,22 @@ def test_calls_flags_a_head_that_fails_a_larger_share(base, head, more):
     assert out["head_fails_more"] is more
     assert out["base"] == {"failed": sum(f for f, _ in base),
                            "attempted": sum(a for _, a in base)}
+
+
+def _row(argv, code=0, stdout="{}\n", reason=None):
+    return {"argv": argv, "code": code, "stdout": stdout, "reason": reason}
+
+
+def test_compare_lists_calls_whose_code_or_stdout_differs():
+    base = [_row(["girth", "a"]), _row(["mad", "b"], stdout='{"value": 2}\n'),
+            _row(["star5", "c"], code=0), _row(["gen", "d"], reason="bad")]
+    head = [_row(["girth", "a"]), _row(["mad", "b"], stdout='{"value": 3}\n'),
+            _row(["star5", "c"], code=3, reason="exit 3, expected 0"),
+            _row(["gen", "d"], reason="bad")]
+    assert ab.compare(base, head) == {
+        "calls": 4, "differ": [["mad", "b"], ["star5", "c"]],
+        "incorrect": {"base": [["gen", "d"]],
+                      "head": [["star5", "c"], ["gen", "d"]]}}
+    assert ab.compare(base, base)["differ"] == []
+    with pytest.raises(ValueError):  # rounds of different workloads
+        ab.compare(base, head[:3])

@@ -293,6 +293,8 @@ _REJECTED_INPUT = [
     (["fii-verify", "T", "--partition", "J"], ["F", "I3", "F"], "exceeds k=2"),
     (["girth", "L"], None, "cannot read"),
     (["boundary", "-k", "2", "--corpus", "D"], None, "cannot read"),
+    (["boundary", "-k", "2", "--corpus", "L"], None,
+     "cannot read corpus directory"),
     (["star-verify", "T", "--coloring", "J"], "[" * 100_000, "recursion depth"),
     (["star-verify", "T", "--coloring", "J"], f"[0, 1, {_LONG}]",
      "4300 digits"),
@@ -935,3 +937,83 @@ def test_byte_edited_inputs_never_exit_4(capsys, tmp_path):
             assert code in (0, 1, 2, 3), (bytes(text), sub, fmt, out.err)
             codes.add(code)
     assert {0, 2} <= codes
+
+
+# -- branches of the handlers, each in both output modes ---------------------
+
+def _both(capsys, *argv):
+    """(exit code, text) and (exit code, JSON document) of one call."""
+    return run(capsys, *argv), run_json(capsys, *argv)
+
+
+def test_star_color_past_the_limit_exits_1(capsys, tmp_path):
+    path = tmp_path / "c5.g6"
+    path.write_text(to_graph6(gen_cycle(5)))
+    human, js = _both(capsys, "star-color", str(path), "--limit", "2")
+    assert human == (1, "star chromatic number exceeds limit 2\n")
+    assert js == (1, {"schema": 1, "command": "star-color", "chi_s": None,
+                      "exceeds_limit": 2})
+
+
+def test_star5_unfinished_search_exits_3(capsys, monkeypatch, g5_file):
+    monkeypatch.setattr(cli.fii, "find_fii", lambda g, k, deadline=None:
+                        cli.fii.FiiResult("unknown", None, 7, 0, False))
+    human, js = _both(capsys, "star5", g5_file)
+    assert human == (3, "unknown (timeout)\n")
+    assert js == (3, {"schema": 1, "command": "star5", "status": "unknown"})
+
+
+def test_config_scan_without_matches(capsys, tmp_path):
+    path = tmp_path / "petersen.g6"
+    path.write_text("IheA@GUAo\n")
+    human, js = _both(capsys, "config-scan", str(path))
+    assert human == (0, "no matches\n")
+    assert js == (0, {"schema": 1, "command": "config-scan", "matches": []})
+
+
+def test_lemma_check_without_a_match_exits_1(capsys, tmp_path):
+    path = tmp_path / "tri.el"
+    path.write_text("0 1\n1 2\n0 2\n")
+    code, doc = run_json(capsys, "lemma-check", str(path), "--config", "C5")
+    assert (code, doc) == (1, {"schema": 1, "error": "violated",
+                               "detail": "no C5 match in input"})
+
+
+def test_lemma_check_picks_the_match_of_a_role_file(capsys, tmp_path):
+    from starpart import instances
+    g, match = instances.shipped_match("C5")
+    path = tmp_path / "c5inst.g6"
+    path.write_text(to_graph6(g))
+    roles = tmp_path / "roles.json"
+    roles.write_text(json.dumps(dict(match.vertices)))
+    human, js = _both(capsys, "lemma-check", str(path), "--config", "C5",
+                      "--match", str(roles))
+    assert human == (0, "C5: 81/81 partitions extend\n")
+    code, doc = js
+    assert (code, doc["passed"], doc["h_partitions"]) == (0, True, 81)
+    assert doc["deleted"] == sorted(v for _, v in match.vertices)
+
+
+def test_terminal_partition_inapplicable_exits_1(capsys, tmp_path):
+    path = tmp_path / "k5.el"
+    path.write_text("".join(f"{u} {v}\n" for u in range(5)
+                            for v in range(u + 1, 5)))
+    reason = "V4+ not independent: edge (0, 1)"
+    human, js = _both(capsys, "terminal-partition", str(path))
+    assert human == (1, f"inapplicable: {reason}\n")
+    assert js == (1, {"schema": 1, "command": "terminal-partition",
+                      "applicable": False, "reason": reason})
+
+
+class _BrokenPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_broken_pipe_on_the_write_exits_2(capsys, monkeypatch, tmp_path, mode):
+    path = tmp_path / "tri.el"
+    path.write_text("0 1\n1 2\n0 2\n")
+    monkeypatch.setattr(sys, "stdout", _BrokenPipe())
+    assert main([*mode, "girth", str(path)]) == 2
+    assert capsys.readouterr().err == ""

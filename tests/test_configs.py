@@ -620,6 +620,22 @@ def test_c8_plan_uses_triangle_mod():
     assert plan.mods == (("triangle", 7),)
 
 
+def test_cp2_plan_deletes_the_two_neighbours_of_a_w3():
+    # V3-vertex 2 of the pendent cycle (1, 2, 5) has the W3-vertex 8 as its
+    # least W23-neighbour, so the plan deletes 8's 2-neighbours 3 and 7 too;
+    # 1 and 5 bring their W2-neighbours 9 and 3
+    g = gen_mad_bounded(10, Fraction(5, 2), 21)
+    match = ConfigMatch("Cp2", (("cycle", (1, 2, 5)),))
+    assert scan_configs(g, ["Cp2"]) == [match]
+    cls = classify_vertices(g)
+    assert [cls[v] for v in (1, 2, 5, 8)] == [_W.V3, _W.V3, _W.V3, _W.W3]
+    assert min(u for u in g.adj[2] if cls[u] in (_W.W2, _W.W3)) == 8
+    plan = reduction_plan(g, match)
+    assert (plan.deleted, plan.mods) == ((1, 2, 3, 5, 7, 8, 9), ())
+    report = verify_lemma_extension(g, match, plan)
+    assert (report.h_partitions, report.extended, report.passed) == (13, 13, True)
+
+
 def test_cp3_matches_with_no_plan_are_pinned(tmp_path, capsys):
     # a known gap: the scanner takes a V4 with at least 2 W2 neighbours in
     # W235, and the catalogue has a plan only for >= 2 W5 or four W2.  Either

@@ -6,16 +6,18 @@ import pytest
 
 from starpart.cli import main
 from starpart.graphs import (Graph, GraphError, VertexClass, classify_vertices,
-                             find_pendent_cycles, peel_2core, serialize_graph)
+                             find_pendent_cycles, peel_2core, serialize_graph,
+                             triangle_split)
 from starpart.generators import (gen_cycle, gen_g5n, gen_mad_bounded,
                                  gen_path, gen_tree_random)
-from starpart.discharging import (EIGHT_THIRDS, audit_final_charges,
-                                  build_terminal_partition, run_discharging)
+from starpart.discharging import (EIGHT_THIRDS, _check_component, _Inapplicable,
+                                  audit_final_charges, build_terminal_partition,
+                                  run_discharging)
 from starpart.fii import verify_fii
 from starpart.configs import (ALL_CONFIG_IDS, cycle_cover, reduction_plan,
                               scan_configs)
 from starpart import instances
-from starpart.density import mad_le_8_3
+from starpart.density import mad, mad_le_8_3
 from test_cli import _subdivided_prism
 
 
@@ -340,6 +342,93 @@ def test_terminal_partition_cover_violation():
     res = build_terminal_partition(PETERSEN)
     assert not res.applicable  # V3-vertices fall outside the end state
     assert "outside" in res.reason
+
+
+def _with_gadgets(n: int, edges, tris=(), w5s=()) -> Graph:
+    """``Graph(n, edges)`` plus a pendent triangle at each apex in ``tris``
+    and a W5-vertex (two pendent triangles) hung from each host in ``w5s``,
+    numbered from ``n`` on in that order."""
+    edges = list(edges)
+
+    def triangle(apex):
+        nonlocal n
+        edges.extend([(apex, n), (apex, n + 1), (n, n + 1)])
+        n += 2
+
+    for apex in tris:
+        triangle(apex)
+    for host in w5s:
+        w, n = n, n + 1
+        edges.append((host, w))
+        triangle(w)
+        triangle(w)
+    return Graph(n, edges)
+
+
+@pytest.mark.parametrize("n, bound, seed, g6, reason", [
+    (8, Fraction(5, 2), 41, "GogRCg", "3-vertex 7 on a pendent triangle"),
+    (8, Fraction(8, 3), 9, "FXcj?", "W23-vertex 4 has 3 W23-neighbors"),
+    (8, Fraction(8, 3), 7, "EuKW", "V4-vertex 3 with two W2-neighbors"),
+])
+def test_terminal_partition_refuses_corpus_cores(n, bound, seed, g6, reason):
+    g = _two_core(gen_mad_bounded(n, bound, seed))
+    assert serialize_graph(g, "graph6") == g6
+    res = build_terminal_partition(g)
+    assert (res.applicable, res.reason) == (False, reason)
+
+
+# vertex 0 is the one that breaks the end state; every check before the
+# per-vertex loop passes, so its reason is the first one reported
+@pytest.mark.parametrize("g, reason", [
+    (Graph(8, [(h, i) for h in (0, 7) for i in range(1, 7)]),
+     "6-vertex 0 on 0 pendent triangles, need exactly 2"),
+    (_with_gadgets(4, [(0, 1), (0, 2), (3, 1), (3, 2)], tris=(0, 0, 3, 3)),
+     "6-vertex 0 without two W3-neighbors"),
+    (Graph(7, [(h, i) for h in (0, 6) for i in range(1, 6)]),
+     "V5-vertex 0 on 0 pendent triangles, need exactly 1"),
+    (_with_gadgets(5, [(h, i) for h in (0, 4) for i in (1, 2, 3)], tris=(0, 4)),
+     "V5-vertex 0 with two W2-neighbors"),
+    (_with_gadgets(1, [], w5s=(0, 0, 0, 0)), "V4-vertex 0 with two W5-neighbors"),
+    (_with_gadgets(3, [(0, 1), (1, 2)], tris=(0, 0, 2, 2)),
+     "W5-vertex 0 whose fifth neighbor is not in V4+"),
+], ids=["v6-triangles", "v6-w3", "v5-triangles", "v5-w2", "v4-w5", "w5-fifth"])
+def test_terminal_partition_names_the_failed_neighbourhood(g, reason):
+    res = build_terminal_partition(g)
+    assert (res.applicable, res.reason) == (False, reason)
+
+
+@pytest.mark.parametrize("g, comp, reason", [
+    (_with_gadgets(6, [(0, 3), (0, 4), (0, 5)], tris=(0,)), [0, 6, 7],
+     "V5-vertex 0 with a neighbor outside W235"),
+    (Graph(5, [(0, i) for i in range(1, 5)]), [0],
+     "V4-vertex 0 with a neighbor outside W235"),
+])
+def test_outside_w235_checks_on_a_partial_vertex_list(g, comp, reason):
+    # no whole component reaches these two: in the end state a neighbour of
+    # a V4 or V5 outside W235 is a 2-vertex of its own pendent triangle or in
+    # V4+, which the independence check has refused already.  Here the
+    # vertex list leaves the offending neighbours (leaves) out.
+    with pytest.raises(_Inapplicable) as exc:
+        _check_component(g, comp, classify_vertices(g), triangle_split(g))
+    assert exc.value.reason == reason
+
+
+def test_terminal_partition_splits_w5_by_their_y_side():
+    # V5-vertices 0 and 1 share the Z-vertex 2, so 0 goes to Y_alpha and 1
+    # to Y_beta; each holds one W5 (18 at 0, 23 at 1), which lands on the
+    # other side.  The W2-path 5-3-6-4-7 of W3s 3 (at 0) and 4 (at 1) ends
+    # at the X-vertices 8 and 9, each a V5 with two W5-neighbours.
+    g = _with_gadgets(10, [(0, 2), (1, 2), (0, 3), (1, 4), (3, 5), (3, 6),
+                           (4, 6), (4, 7), (5, 8), (7, 9)],
+                      tris=(0, 1, 8, 9), w5s=(0, 1, 8, 8, 9, 9))
+    assert mad(g).value == EIGHT_THIRDS
+    res = build_terminal_partition(g)
+    assert res.applicable and not res.degenerate
+    assert verify_fii(g, res.partition) == (True, None)
+    sets = res.sets
+    assert (sets.X, sets.Y_alpha, sets.Y_beta, sets.Z) == ((8, 9), (0,), (1,), (2,))
+    assert (sets.W_alpha, sets.W_beta) == ((23,), (18,))
+    assert sets.W_X == (28, 33, 38, 43) and sets.F0 == (3, 4, 5, 6, 7)
 
 
 # -- unavoidability on a seeded corpus ---------------------------------------

@@ -273,6 +273,26 @@ def test_only_graphs_checks_a_vertex_range():
     assert found == ["graphs.py:check_vertices"]
 
 
+def test_only_main_prints_a_result():
+    # a handler returns (exit code, payload, text) and prints nothing: _emit
+    # writes a result and main alone calls it, so what reaches stdout is
+    # decided in one place (main also writes help and error documents)
+    found = set()
+
+    def visit(node, fn):
+        fn = node.name if isinstance(node, ast.FunctionDef) else fn
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in (
+                "sys.stdout.write", "_emit", "print"):
+            found.add((ast.unparse(node.func), fn))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    path = Path(SRC, "starpart", "cli.py")
+    visit(ast.parse(path.read_text(), str(path)), None)
+    assert sorted(found) == [("_emit", "main"), ("sys.stdout.write", "_emit"),
+                             ("sys.stdout.write", "main")]
+
+
 def test_only_the_cli_makes_a_deadline():
     # a deadline is time.monotonic() plus a budget: the CLI makes one per
     # call, and every engine takes the one it is given
@@ -524,6 +544,86 @@ def test_in_process_main_writes_no_bytecode(copy_root):
                         "sys.exit(cli.main(sys.argv[1:]))", *_GIRTH[2:])
     assert (proc.returncode, json.loads(proc.stdout)["girth"]) == (0, 3)
     assert not (copy_root / "starpart" / "__pycache__").exists()
+
+
+@pytest.fixture
+def get_code_calls(monkeypatch):
+    """The sources ``SourceFileLoader.get_code`` is called on, in order;
+    ``sys.dont_write_bytecode``, which ``_cache_bytecode`` clears, is
+    restored after the test."""
+    # loaded before the recording starts, so that it sees the test's calls only
+    import py_compile  # noqa: F401
+    from starpart.cli import _cache_bytecode  # noqa: F401
+    from importlib.machinery import SourceFileLoader
+    calls, get_code = [], SourceFileLoader.get_code
+
+    def recording(self, name):
+        calls.append(name)
+        return get_code(self, name)
+
+    monkeypatch.setattr(SourceFileLoader, "get_code", recording)
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    return calls
+
+
+def _pyc(tmp_path, mode):
+    """A module under ``tmp_path`` and its bytecode compiled in ``mode``
+    (a ``py_compile.PycInvalidationMode`` name); (source, cached)."""
+    import py_compile
+    source = tmp_path / "mod.py"
+    source.write_text("x = 1\n")
+    cached = importlib.util.cache_from_source(str(source))
+    py_compile.compile(str(source), cached, doraise=True, invalidation_mode=
+                       getattr(py_compile.PycInvalidationMode, mode))
+    return str(source), cached
+
+
+def _header(cached: str) -> tuple[int, bytes]:
+    """The flags word and the 8 bytes after it of a bytecode file."""
+    head = Path(cached).read_bytes()[:16]
+    return int.from_bytes(head[4:8], "little"), head[8:]
+
+
+def test_current_checked_hash_bytecode_is_left_alone(tmp_path, get_code_calls):
+    from starpart.cli import _cache_bytecode
+    source, cached = _pyc(tmp_path, "CHECKED_HASH")
+    before = Path(cached).read_bytes()
+    _cache_bytecode(source, cached)
+    assert get_code_calls == [] and Path(cached).read_bytes() == before
+    # an edited source gets a new checked-hash file, with the new hash
+    Path(source).write_text("x = 2\n")
+    _cache_bytecode(source, cached)
+    assert get_code_calls == [source]
+    assert _header(cached) == (
+        3, importlib.util.source_hash(Path(source).read_bytes()))
+    _cache_bytecode(source, cached)
+    assert get_code_calls == [source]
+
+
+def test_unchecked_hash_bytecode_is_never_rewritten(tmp_path, get_code_calls):
+    from starpart.cli import _cache_bytecode
+    source, cached = _pyc(tmp_path, "UNCHECKED_HASH")
+    before = Path(cached).read_bytes()
+    Path(source).write_text("x = 2\n")  # the interpreter runs the file as is
+    _cache_bytecode(source, cached)
+    assert get_code_calls == [] and Path(cached).read_bytes() == before
+
+
+def test_timestamp_bytecode_is_rewritten_only_when_stale(tmp_path, get_code_calls):
+    from starpart.cli import _cache_bytecode
+    source, cached = _pyc(tmp_path, "TIMESTAMP")
+    _cache_bytecode(source, cached)
+    assert get_code_calls == []
+    Path(source).write_text("x = 22\n")  # a new size, whatever the clock
+    _cache_bytecode(source, cached)
+    _cache_bytecode(source, cached)
+    assert get_code_calls == [source]
+    st = os.stat(source)
+    assert _header(cached) == (0, (int(st.st_mtime) & 0xFFFFFFFF).to_bytes(4, "little")
+                               + st.st_size.to_bytes(4, "little"))
+    Path(cached).unlink()  # no file at all: compiled and written
+    _cache_bytecode(source, cached)
+    assert get_code_calls == [source, source] and _header(cached)[0] == 0
 
 
 @pytest.mark.parametrize("sub", _BENCH_CALLS)
