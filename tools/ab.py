@@ -112,11 +112,11 @@ def round_rows(workload: str, seed: str, workdir: str) -> list[dict]:
     wl.setup()
     rows = []
     for op in wl.ops(0):
-        code, out, _ = tracing.call_inprocess(
+        code, out, err = tracing.call_inprocess(
             ["--json", "--timeout-ms", str(run.BUDGET_MS), *op.args])
         rows.append({"argv": [a.replace(workdir, WORKDIR) for a in op.args],
                      "code": code, "stdout": out.replace(workdir, WORKDIR),
-                     "reason": run.judge(op, code, out, "")[1]})
+                     "reason": run.judge(op, code, out, err)[1]})
     return rows
 
 
