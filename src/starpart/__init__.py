@@ -21,10 +21,9 @@ _EXPORTS = {
                "VertexClass", "classify_vertices", "find_pendent_cycles",
                "find_pendent_triangles", "girth", "parse_graph",
                "serialize_graph", "INFINITY"),
-    "density": ("Density", "PotentialResult", "mad", "mad_oracle", "mad_le",
-                "mad_le_8_3", "rho", "rho_star", "rho_star_oracle"),
-    "starcolor": ("Coloring", "is_star_coloring", "star_chromatic_number",
-                  "star_chromatic_number_oracle", "greedy_star_coloring"),
+    "density": ("Density", "PotentialResult", "mad", "mad_le", "mad_le_8_3",
+                "rho", "rho_star"),
+    "starcolor": ("Coloring", "is_star_coloring", "star_chromatic_number"),
     "fii": ("FiiPartition", "FiiResult", "BudgetExhausted", "verify_fii",
             "find_fii", "enumerate_fii", "fii_to_star5", "boundary_search"),
     "configs": ("ConfigMatch", "ReductionPlan", "scan_configs",

@@ -3,8 +3,8 @@ rho(A) = 4|A| - 3|E(A)|, and the constrained minimum rho*(I).
 
 Everything is exact: densities are ``fractions.Fraction``, potentials are
 ints, and every decision path goes through one integer orientation routine,
-``place_units`` (Hakimi 1965).  Each fast algorithm has an exhaustive
-subset-enumeration oracle next to it.
+``place_units`` (Hakimi 1965).  The tests check each one against
+subset-enumeration references kept in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .graphs import (Graph, GraphError, bfs_order, check_vertices, peel_2core,
                      per_graph)
-
-_ORACLE_LIMIT = 24
 
 
 def place_units(held: list[dict[int, int]], load: list[int], cap: int,
@@ -174,35 +172,6 @@ def mad(g: Graph) -> Density:
     return Density(2 * dens, tuple(sorted(stuck)))
 
 
-def _subset_edge_counts(g: Graph) -> list[int]:
-    """|E(G[S])| for every vertex subset S, indexed by bitmask (n <= 24)."""
-    if g.n > _ORACLE_LIMIT:
-        raise GraphError(f"oracle limited to {_ORACLE_LIMIT} vertices")
-    nmask = [0] * g.n
-    for u, v in g.edges():
-        nmask[u] |= 1 << v
-        nmask[v] |= 1 << u
-    ecount = [0] * (1 << g.n)
-    for mask in range(1, len(ecount)):
-        v = (mask & -mask).bit_length() - 1
-        prev = mask & (mask - 1)
-        ecount[mask] = ecount[prev] + (nmask[v] & prev).bit_count()
-    return ecount
-
-
-def mad_oracle(g: Graph) -> Density:
-    """Exhaustive maximum average degree over all nonempty subsets."""
-    if g.n < 1:
-        raise GraphError("mad requires at least one vertex")
-    best_e, best_k, best_mask = 0, 1, 1
-    for mask, e in enumerate(_subset_edge_counts(g)):
-        k = mask.bit_count()
-        if e * best_k > best_e * k:
-            best_e, best_k, best_mask = e, k, mask
-    witness = tuple(v for v in range(g.n) if best_mask >> v & 1)
-    return Density(Fraction(2 * best_e, best_k), witness)
-
-
 @per_graph
 def _orientation_order(g: Graph) -> tuple[tuple[int, int], ...]:
     """Every edge once, as (u, v) with u its earlier end in the order of
@@ -281,37 +250,6 @@ def rho_star(g: Graph, seed: Iterable[int] = ()) -> PotentialResult:
     result = rho_star_weighted(g, seed, 4, 3)
     assert rho(g, result.minimizer) == result.value
     return result
-
-
-def rho_star_oracle(g: Graph, seed: Iterable[int] = ()) -> PotentialResult:
-    """Exhaustive rho*: the first least rho, in mask order, over the supersets
-    of the seed in :func:`rho_all_subsets` (n <= 24)."""
-    seed_mask = 0
-    for v in check_vertices(g, seed):
-        seed_mask |= 1 << v
-    table = rho_all_subsets(g)
-    best = min((m for m in range(seed_mask, len(table)) if m & seed_mask == seed_mask),
-               key=table.__getitem__)
-    return PotentialResult(table[best], tuple(v for v in range(g.n) if best >> v & 1))
-
-
-def rho_all_subsets(g: Graph) -> list[int]:
-    """rho for every subset, indexed by bitmask (oracle utility, n <= 24)."""
-    return [4 * mask.bit_count() - 3 * e
-            for mask, e in enumerate(_subset_edge_counts(g))]
-
-
-def rho_star_table(g: Graph) -> list[int]:
-    """min-over-supersets of rho for every seed mask (superset-sum DP)."""
-    table = rho_all_subsets(g)
-    out = list(table)
-    for b in range(g.n):
-        bit = 1 << b
-        for mask in range(len(out)):
-            if not mask & bit:
-                if out[mask | bit] < out[mask]:
-                    out[mask] = out[mask | bit]
-    return out
 
 
 def mad_le_8_3(g: Graph) -> tuple[bool, tuple[int, ...] | None]:

@@ -216,15 +216,9 @@ def _check_component(g: Graph, comp: list[int], cls, split) -> None:
             if ntri != 1:
                 raise _Inapplicable(
                     f"V5-vertex {v} on {ntri} pendent triangles, need exactly 1")
-            if any(cls[u] not in W235 for u in nontri):
-                raise _Inapplicable(
-                    f"V5-vertex {v} with a neighbor outside W235")
             if sum(1 for u in nontri if cls[u] == _W.W2) > 1:
                 raise _Inapplicable(f"V5-vertex {v} with two W2-neighbors")
         elif cls[v] == _W.V4:
-            if any(cls[u] not in W235 for u in g.adj[v]):
-                raise _Inapplicable(
-                    f"V4-vertex {v} with a neighbor outside W235")
             if sum(1 for u in g.adj[v] if cls[u] == _W.W5) > 1:
                 raise _Inapplicable(f"V4-vertex {v} with two W5-neighbors")
             if sum(1 for u in g.adj[v] if cls[u] == _W.W2) > 1:

@@ -37,7 +37,7 @@ def parse_label(name: str, k: int) -> int:
     lab = aliases.get(name)
     if lab is None and name.startswith("I") and name[1:].isdigit():
         try:
-            lab = int(name[1:])
+            lab = int(name[1:]) or None  # I0 names no part
         except ValueError:  # a digit such as '²', or past int()'s digit limit
             pass
     if lab is None:
@@ -362,19 +362,6 @@ def enumerate_fii(g: Graph, k: int = 2, deadline: float | None = None,
     order = [v for comp in _branch_orders(g) for v in comp if v < own]
     for _ in solver._labelings([*order, *range(own, g.n)]):
         yield FiiPartition(tuple(solver.labels), k)
-
-
-def count_fii_bruteforce(g: Graph, k: int = 2) -> int:
-    """Count partitions by checking all (k+1)^n labelings with the verifier."""
-    import itertools
-    if g.n > 9:
-        raise GraphError("brute-force count limited to 9 vertices")
-    total = 0
-    for labels in itertools.product(range(k + 1), repeat=g.n):
-        ok, _ = verify_fii(g, FiiPartition(labels, k))
-        if ok:
-            total += 1
-    return total
 
 
 # ---------------------------------------------------------------------------

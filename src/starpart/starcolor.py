@@ -1,5 +1,6 @@
-"""Star colorings: verification, exact star chromatic number, and a greedy
-baseline.
+"""Star colorings: verification and the exact star chromatic number.  The
+tests check both against the enumeration of every coloring, in
+``tests/oracles.py``.
 
 A star k-coloring is a proper k-coloring in which no path on four distinct
 vertices (three edges) uses only two colors; equivalently the union of any
@@ -8,7 +9,6 @@ two color classes induces a star forest.
 
 from __future__ import annotations
 
-import itertools
 import time
 from typing import Callable, Iterator, NamedTuple
 
@@ -225,34 +225,3 @@ def star_chromatic_number(g: Graph, limit: int | None = None,
             assert ok, f"solver produced an invalid coloring: {witness}"
             return k, coloring
     return None
-
-
-def star_chromatic_number_oracle(g: Graph, limit: int | None = None) -> int | None:
-    """Naive oracle: enumerate all k^n labelings, filter with the verifier."""
-    if limit is None:
-        limit = max(g.n, 1)
-    if g.n == 0:
-        return 0
-    for k in range(1, limit + 1):
-        for labels in itertools.product(range(k), repeat=g.n):
-            ok, _ = is_star_coloring(g, Coloring(labels, k))
-            if ok:
-                return k
-    return None
-
-
-def greedy_star_coloring(g: Graph, order: list[int] | None = None) -> Coloring:
-    """First-fit star coloring along ``order`` (default: degeneracy order).
-
-    No optimality guarantee; the result is verified before being returned.
-    """
-    if order is None:
-        order = degeneracy_order(g)
-    if sorted(order) != list(range(g.n)):
-        raise GraphError("order must be a permutation of the vertices")
-    # a fresh color always fits, so with n colors first-fit never backtracks
-    colors = _search_star_k(g, max(g.n, 1), order)
-    coloring = Coloring(tuple(colors), max(colors, default=0) + 1)
-    ok, witness = is_star_coloring(g, coloring)
-    assert ok, f"greedy produced an invalid coloring: {witness}"
-    return coloring

@@ -19,13 +19,9 @@ from starpart.configs import (ALL_CONFIG_IDS, ConfigMatch, GADGET_BUDGET,
                               scan_configs, verify_lemma_extension)
 from starpart import cli, configs, fii, instances
 from starpart.fii import enumerate_fii, find_fii
+from oracles import random_graph
 
 _W = VertexClass
-
-
-def random_graph(rng, n, p):
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                     if rng.random() < p])
 
 
 # -- naive matchers: direct role enumeration from the class definitions ----------

@@ -6,24 +6,18 @@ import pytest
 
 from starpart.cli import main
 from starpart.graphs import (Graph, GraphError, VertexClass, classify_vertices,
-                             find_pendent_cycles, peel_2core, serialize_graph,
-                             triangle_split)
+                             find_pendent_cycles, peel_2core, serialize_graph)
 from starpart.generators import (gen_cycle, gen_g5n, gen_mad_bounded,
                                  gen_path, gen_tree_random)
-from starpart.discharging import (EIGHT_THIRDS, _check_component, _Inapplicable,
-                                  audit_final_charges, build_terminal_partition,
-                                  run_discharging)
+from starpart.discharging import (EIGHT_THIRDS, audit_final_charges,
+                                  build_terminal_partition, run_discharging)
 from starpart.fii import verify_fii
 from starpart.configs import (ALL_CONFIG_IDS, cycle_cover, reduction_plan,
                               scan_configs)
 from starpart import instances
 from starpart.density import mad, mad_le_8_3
+from oracles import random_graph
 from test_cli import _subdivided_prism
-
-
-def random_graph(rng, n, p):
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                     if rng.random() < p])
 
 
 PETERSEN = Graph(10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (1, 6),
@@ -395,22 +389,6 @@ def test_terminal_partition_refuses_corpus_cores(n, bound, seed, g6, reason):
 def test_terminal_partition_names_the_failed_neighbourhood(g, reason):
     res = build_terminal_partition(g)
     assert (res.applicable, res.reason) == (False, reason)
-
-
-@pytest.mark.parametrize("g, comp, reason", [
-    (_with_gadgets(6, [(0, 3), (0, 4), (0, 5)], tris=(0,)), [0, 6, 7],
-     "V5-vertex 0 with a neighbor outside W235"),
-    (Graph(5, [(0, i) for i in range(1, 5)]), [0],
-     "V4-vertex 0 with a neighbor outside W235"),
-])
-def test_outside_w235_checks_on_a_partial_vertex_list(g, comp, reason):
-    # no whole component reaches these two: in the end state a neighbour of
-    # a V4 or V5 outside W235 is a 2-vertex of its own pendent triangle or in
-    # V4+, which the independence check has refused already.  Here the
-    # vertex list leaves the offending neighbours (leaves) out.
-    with pytest.raises(_Inapplicable) as exc:
-        _check_component(g, comp, classify_vertices(g), triangle_split(g))
-    assert exc.value.reason == reason
 
 
 def test_terminal_partition_splits_w5_by_their_y_side():

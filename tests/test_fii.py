@@ -5,19 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from starpart.graphs import Graph, balls2
+from starpart.graphs import Graph, GraphError, balls2
 from starpart.generators import (gen_corpus, gen_cycle, gen_complete, gen_g5n,
                                  gen_mad_bounded, gen_path, gen_star,
                                  gen_tree_random)
 from starpart.fii import (BudgetExhausted, FiiPartition, boundary_search,
-                          count_fii_bruteforce, enumerate_fii, fii_to_star5, find_fii,
+                          enumerate_fii, fii_to_star5, find_fii,
                           lemma_forcing_patterns, parse_label, verify_fii)
 from starpart.starcolor import is_star_coloring
-
-
-def random_graph(rng, n, p):
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                     if rng.random() < p])
+import oracles
+from oracles import random_graph
 
 
 def disjoint_union(graphs):
@@ -90,7 +87,7 @@ def test_enumeration_equals_bruteforce():
         g = random_graph(rng, rng.randint(1, 6), rng.random() * 0.6)
         for k in (0, 1, 2):
             cnt = sum(1 for _ in enumerate_fii(g, k))
-            assert cnt == count_fii_bruteforce(g, k)
+            assert cnt == oracles.count_fi(g, k)
 
 
 def test_enumeration_labels_the_vertices_from_own_last():
@@ -120,7 +117,7 @@ def test_nine_vertex_bruteforce_agreement():
     for _ in range(3):
         g = random_graph(rng, 9, 0.3)
         cnt = sum(1 for _ in enumerate_fii(g, 2))
-        assert cnt == count_fii_bruteforce(g, 2)
+        assert cnt == oracles.count_fi(g, 2)
         assert find_fii(g, 2).feasible == (cnt > 0)
 
 
@@ -280,8 +277,9 @@ def test_parse_label():
     assert parse_label("I2", 2) == 2
     with pytest.raises(ValueError):
         parse_label("I3", 2)
-    with pytest.raises(ValueError):
-        parse_label("xyz", 2)
+    for name in ("xyz", "I0", "I00"):
+        with pytest.raises(GraphError, match=f"^unknown part label '{name}'$"):
+            parse_label(name, 2)
 
 
 # -- boundary search ---------------------------------------------------------------

@@ -16,12 +16,7 @@ from starpart.graphs import (FORMATS, Graph, GraphError, ParseError,
                              triangle_split, _g6_number)
 from starpart.generators import gen_cycle, gen_complete, gen_g5n, gen_path
 from starpart.fii import _branch_orders
-
-
-def random_graph(rng, n, p):
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-             if rng.random() < p]
-    return Graph(n, edges)
+from oracles import random_graph
 
 
 # -- construction invariants -------------------------------------------------

@@ -257,6 +257,22 @@ def test_input_errors_are_graph_errors():
     assert found == []
 
 
+def test_oracles_share_no_code_with_the_engines():
+    # a reference that called the code it judges would agree with any bug in
+    # it: tests/oracles.py takes only the Graph type from starpart, and no
+    # oracle or brute-force helper is part of the package
+    path = Path(__file__).with_name("oracles.py")
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names if a.name.startswith("starpart")}
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("starpart"):
+            imported |= {f"{node.module}.{a.name}" for a in node.names}
+    assert imported == {"starpart.graphs.Graph"}
+    assert [name for name in starpart.__all__
+            if "oracle" in name or "brute" in name] == []
+
+
 def test_only_graphs_checks_a_vertex_range():
     # a vertex argument is checked by graphs.check_vertices alone: any other
     # chained comparison against a graph's vertex count g.n is a second check

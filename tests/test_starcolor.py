@@ -6,15 +6,10 @@ import pytest
 from starpart.graphs import Graph
 from starpart.generators import (gen_complete, gen_cycle, gen_path, gen_star,
                                  gen_tree_random, gen_g5n)
-from starpart.starcolor import (Coloring, degeneracy_order,
-                                greedy_star_coloring, is_star_coloring,
-                                star_chromatic_number,
-                                star_chromatic_number_oracle)
-
-
-def random_graph(rng, n, p):
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                     if rng.random() < p])
+from starpart.starcolor import (Coloring, degeneracy_order, is_star_coloring,
+                                star_chromatic_number)
+import oracles
+from oracles import random_graph
 
 
 def _all_p4s(g):
@@ -107,7 +102,7 @@ def test_chi_s_complete_graphs():
 def test_chi_s_c5_is_4():
     k, _ = star_chromatic_number(gen_cycle(5))
     assert k == 4
-    assert star_chromatic_number_oracle(gen_cycle(5)) == 4
+    assert oracles.chi_s(gen_cycle(5)) == 4
 
 
 def test_chi_s_forests():
@@ -134,7 +129,7 @@ def test_chi_s_matches_oracle_small():
     for _ in range(25):
         g = random_graph(rng, rng.randint(1, 6), rng.random() * 0.6)
         k, _ = star_chromatic_number(g)
-        assert k == star_chromatic_number_oracle(g)
+        assert k == oracles.chi_s(g)
 
 
 def test_chi_s_monotone_under_subgraphs():
@@ -155,40 +150,6 @@ def test_chi_s_deterministic():
     a = star_chromatic_number(g)
     b = star_chromatic_number(g)
     assert a == b
-
-
-def test_greedy_always_valid():
-    rng = random.Random(24)
-    for _ in range(40):
-        g = random_graph(rng, rng.randint(1, 12), rng.random() * 0.5)
-        col = greedy_star_coloring(g)
-        ok, _ = is_star_coloring(g, col)
-        assert ok
-
-
-def test_greedy_examples():
-    col = greedy_star_coloring(gen_complete(4))
-    assert col.used() == 4
-    tree = gen_tree_random(10, 9)
-    col = greedy_star_coloring(tree)
-    ok, _ = is_star_coloring(tree, col)
-    assert ok
-    g5 = gen_g5n(1)
-    col = greedy_star_coloring(g5, degeneracy_order(g5))
-    ok, _ = is_star_coloring(g5, col)
-    assert ok
-    with pytest.raises(ValueError):
-        greedy_star_coloring(gen_path(3), [0, 0, 1])
-
-
-def test_greedy_output_pinned():
-    col = greedy_star_coloring(gen_g5n(3))
-    assert col.colors == (
-        3, 1, 0, 2, 3, 2, 1, 0, 2, 3, 2, 1, 0, 2, 0, 3, 2, 3, 2, 3, 1, 3, 1, 1, 0, 1,
-        0, 3, 2, 3, 2, 3, 1, 3, 1, 1, 0, 1, 0, 3, 2, 3, 2, 3, 1, 3, 1, 1, 0, 1, 0)
-    assert col.palette_size == 4
-    col = greedy_star_coloring(gen_cycle(7))
-    assert col.colors == (2, 1, 0, 2, 0, 1, 0) and col.palette_size == 3
 
 
 def test_degeneracy_order_matches_quadratic_rule():
