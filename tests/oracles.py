@@ -49,13 +49,10 @@ def mad(g) -> Fraction:
     return checkers.mad_of_table(edge_counts(g))
 
 
-def _mask(vertices) -> int:
-    return sum(1 << v for v in set(vertices))
-
-
 def rho_star(g, seed=()) -> int:
     """min of rho(K) = 4|K| - 3|E(K)| over the sets K that contain ``seed``."""
-    return checkers.rho_min_of_table(edge_counts(g), _mask(seed))
+    seed_mask = sum(1 << v for v in set(seed))
+    return checkers.rho_min_of_table(edge_counts(g), seed_mask)
 
 
 def rho_star_table(g) -> list[int]:

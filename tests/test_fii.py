@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from starpart.graphs import Graph, GraphError, balls2
+from starpart.graphs import Graph, GraphError
 from starpart.generators import (gen_corpus, gen_cycle, gen_complete, gen_g5n,
                                  gen_mad_bounded, gen_path, gen_star,
                                  gen_tree_random)
