@@ -316,10 +316,22 @@ def _outer_neighbor(g: Graph, v: int, exclude: set[int]) -> int | None:
     return min(outs) if outs else None
 
 
+def _share(g: Graph, cls: Sequence[VertexClass], x: int) -> set[int]:
+    """x with what a plan deletes along with it: a W3's first two
+    2-neighbours, a W5's whole neighbourhood (its two pendent triangles)."""
+    if cls[x] == _W.W3:
+        return {x, *_two_neighbors(g, x)[:2]}
+    if cls[x] == _W.W5:
+        return {x, *g.adj[x]}
+    return {x}
+
+
 #: the configurations whose deleted set is the set of their match's vertices
-#: less the vertices of these roles (a set: C5's x1, x2, y3, y4 may coincide)
-_SPARED_ROLES = {"C1": (), "C3": (), "C4": ("v",), "C5": (), "C9": ("v1",),
-                 "C10": ("v1",), "Cp1": ()}
+#: less the vertices of the spared roles (a set: C5's x1, x2, y3, y4 may
+#: coincide), plus the ``_share`` of each shared role's vertex
+_ROLES = {"C1": ((), ()), "C3": ((), ()), "C4": (("v",), ()), "C5": ((), ()),
+          "C6": ((), ("v2",)), "C7": ((), ("v1", "v2")), "C9": (("v1",), ()),
+          "C10": (("v1",), ()), "Cp1": ((), ())}
 
 
 def reduction_plan(g: Graph, match: ConfigMatch) -> ReductionPlan:
@@ -331,10 +343,12 @@ def reduction_plan(g: Graph, match: ConfigMatch) -> ReductionPlan:
     cid = match.config_id
     cls = classify_vertices(g)
 
-    if cid in _SPARED_ROLES:
-        spared = _SPARED_ROLES[cid]
+    if cid in _ROLES:
+        spared, shared = _ROLES[cid]
         s = {x for role, val in match.vertices if role not in spared
              for x in (val if isinstance(val, tuple) else (val,))}
+        for role in shared:
+            s |= _share(g, cls, match.role(role))
         return ReductionPlan(tuple(sorted(s)))
     if cid == "C2":
         u, v = match.role("u"), match.role("v")
@@ -349,21 +363,12 @@ def reduction_plan(g: Graph, match: ConfigMatch) -> ReductionPlan:
                 mods = (("triangle", cand),)
                 break
         return ReductionPlan((u, v), mods)
-    if cid == "C6":
-        v, v1, v2 = match.role("v"), match.role("v1"), match.role("v2")
-        x1, x2 = _two_neighbors(g, v2)[:2]
-        return ReductionPlan(tuple(sorted({v, v1, v2, x1, x2})))
-    if cid == "C7":
-        v, v1, v2 = match.role("v"), match.role("v1"), match.role("v2")
-        xs = _two_neighbors(g, v1)[:2] + _two_neighbors(g, v2)[:2]
-        return ReductionPlan(tuple(sorted({v, v1, v2, *xs})))
     if cid == "C8":
         v, v1 = match.role("v"), match.role("v1")
         t1, t2 = match.role("t1"), match.role("t2")
         if cls[v1] == _W.W3:
-            x1, x2 = [u for u in _two_neighbors(g, v1) if u != v][:2]
-            s = {v, v1, t1, t2, x1, x2}
-            z1 = _outer_neighbor(g, x1, s)
+            s = {v, t1, t2, *_share(g, cls, v1)}
+            z1 = _outer_neighbor(g, _two_neighbors(g, v1)[0], s)
             mods = (("triangle", z1),) if z1 is not None else ()
             return ReductionPlan(tuple(sorted(s)), mods)
         return ReductionPlan((t1, t2))
@@ -372,10 +377,7 @@ def reduction_plan(g: Graph, match: ConfigMatch) -> ReductionPlan:
         s = set(cyc)
         for x in cyc:
             if cls[x] == _W.V3:
-                w23 = min(u for u in g.adj[x] if cls[u] in W23)
-                s.add(w23)
-                if cls[w23] == _W.W3:
-                    s.update(_two_neighbors(g, w23)[:2])
+                s |= _share(g, cls, min(u for u in g.adj[x] if cls[u] in W23))
             elif cls[x] == _W.W4:
                 s.update(triangle_split(g)[x][0])
         return ReductionPlan(tuple(sorted(s)))
@@ -384,9 +386,8 @@ def reduction_plan(g: Graph, match: ConfigMatch) -> ReductionPlan:
         nbrs = sorted(g.adj[v])
         w5s = [u for u in nbrs if cls[u] == _W.W5]
         if len(w5s) >= 2:
-            u1, u2 = w5s[:2]
-            rest = [u for u in nbrs if u not in (u1, u2)]
-            s = {v, u1, u2, *g.adj[u1], *g.adj[u2]}
+            rest = [u for u in nbrs if u not in w5s[:2]]
+            s = {v, *_share(g, cls, w5s[0]), *_share(g, cls, w5s[1])}
             mods: tuple[tuple, ...] = ()
             if not g.has_edge(rest[0], rest[1]):
                 mods = (("edge", rest[0], rest[1]),)
@@ -402,20 +403,17 @@ def reduction_plan(g: Graph, match: ConfigMatch) -> ReductionPlan:
         t1, t2 = match.role("t1"), match.role("t2")
         nontri = [match.role("u1"), match.role("u2"), match.role("u3")]
         w2s = sorted(u for u in nontri if cls[u] == _W.W2)
-        u3 = next((u for u in nontri if u not in w2s[:2]), None)
-        u1, u2 = w2s[:2]
-        if cls[u3] == _W.W5:
-            s = {v, t1, t2, u1, u2, u3, *g.adj[u3]}
-        elif cls[u3] == _W.W3:
-            s = {v, t1, t2, u1, u2, *_two_neighbors(g, u3)[:2]}
+        u3 = next(u for u in nontri if u not in w2s[:2])
+        s = {v, t1, t2, *w2s[:2]}
+        if cls[u3] == _W.W3:
+            # the one exception to the share rule: a W3 u3 stays in H
+            s.update(_two_neighbors(g, u3)[:2])
         else:
-            s = {v, t1, t2, u1, u2, u3}
+            s |= _share(g, cls, u3)
         return ReductionPlan(tuple(sorted(s)))
     if cid == "Cp5":
         v, u1 = match.role("v"), match.role("u1")
-        s = {v, *g.adj[v]}
-        if cls[u1] == _W.W5:
-            s.update(g.adj[u1])
+        s = {v, *g.adj[v], *_share(g, cls, u1)}
         return ReductionPlan(tuple(sorted(s)))
     raise GraphError(f"unknown configuration id {cid!r}")
 

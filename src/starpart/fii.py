@@ -37,10 +37,11 @@ def parse_label(name: str, k: int) -> int:
     lab = aliases.get(name)
     if lab is None and name.startswith("I") and name[1:].isdigit():
         try:
-            lab = int(name[1:]) or None  # I0 names no part
+            lab = int(name[1:])
         except ValueError:  # a digit such as '²', or past int()'s digit limit
             pass
-    if lab is None:
+    # past the aliases, only label_name's spelling names a part: not I0 or I01
+    if lab is None or name not in aliases and name != label_name(lab):
         raise GraphError(f"unknown part label {name!r}")
     if lab > k:
         raise GraphError(f"label {name!r} exceeds k={k}")

@@ -5,7 +5,6 @@ lines and timings.  The shared corpus fixtures are module-scoped so the
 expensive generation happens once.
 """
 
-import itertools
 import random
 import time
 from fractions import Fraction
@@ -19,7 +18,7 @@ from starpart.generators import (gen_complete, gen_corpus, gen_cycle,
                                  gen_star, gen_tree_random)
 from starpart.density import mad, mad_le_8_3, rho_star
 from starpart.starcolor import is_star_coloring, star_chromatic_number
-from starpart.fii import boundary_search, fii_to_star5, find_fii, verify_fii
+from starpart.fii import boundary_search, fii_to_star5, find_fii
 from starpart.configs import (ALL_CONFIG_IDS, attach_gadget,
                               verify_lemma_extension)
 from starpart.discharging import (audit_final_charges,

@@ -307,6 +307,8 @@ _REJECTED_INPUT = [
      "unknown part label"),
     (["fii-verify", "T", "--partition", "J"], ["I0", "I0", "I1"],
      "unknown part label 'I0'"),
+    (["fii-verify", "T", "--partition", "J"], ["I1", "F", "I01"],
+     "unknown part label 'I01'"),
     (["lemma-check", "H", "--config", "C1", "--match", "J"], "[" * 100_000,
      "recursion depth"),
     (["lemma-check", "H", "--config", "C1", "--match", "J"], f'{{"v": {_LONG}}}',

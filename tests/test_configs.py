@@ -11,14 +11,13 @@ import pytest
 from starpart.graphs import (Graph, VertexClass, balls2, classify_vertices,
                              double_triangle_edges, find_pendent_triangles,
                              to_graph6, triangle_split)
-from starpart.generators import (gen_complete, gen_cycle, gen_g5n,
-                                 gen_mad_bounded, gen_path, gen_star)
+from starpart.generators import (gen_cycle, gen_g5n, gen_mad_bounded, gen_path,
+                                 gen_star)
 from starpart.density import mad, mad_le_8_3, rho_star
 from starpart.configs import (ALL_CONFIG_IDS, ConfigMatch, GADGET_BUDGET,
                               attach_gadget, gadget_by_name, reduction_plan,
                               scan_configs, verify_lemma_extension)
 from starpart import cli, configs, fii, instances
-from starpart.fii import enumerate_fii, find_fii
 from oracles import random_graph
 
 _W = VertexClass

@@ -8,7 +8,7 @@ from starpart.cli import main
 from starpart.graphs import (Graph, GraphError, VertexClass, classify_vertices,
                              find_pendent_cycles, peel_2core, serialize_graph)
 from starpart.generators import (gen_cycle, gen_g5n, gen_mad_bounded,
-                                 gen_path, gen_tree_random)
+                                 gen_tree_random)
 from starpart.discharging import (EIGHT_THIRDS, audit_final_charges,
                                   build_terminal_partition, run_discharging)
 from starpart.fii import verify_fii

@@ -1,4 +1,3 @@
-import itertools
 import random
 import time
 from fractions import Fraction
@@ -277,7 +276,9 @@ def test_parse_label():
     assert parse_label("I2", 2) == 2
     with pytest.raises(ValueError):
         parse_label("I3", 2)
-    for name in ("xyz", "I0", "I00"):
+    # only the spelling label_name prints names a part: no leading zero and
+    # no digit outside ASCII
+    for name in ("xyz", "I0", "I00", "I01", "I007", "I\u0661"):
         with pytest.raises(GraphError, match=f"^unknown part label '{name}'$"):
             parse_label(name, 2)
 

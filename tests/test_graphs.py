@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import random
 import re
 import types
@@ -14,7 +13,7 @@ from starpart.graphs import (FORMATS, Graph, GraphError, ParseError,
                              serialize_graph, sniff_format, to_dimacs,
                              to_edge_list, to_graph6, balls2, neighbor_sets,
                              triangle_split, _g6_number)
-from starpart.generators import gen_cycle, gen_complete, gen_g5n, gen_path
+from starpart.generators import gen_cycle, gen_g5n, gen_path
 from starpart.fii import _branch_orders
 from oracles import random_graph
 

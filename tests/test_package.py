@@ -12,7 +12,6 @@ import shutil
 import subprocess
 import sys
 import time
-import types
 from pathlib import Path
 
 import pytest
@@ -271,6 +270,26 @@ def test_oracles_share_no_code_with_the_engines():
     assert imported == {"starpart.graphs.Graph"}
     assert [name for name in starpart.__all__
             if "oracle" in name or "brute" in name] == []
+
+
+def test_every_module_level_import_is_read():
+    # an import that nothing reads is dead code a reader must still trace:
+    # each module-level import in src/starpart, tests and tools binds a name
+    # that its module reads (``from __future__`` binds none)
+    root = Path(__file__).resolve().parent.parent
+    unread = []
+    for path in sorted([*Path(SRC, "starpart").glob("*.py"),
+                        *root.joinpath("tests").glob("*.py"),
+                        *root.joinpath("tools").glob("*.py")]):
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{path.parent.name}/{path.name}: {name}"
+                   for node in tree.body if isinstance(node, ast.Import) or (
+                       isinstance(node, ast.ImportFrom) and node.module != "__future__")
+                   for a in node.names for name in [a.asname or a.name.split(".")[0]]
+                   if name not in read]
+    assert unread == []
 
 
 def test_only_graphs_checks_a_vertex_range():
