@@ -41,7 +41,7 @@ def parse_label(name: str, k: int) -> int:
         except ValueError:  # a digit such as '²', or past int()'s digit limit
             pass
     # past the aliases, only label_name's spelling names a part: not I0 or I01
-    if lab is None or name not in aliases and name != label_name(lab):
+    if lab is None or (name not in aliases and name != label_name(lab)):
         raise GraphError(f"unknown part label {name!r}")
     if lab > k:
         raise GraphError(f"label {name!r} exceeds k={k}")

@@ -631,6 +631,29 @@ def test_cp2_plan_deletes_the_two_neighbours_of_a_w3():
     assert (report.h_partitions, report.extended, report.passed) == (13, 13, True)
 
 
+def test_cp4_plan_keeps_a_w3_u3():
+    # a known gap: Cp4 with u3 in W3 is the one plan that deletes a W3's two
+    # 2-neighbours (3 and 13 here) but keeps the W3 itself, and on this host
+    # (mad 16/7) not every H-partition extends; deleting u3 as well, as the
+    # share rule would, passes.  Pinned until the configuration's definition
+    # settles which plan the reduction argument takes
+    g = Graph(16, [(0, 1), (0, 4), (1, 3), (2, 10), (3, 8), (5, 8), (5, 11),
+                   (5, 12), (5, 14), (5, 15), (7, 11), (8, 13), (9, 10), (9, 12),
+                   (9, 13), (14, 15)])
+    assert mad(g).value == Fraction(16, 7)
+    match = ConfigMatch("Cp4", (("v", 5), ("t1", 14), ("t2", 15), ("u1", 8),
+                                ("u2", 11), ("u3", 12)))
+    assert scan_configs(g, ["Cp4"]) == [match]
+    cls = classify_vertices(g)
+    assert [cls[u] for u in (8, 11, 12)] == [_W.W3, _W.W2, _W.W2]
+    plan = reduction_plan(g, match)
+    assert (plan.deleted, plan.mods) == ((3, 5, 11, 12, 13, 14, 15), ())
+    report = verify_lemma_extension(g, match, plan)
+    assert (report.h_partitions, report.extended, report.passed) == (4563, 3321, False)
+    shared = configs.ReductionPlan(tuple(sorted({8, *plan.deleted})))
+    assert verify_lemma_extension(g, match, shared).passed
+
+
 def test_cp3_matches_with_no_plan_are_pinned(tmp_path, capsys):
     # a known gap: the scanner takes a V4 with at least 2 W2 neighbours in
     # W235, and the catalogue has a plan only for >= 2 W5 or four W2.  Either
