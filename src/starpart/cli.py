@@ -314,9 +314,7 @@ def _cmd_lemma_check(args, g: Graph):
     else:
         raise _CliError(f"--match-index {args.match_index} out of range "
                         f"0..{len(matches) - 1}")
-    report = configs.verify_lemma_extension(g, match,
-                                            configs.reduction_plan(g, match),
-                                            deadline=args.deadline)
+    report = configs.verify_lemma_extension(g, match, deadline=args.deadline)
     payload = {"config": args.config, "deleted": report.plan.deleted,
                "mods": report.plan.mods, "h_partitions": report.h_partitions,
                "distinct_restrictions": report.distinct_restrictions,

@@ -311,6 +311,21 @@ class ReductionPlan(NamedTuple):
     mods: tuple[tuple, ...] = ()
 
 
+def reduced_graph(g: Graph, plan: ReductionPlan) -> tuple[Graph, list[int]]:
+    """H = G - S with the plan's gadgets attached, and ``keep``, the vertices
+    of G left in H: for i < len(keep), H's vertex i is G's ``keep[i]``, and
+    the gadget vertices follow, in the order of ``plan.mods``."""
+    s = set(check_vertices(g, plan.deleted, "deleted vertex"))
+    h, keep = g.induced(v for v in range(g.n) if v not in s)
+    idx = {old: new for new, old in enumerate(keep)}
+    for kind, *vs in plan.mods:
+        gone = [v for v in check_vertices(g, vs, "mod vertex") if v in s]
+        if gone:
+            raise GraphError(f"mod vertex {gone[0]} is deleted")
+        h = attach_gadget(h, idx[vs[0]], (kind, *(idx[w] for w in vs[1:])))
+    return h, keep
+
+
 def _outer_neighbor(g: Graph, v: int, exclude: set[int]) -> int | None:
     outs = [u for u in g.adj[v] if u not in exclude]
     return min(outs) if outs else None
@@ -352,17 +367,12 @@ def reduction_plan(g: Graph, match: ConfigMatch) -> ReductionPlan:
         return ReductionPlan(tuple(sorted(s)))
     if cid == "C2":
         u, v = match.role("u"), match.role("v")
-        s = {u, v}
-        h, keep = g.induced([x for x in range(g.n) if x not in s])
-        idx = {old: new for new, old in enumerate(keep)}
-        candidates = [x for x in (_outer_neighbor(g, u, s), _outer_neighbor(g, v, s))
-                      if x is not None]
-        mods: tuple[tuple, ...] = ()
-        for cand in candidates:
-            if density.rho_star(h, (idx[cand],)).value >= 1:
-                mods = (("triangle", cand),)
-                break
-        return ReductionPlan((u, v), mods)
+        h, keep = reduced_graph(g, ReductionPlan((u, v)))
+        for x in (_outer_neighbor(g, u, {u, v}), _outer_neighbor(g, v, {u, v})):
+            if x is not None and density.rho_star(h, (keep.index(x),)).value \
+                    >= GADGET_BUDGET["triangle"]:
+                return ReductionPlan((u, v), (("triangle", x),))
+        return ReductionPlan((u, v))
     if cid == "C8":
         v, v1 = match.role("v"), match.role("v1")
         t1, t2 = match.role("t1"), match.role("t2")
@@ -388,9 +398,7 @@ def reduction_plan(g: Graph, match: ConfigMatch) -> ReductionPlan:
         if len(w5s) >= 2:
             rest = [u for u in nbrs if u not in w5s[:2]]
             s = {v, *_share(g, cls, w5s[0]), *_share(g, cls, w5s[1])}
-            mods: tuple[tuple, ...] = ()
-            if not g.has_edge(rest[0], rest[1]):
-                mods = (("edge", rest[0], rest[1]),)
+            mods = () if g.has_edge(*rest) else (("edge", *rest),)
             return ReductionPlan(tuple(sorted(s)), mods)
         w2s = [u for u in nbrs if cls[u] == _W.W2]
         if len(w2s) >= 3:
@@ -456,14 +464,8 @@ def verify_lemma_extension(g: Graph, match: ConfigMatch,
     """
     if plan is None:
         plan = reduction_plan(g, match)
-    s = set(check_vertices(g, plan.deleted, "deleted vertex"))
-    keep = [v for v in range(g.n) if v not in s]
-    h, keep_list = g.induced(keep)
-    idx = {old: new for new, old in enumerate(keep_list)}
-    for kind, at, *fields in plan.mods:
-        h = attach_gadget(h, idx[at], (kind, *(idx[w] for w in fields)))
-
-    own = len(keep_list)
+    h, keep = reduced_graph(g, plan)
+    own = len(keep)
     h_partitions = distinct = extended = 0
     failures: list[tuple[int, ...]] = []
     previous, ok = None, False
@@ -478,7 +480,7 @@ def verify_lemma_extension(g: Graph, match: ConfigMatch,
             previous = restricted
             distinct += 1
             res = fii.find_fii(g, 2, forcing=False,
-                               fixed=dict(zip(keep_list, restricted)),
+                               fixed=dict(zip(keep, restricted)),
                                deadline=deadline)
             if res.status == "unknown":
                 raise fii.BudgetExhausted("time budget ran out")

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from starpart.graphs import (Graph, VertexClass, balls2, classify_vertices,
+from starpart.graphs import (Graph, GraphError, VertexClass, balls2, classify_vertices,
                              double_triangle_edges, find_pendent_triangles,
                              to_graph6, triangle_split)
 from starpart.generators import (gen_cycle, gen_g5n, gen_mad_bounded, gen_path,
@@ -607,6 +607,50 @@ def test_plan_deleted_sets_match_shapes():
         g, match = instances.shipped_match(cid)
         plan = reduction_plan(g, match)
         assert len(plan.deleted) == size, cid
+
+
+#: the vertices each gadget kind adds to H
+_GADGET_SIZES = {"triangle": 2, "j1": 5, "j2": 10, "edge": 0, "path2": 1}
+
+
+def test_reduced_graph_numbering():
+    # H's vertex i is G's keep[i] for i < len(keep), and the gadget vertices
+    # follow: on every shipped match's plan, and on a C2 plan with a triangle.
+    # An edge mod joins two of H's own vertices; no other mod touches them
+    path = gen_path(60)
+    c2 = next(m for m in scan_configs(path, ("C2",)) if m.role("u") == 29)
+    cases = [(g, reduction_plan(g, m)) for cid in ALL_CONFIG_IDS
+             for g in [instances.shipped_instance(cid)[0]] for m in scan_configs(g)]
+    cases.append((path, reduction_plan(path, c2)))
+    assert cases[-1][1].mods == (("triangle", 28),)
+    assert {mod[0] for _, plan in cases for mod in plan.mods} == {"triangle", "edge"}
+    for g, plan in cases:
+        h, keep = configs.reduced_graph(g, plan)
+        assert keep == [v for v in range(g.n) if v not in plan.deleted]
+        joined = [(keep.index(mod[1]), keep.index(mod[2]))
+                  for mod in plan.mods if mod[0] == "edge"]
+        own = g.induced(keep)[0].with_additions(0, joined)
+        assert h.induced(range(len(keep)))[0] == own
+        assert h.n - len(keep) == sum(_GADGET_SIZES[mod[0]] for mod in plan.mods)
+
+
+def test_a_mod_on_a_deleted_or_missing_vertex_is_a_graph_error():
+    g, match = instances.shipped_match("C2")
+    assert (g.n, reduction_plan(g, match).deleted) == (6, (2, 3))
+    for mod, detail in ((("triangle", 2), "mod vertex 2 is deleted"),
+                        (("triangle", 99), "mod vertex 99 out of range 0..5"),
+                        (("edge", 0, 2), "mod vertex 2 is deleted"),
+                        (("edge", 3, 0), "mod vertex 3 is deleted"),
+                        (("path2", 1, -1), "mod vertex -1 out of range 0..5")):
+        plan = configs.ReductionPlan((2, 3), (mod,))
+        with pytest.raises(GraphError, match=f"^{detail}$"):
+            configs.reduced_graph(g, plan)
+        with pytest.raises(GraphError, match=f"^{detail}$"):
+            verify_lemma_extension(g, match, plan)
+    # a plan whose mod vertices all survive into H passes the check: G's 5
+    # is H's 3
+    plan = configs.ReductionPlan((2, 3), (("edge", 0, 5),))
+    assert configs.reduced_graph(g, plan)[0].has_edge(0, 3)
 
 
 def test_c8_plan_uses_triangle_mod():

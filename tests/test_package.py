@@ -328,6 +328,22 @@ def test_only_main_prints_a_result():
                              ("sys.stdout.write", "main")]
 
 
+def test_only_reduced_graph_builds_h():
+    # H = G - S is built, and its ids mapped back to G's, in one place:
+    # configs.reduced_graph is the only caller of Graph.induced in src/
+    found = []
+    for path in sorted(Path(SRC, "starpart").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            found += [f"{path.name}:{fn.name}" for node in ast.walk(fn)
+                      if isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Attribute)
+                      and node.func.attr == "induced"]
+    assert found == ["configs.py:reduced_graph"]
+
+
 def test_only_the_cli_makes_a_deadline():
     # a deadline is time.monotonic() plus a budget: the CLI makes one per
     # call, and every engine takes the one it is given
