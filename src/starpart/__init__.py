@@ -3,7 +3,7 @@
 Maximum average degree and potential functions in exact arithmetic,
 forest / 2-independent-set partitions with an exhaustive solver, star
 chromatic numbers, reducible-configuration scans, and discharging audits.
-Every nontrivial algorithm ships with a brute-force oracle.
+Its tests check every nontrivial algorithm against a brute-force reference.
 
 Submodules load on first use.  ``import starpart`` puts each one in
 ``sys.modules`` as a lazy module (``importlib.util.LazyLoader``), whose code

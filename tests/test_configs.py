@@ -8,9 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from starpart.graphs import (Graph, GraphError, VertexClass, balls2, classify_vertices,
-                             double_triangle_edges, find_pendent_triangles,
-                             to_graph6, triangle_split)
+from starpart.graphs import (Graph, GraphError, VertexClass, balls2,
+                             classify_vertices, double_triangle_edges,
+                             find_pendent_triangles, to_graph6, triangle_split)
 from starpart.generators import (gen_cycle, gen_g5n, gen_mad_bounded, gen_path,
                                  gen_star)
 from starpart.density import mad, mad_le_8_3, rho_star

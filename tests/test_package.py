@@ -332,15 +332,18 @@ def test_only_reduced_graph_builds_h():
     # H = G - S is built, and its ids mapped back to G's, in one place:
     # configs.reduced_graph is the only caller of Graph.induced in src/
     found = []
+
+    def visit(node, where):
+        if isinstance(node, ast.FunctionDef):
+            where = f"{where.partition(':')[0]}:{node.name}"
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "induced":
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
     for path in sorted(Path(SRC, "starpart").glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
-        for fn in ast.walk(tree):
-            if not isinstance(fn, ast.FunctionDef):
-                continue
-            found += [f"{path.name}:{fn.name}" for node in ast.walk(fn)
-                      if isinstance(node, ast.Call)
-                      and isinstance(node.func, ast.Attribute)
-                      and node.func.attr == "induced"]
+        visit(ast.parse(path.read_text(), str(path)), path.name)
     assert found == ["configs.py:reduced_graph"]
 
 
