@@ -609,14 +609,10 @@ def test_plan_deleted_sets_match_shapes():
         assert len(plan.deleted) == size, cid
 
 
-#: the vertices each gadget kind adds to H
-_GADGET_SIZES = {"triangle": 2, "j1": 5, "j2": 10, "edge": 0, "path2": 1}
-
-
 def test_reduced_graph_numbering():
     # H's vertex i is G's keep[i] for i < len(keep), and the gadget vertices
     # follow: on every shipped match's plan, and on a C2 plan with a triangle.
-    # An edge mod joins two of H's own vertices; no other mod touches them
+    # An edge mod joins two of H's own vertices; a triangle adds two new ones
     path = gen_path(60)
     c2 = next(m for m in scan_configs(path, ("C2",)) if m.role("u") == 29)
     cases = [(g, reduction_plan(g, m)) for cid in ALL_CONFIG_IDS
@@ -631,7 +627,7 @@ def test_reduced_graph_numbering():
                   for mod in plan.mods if mod[0] == "edge"]
         own = g.induced(keep)[0].with_additions(0, joined)
         assert h.induced(range(len(keep)))[0] == own
-        assert h.n - len(keep) == sum(_GADGET_SIZES[mod[0]] for mod in plan.mods)
+        assert h.n - len(keep) == 2 * sum(mod[0] == "triangle" for mod in plan.mods)
 
 
 def test_a_mod_on_a_deleted_or_missing_vertex_is_a_graph_error():
