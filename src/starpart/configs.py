@@ -233,6 +233,8 @@ def scan_configs(g: Graph, ids: Iterable[str] | None = None,
 
 #: rho*(attachment point) needed for the attachment to preserve mad <= 8/3
 GADGET_BUDGET = {"triangle": 1, "j1": 1, "j2": 2}
+#: how many fields each gadget kind holds after its name
+_GADGET_FIELDS = {"triangle": 0, "j1": 0, "j2": 0, "edge": 1, "path2": 1}
 
 
 def attach_gadget(g: Graph, at: int, gadget: tuple) -> Graph:
@@ -249,12 +251,17 @@ def attach_gadget(g: Graph, at: int, gadget: tuple) -> Graph:
     - ``("edge", w)``: an edge from ``at`` to vertex w;
     - ``("path2", w)``: a path of length two to w through one new vertex.
 
+    Any other tuple, one with a field too many or too few included, is an
+    unknown gadget (``GraphError``).
+
     Attaching a triangle or J1 at a vertex with rho*(at) >= 1, or J2 at one
     with rho*(at) >= 2 (``GADGET_BUDGET``), preserves mad <= 8/3.  The
     graft is non-invasive for the vertex-adding gadgets: restricting the
     result to the original vertex set recovers ``g``.
     """
     check_vertices(g, (at,))
+    if not gadget or _GADGET_FIELDS.get(gadget[0]) != len(gadget) - 1:
+        raise GraphError(f"unknown gadget {gadget!r}")
     n, kind = g.n, gadget[0]
     if kind == "triangle":
         return g.with_additions(2, [(at, n), (at, n + 1), (n, n + 1)])
@@ -265,8 +272,6 @@ def attach_gadget(g: Graph, at: int, gadget: tuple) -> Graph:
         edges += double_triangle_edges(n, n + 2)
         edges += double_triangle_edges(n + 1, n + 6)
         return g.with_additions(10, edges)
-    if kind not in ("edge", "path2"):
-        raise GraphError(f"unknown gadget {gadget!r}")
     w = gadget[1]
     check_vertices(g, (w,))
     if w == at:
@@ -318,7 +323,10 @@ def reduced_graph(g: Graph, plan: ReductionPlan) -> tuple[Graph, list[int]]:
     s = set(check_vertices(g, plan.deleted, "deleted vertex"))
     h, keep = g.induced(v for v in range(g.n) if v not in s)
     idx = {old: new for new, old in enumerate(keep)}
-    for kind, *vs in plan.mods:
+    for mod in plan.mods:
+        if len(mod) < 2:
+            raise GraphError(f"mod {mod!r} has no attachment vertex")
+        kind, *vs = mod
         gone = [v for v in check_vertices(g, vs, "mod vertex") if v in s]
         if gone:
             raise GraphError(f"mod vertex {gone[0]} is deleted")
@@ -343,10 +351,11 @@ def _share(g: Graph, cls: Sequence[VertexClass], x: int) -> set[int]:
 
 #: the configurations whose deleted set is the set of their match's vertices
 #: less the vertices of the spared roles (a set: C5's x1, x2, y3, y4 may
-#: coincide), plus the ``_share`` of each shared role's vertex
+#: coincide), plus the ``_share`` of each shared role's vertex; a Cp5
+#: match's vertices are all of N[v]
 _ROLES = {"C1": ((), ()), "C3": ((), ()), "C4": (("v",), ()), "C5": ((), ()),
           "C6": ((), ("v2",)), "C7": ((), ("v1", "v2")), "C9": (("v1",), ()),
-          "C10": (("v1",), ()), "Cp1": ((), ())}
+          "C10": (("v1",), ()), "Cp1": ((), ()), "Cp5": ((), ("u1",))}
 
 
 def reduction_plan(g: Graph, match: ConfigMatch) -> ReductionPlan:
@@ -418,10 +427,6 @@ def reduction_plan(g: Graph, match: ConfigMatch) -> ReductionPlan:
             s.update(_two_neighbors(g, u3)[:2])
         else:
             s |= _share(g, cls, u3)
-        return ReductionPlan(tuple(sorted(s)))
-    if cid == "Cp5":
-        v, u1 = match.role("v"), match.role("u1")
-        s = {v, *g.adj[v], *_share(g, cls, u1)}
         return ReductionPlan(tuple(sorted(s)))
     raise GraphError(f"unknown configuration id {cid!r}")
 

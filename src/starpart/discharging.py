@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .graphs import (V4P, W23, W235, Graph, VertexClass, classify_vertices,
-                     find_pendent_cycles, triangle_split)
+                     find_pendent_cycles, forest_cycle, triangle_split)
 from . import configs, fii
 
 _W = VertexClass
@@ -189,10 +189,8 @@ def _check_component(g: Graph, comp: list[int], cls, split) -> None:
                 raise _Inapplicable(f"V4+ not independent: edge ({v}, {u})")
     w23 = [v for v in comp if cls[v] in W23]
     w23set = set(w23)
-    w23_degrees = 0
     for v in w23:
         inside = [u for u in g.adj[v] if u in w23set]
-        w23_degrees += len(inside)
         if len(inside) > 2:
             raise _Inapplicable(f"W23-vertex {v} has {len(inside)} W23-neighbors")
         if cls[v] == _W.W2:
@@ -200,8 +198,7 @@ def _check_component(g: Graph, comp: list[int], cls, split) -> None:
                 if cls[u] == _W.W2:
                     raise _Inapplicable(
                         f"two adjacent W2-vertices ({v}, {u})")
-    # a forest has one edge fewer than vertices per component
-    if w23_degrees // 2 + len(g.components(w23)) != len(w23):
+    if forest_cycle(g, w23) is not None:
         raise _Inapplicable("cycle inside G[W23]")
     for v in comp:
         twos, nontri = split.get(v, ((), g.adj[v]))
@@ -319,7 +316,7 @@ def build_terminal_partition(g: Graph) -> TerminalResult:
     sets: dict[str, list[int]] = {name: [] for name in TerminalSets._fields}
     degenerate: list[str] = []
     for comp in g.components():
-        if sum(g.degree(v) for v in comp) == 2 * len(comp) - 2:  # a tree
+        if forest_cycle(g, comp) is None:  # a tree
             for v in comp:
                 labels[v] = 0
             degenerate.append("forest")

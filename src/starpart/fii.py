@@ -19,8 +19,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Iterator, NamedTuple
 
-from .graphs import (Graph, GraphError, balls2, bfs_order, neighbor_sets,
-                     per_graph)
+from .graphs import (Graph, GraphError, balls2, bfs_order, forest_cycle,
+                     neighbor_sets, per_graph)
 from .starcolor import BudgetExhausted, Coloring, backtrack, is_star_coloring
 from . import density
 
@@ -65,7 +65,8 @@ def verify_fii(g: Graph, p: FiiPartition) -> tuple[bool, Witness | None]:
     """Check the forest and 2-independence conditions.
 
     Returns (True, None) or (False, witness); witnesses are
-    ("cycle", vertex_tuple) for a cycle inside F and
+    ("cycle", vertex_tuple) for a cycle of G[F], in walk order from the
+    first F-vertex of the 2-core of G[F] (``graphs.forest_cycle``), and
     ("close_pair", (u, v, part, distance)) for an I-part conflict.
     """
     if len(p.labels) != g.n:
@@ -74,42 +75,9 @@ def verify_fii(g: Graph, p: FiiPartition) -> tuple[bool, Witness | None]:
         raise GraphError("label out of range")
     labels = p.labels
 
-    # forest check: first edge closing a cycle, then an explicit path witness
-    in_f = [l == F_LABEL for l in labels]
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    cycle_edge = None
-    for u, v in g.edges():
-        if not (in_f[u] and in_f[v]):
-            continue
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            cycle_edge = (u, v)
-            break
-        parent[ru] = rv
-    if cycle_edge is not None:
-        u, v = cycle_edge
-        # BFS from u to v inside F avoiding the closing edge
-        prev: dict[int, int] = {u: -1}
-        q = deque([u])
-        while q:
-            x = q.popleft()
-            if x == v:
-                break
-            for w in g.adj[x]:
-                if in_f[w] and w not in prev and not (x == u and w == v):
-                    prev[w] = x
-                    q.append(w)
-        path = [v]
-        while path[-1] != u:
-            path.append(prev[path[-1]])
-        return False, ("cycle", tuple(reversed(path)))
+    cycle = forest_cycle(g, (v for v in range(g.n) if labels[v] == F_LABEL))
+    if cycle is not None:
+        return False, ("cycle", cycle)
 
     # 2-independence from the adjacency lists alone, sharing no table with
     # the solver: the smallest same-part vertex within distance two of v
@@ -381,25 +349,17 @@ def fii_to_star5(g: Graph, p: FiiPartition) -> Coloring:
     ok, witness = verify_fii(g, p)
     if not ok:
         raise GraphError(f"invalid partition: {witness}")
-    colors = [0] * g.n
-    in_f = [l == F_LABEL for l in p.labels]
-    seen = [False] * g.n
+    # I1 and I2 take 3 and 4; -1 marks an F-vertex not yet coloured
+    colors = [-1 if lab == F_LABEL else 2 + lab for lab in p.labels]
+    free = {v for v in range(g.n) if colors[v] == -1}
     for root in range(g.n):
-        if not in_f[root] or seen[root]:
-            continue
-        seen[root] = True
-        colors[root] = 0
-        q = deque([(root, 0)])
-        while q:
-            v, d = q.popleft()
-            for w in g.adj[v]:
-                if in_f[w] and not seen[w]:
-                    seen[w] = True
-                    colors[w] = (d + 1) % 3
-                    q.append((w, d + 1))
-    for v in range(g.n):
-        if p.labels[v] != F_LABEL:
-            colors[v] = 2 + p.labels[v]
+        if root in free:
+            colors[root] = 0
+            for v in bfs_order(g, root, free):
+                # in a tree, v's F-neighbours still uncoloured are its children
+                for w in g.adj[v]:
+                    if colors[w] == -1:
+                        colors[w] = (colors[v] + 1) % 3
     coloring = Coloring(tuple(colors), 5)
     valid, w = is_star_coloring(g, coloring)
     assert valid, f"conversion produced a non-star coloring: {w}"

@@ -1,13 +1,15 @@
 """Immutable simple-graph model, file formats, and structural queries.
 
 Vertices are dense integers 0..n-1, at most ``MAX_VERTICES`` of them.  Input
-labels (edge-list tokens, DIMACS numbers) are preserved in a sidecar
-``names`` tuple so certificates and errors are reported in the user's
-vocabulary.  Each format is one reader and one writer in ``_CODECS``; graph6
-text is ASCII and DIMACS numbers ASCII digits.  Graphs are frozen after
-construction: a changed graph is a new ``Graph`` (``induced`` or
-``with_additions``).  Adjacency is one sorted tuple per vertex; membership
-reads the lazy ``neighbor_sets``.
+labels (edge-list tokens, DIMACS numbers) are kept in a sidecar ``names``
+tuple, which errors found while building a graph quote and the edge-list
+writer prints back; every other vertex the CLI reads or prints (in a
+certificate, a match, a role or an option) is the parser's index.  Each
+format is one reader and one writer in ``_CODECS``; graph6 text is ASCII
+and DIMACS numbers ASCII digits.  Graphs are frozen after construction: a
+changed graph is a new ``Graph`` (``induced`` or ``with_additions``).
+Adjacency is one sorted tuple per vertex; membership reads the lazy
+``neighbor_sets``.
 
 The per-graph tables (``neighbor_sets``, ``balls2``, ``find_pendent_cycles``,
 ``triangle_split``, ``classify_vertices``) are computed once per ``Graph``
@@ -21,7 +23,7 @@ that read the taxonomy.
 from __future__ import annotations
 
 import re
-from collections import deque
+from collections import defaultdict, deque
 from enum import Enum
 from functools import wraps
 from itertools import count, filterfalse, islice
@@ -164,8 +166,7 @@ class Graph:
                 if s in left]
 
     def is_forest(self) -> bool:
-        # each component has at least |C| - 1 edges, and a tree exactly that
-        return self.edge_count + len(self.components()) == self.n
+        return forest_cycle(self, range(self.n)) is None
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Graph) and self.n == other.n
@@ -473,13 +474,15 @@ def bfs_order(g: Graph, root: int, free: set[int]) -> list[int]:
     return order
 
 
-def peel_2core(g: Graph, deg: list[int], gone: list[bool],
-               stack: list[int]) -> None:
+def peel_2core(g: Graph, deg: list[int] | dict[int, int],
+               gone: list[bool] | dict[int, bool], stack: list[int]) -> None:
     """Delete the vertices on ``stack``, then every vertex whose degree
     falls to 1.  ``gone`` marks the deleted vertices and ``deg`` counts each
-    vertex's neighbours not yet deleted; both are updated in place.  If the
-    stack holds every vertex left of degree at most 1, the vertices left
-    afterwards are the 2-core of what was left less the stack."""
+    vertex's neighbours not yet deleted; both are updated in place, and
+    mappings serve as well as lists if they answer for every vertex the
+    peel reaches.  If the stack holds every vertex left of degree at most 1,
+    the vertices left afterwards are the 2-core of what was left less the
+    stack."""
     while stack:
         v = stack.pop()
         gone[v] = True
@@ -488,6 +491,31 @@ def peel_2core(g: Graph, deg: list[int], gone: list[bool],
                 deg[w] -= 1
                 if deg[w] == 1:
                     stack.append(w)
+
+
+def forest_cycle(g: Graph, within: Iterable[int]) -> tuple[int, ...] | None:
+    """A cycle of G[within] in walk order, or ``None`` if G[within] is a
+    forest.
+
+    G[within] is a forest exactly when peeling it to its 2-core leaves
+    nothing.  Every vertex left has two neighbours left, so a walk from the
+    first vertex of ``within`` left that never steps straight back meets a
+    vertex again, and the walk from there on is a cycle of at least three
+    vertices.  The cost is linear in the degrees of ``within``, not in n."""
+    inside = dict.fromkeys(within, False)  # within's order, without repeats
+    gone = defaultdict(lambda: True, inside)  # every vertex outside is gone
+    deg = {v: sum(map(inside.__contains__, g.adj[v])) for v in inside}
+    peel_2core(g, deg, gone, [v for v, d in deg.items() if d <= 1])
+    start = next((v for v in inside if not gone[v]), None)
+    if start is None:
+        return None
+    walk, at, prev = [start], {start: 0}, -1
+    while True:
+        nxt = next(w for w in g.adj[walk[-1]] if w != prev and not gone[w])
+        if nxt in at:
+            return tuple(walk[at[nxt]:])
+        at[nxt], prev = len(walk), walk[-1]
+        walk.append(nxt)
 
 
 def girth(g: Graph) -> int | float:

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -368,6 +369,10 @@ def test_gadget_errors():
         attach_gadget(g, 2, ("path2", 2))
     with pytest.raises(ValueError):
         attach_gadget(g, 0, ("j3",))
+    # a gadget holds exactly the fields of its kind
+    for gadget in ((), ("edge",), ("path2", 2, 3), ("triangle", 1), ("j1", 1)):
+        with pytest.raises(GraphError, match=f"^unknown gadget {re.escape(repr(gadget))}$"):
+            attach_gadget(g, 0, gadget)
     # the attachment point is checked before the target, each with the range
     with pytest.raises(ValueError, match=r"^vertex 9 out of range 0\.\.3$"):
         attach_gadget(g, 9, ("edge", 7))
@@ -637,11 +642,15 @@ def test_a_mod_on_a_deleted_or_missing_vertex_is_a_graph_error():
                         (("triangle", 99), "mod vertex 99 out of range 0..5"),
                         (("edge", 0, 2), "mod vertex 2 is deleted"),
                         (("edge", 3, 0), "mod vertex 3 is deleted"),
-                        (("path2", 1, -1), "mod vertex -1 out of range 0..5")):
+                        (("path2", 1, -1), "mod vertex -1 out of range 0..5"),
+                        # a mod without the fields of its kind; H's 1 is G's 1
+                        (("triangle",), "mod ('triangle',) has no attachment vertex"),
+                        (("edge", 0), "unknown gadget ('edge',)"),
+                        (("triangle", 0, 1), "unknown gadget ('triangle', 1)")):
         plan = configs.ReductionPlan((2, 3), (mod,))
-        with pytest.raises(GraphError, match=f"^{detail}$"):
+        with pytest.raises(GraphError, match=f"^{re.escape(detail)}$"):
             configs.reduced_graph(g, plan)
-        with pytest.raises(GraphError, match=f"^{detail}$"):
+        with pytest.raises(GraphError, match=f"^{re.escape(detail)}$"):
             verify_lemma_extension(g, match, plan)
     # a plan whose mod vertices all survive into H passes the check: G's 5
     # is H's 3

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -36,6 +37,26 @@ def test_all_f_cycle_invalid():
     ok, witness = verify_fii(gen_cycle(3), FiiPartition((0, 0, 0), 2))
     assert not ok and witness[0] == "cycle"
     assert set(witness[1]) == {0, 1, 2}
+
+
+def test_cycle_witness_is_a_cycle_of_f():
+    # checkers.fi_violation, which shares no code with starpart, judges F
+    rng = random.Random(34)
+    cycles = 0
+    for _ in range(400):
+        g = random_graph(rng, rng.randint(1, 14), rng.uniform(0.1, 0.5))
+        p = FiiPartition(tuple(rng.choice((0, 0, 0, 1, 2)) for _ in range(g.n)), 2)
+        ok, witness = verify_fii(g, p)
+        violation = oracles.checkers.fi_violation(g.n, list(g.edges()), p.names())
+        has_cycle = violation is not None and "closes a cycle inside F" in violation
+        assert (witness is not None and witness[0] == "cycle") == has_cycle
+        if has_cycle:
+            cycles += 1
+            cycle = witness[1]
+            assert len(set(cycle)) == len(cycle) >= 3
+            assert all(p.labels[v] == 0 for v in cycle)
+            assert all(g.has_edge(u, v) for u, v in zip(cycle, cycle[1:] + cycle[:1]))
+    assert cycles > 100
 
 
 def test_c5_mixed_partition():
@@ -261,6 +282,21 @@ def test_conversion_random_pipeline():
         col = fii_to_star5(g, res.partition)
         ok, _ = is_star_coloring(g, col)
         assert ok
+
+
+#: sha256 of the star 5-colourings below, recorded before the conversion
+#: walked its F-trees with ``graphs.bfs_order``
+STAR5_PIN = "0e14f5c645c3bd1b604896558cf47f2142fd7d88338ad3c5fcdc6af821b1261d"
+
+
+def test_star5_colourings_pinned():
+    graphs = [gen_mad_bounded(n, Fraction(8, 3), s) for n in (20, 40, 60, 100)
+              for s in range(3)]
+    graphs += [gen_cycle(31), gen_tree_random(25, 3)]
+    colorings = [fii_to_star5(g, find_fii(g, 2).partition).colors for g in graphs]
+    tree = gen_tree_random(40, 9)
+    colorings.append(fii_to_star5(tree, FiiPartition((0,) * 40, 2)).colors)
+    assert hashlib.sha256(repr(colorings).encode()).hexdigest() == STAR5_PIN
 
 
 def test_k_must_be_two_for_conversion():

@@ -8,6 +8,7 @@ import pytest
 from starpart.graphs import (FORMATS, Graph, GraphError, ParseError,
                              ValidationError, VertexClass, INFINITY,
                              check_vertices, classify_vertices, find_pendent_cycles,
+                             forest_cycle,
                              find_pendent_triangles, girth, parse_edge_list,
                              parse_dimacs, parse_graph, parse_graph6,
                              serialize_graph, sniff_format, to_dimacs,
@@ -516,6 +517,33 @@ def test_components_match_union_find():
     isolated = Graph(4, [(1, 2)])
     assert isolated.components([3, 0, 1]) == [[0], [1], [3]]
     assert isolated.components(iter([2, 1])) == [[1, 2]]
+
+
+def test_forest_cycle_against_the_edge_count():
+    # G[S] is a forest iff |E(G[S])| + #components(G[S]) == |S|
+    rng = random.Random(34)
+    cycles = 0
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(0, 14), rng.random() * 0.5)
+        subsets = [[], list(range(g.n)), [v for v in range(g.n) if rng.random() < 0.6]]
+        subsets += [[rng.randrange(g.n)]] if g.n else []
+        for within in subsets:
+            inside = set(within)
+            m = sum(1 for u, v in g.edges() if u in inside and v in inside)
+            forest = m + len(_union_find_components(g, inside)) == len(inside)
+            cycle = forest_cycle(g, within)
+            assert (cycle is None) == forest
+            if cycle is not None:
+                cycles += 1
+                assert len(set(cycle)) == len(cycle) >= 3 and set(cycle) <= inside
+                assert all(g.has_edge(u, v) for u, v in zip(cycle, cycle[1:] + cycle[:1]))
+    assert cycles > 100
+    # a path, a triangle with a tail and an isolated vertex: the walk starts
+    # at the first vertex of within on the 2-core, and the tail is cut off
+    g = Graph(8, [(0, 1), (1, 2), (3, 4), (3, 5), (4, 5), (5, 6)])
+    assert forest_cycle(g, [0, 1, 2, 7, 6, 5]) is None
+    assert forest_cycle(g, [7, 0, 6, 4, 3, 5]) == (4, 3, 5)
+    assert forest_cycle(g, iter([5, 6, 4, 3])) == (5, 3, 4)
 
 
 def test_per_graph_tables_are_built_once_and_immutable():
