@@ -17,15 +17,16 @@ import sys
 
 #: submodule -> the names the package re-exports from it
 _EXPORTS = {
-    "graphs": ("Graph", "GraphError", "ParseError", "ValidationError",
+    "graphs": ("Graph", "GraphError", "BudgetExhausted", "ParseError",
+               "ValidationError",
                "VertexClass", "classify_vertices", "find_pendent_cycles",
                "find_pendent_triangles", "girth", "parse_graph",
                "serialize_graph", "INFINITY"),
     "density": ("Density", "PotentialResult", "mad", "mad_le", "mad_le_8_3",
                 "rho", "rho_star"),
     "starcolor": ("Coloring", "is_star_coloring", "star_chromatic_number"),
-    "fii": ("FiiPartition", "FiiResult", "BudgetExhausted", "verify_fii",
-            "find_fii", "enumerate_fii", "fii_to_star5", "boundary_search"),
+    "fii": ("FiiPartition", "FiiResult", "verify_fii", "find_fii",
+            "enumerate_fii", "fii_to_star5", "boundary_search"),
     "configs": ("ConfigMatch", "ReductionPlan", "scan_configs",
                 "attach_gadget", "reduction_plan", "verify_lemma_extension",
                 "ALL_CONFIG_IDS", "GADGET_BUDGET"),

@@ -12,8 +12,9 @@ it through ``_emit``, the one writer of a result.  Exit codes: 0 computed,
 ("unknown"), 4 internal error (a fault in starpart itself; the traceback
 goes to stderr).  ``--timeout-ms`` gives the call one deadline, which
 :func:`main` computes once, after reading the input, and hands unchanged to
-every engine call; an engine past it raises ``fii.BudgetExhausted`` or
-returns status "unknown", reported as ``{"status": "unknown"}``.
+every engine call; an engine past it raises ``graphs.BudgetExhausted``
+(every search reads the clock through ``graphs.check_deadline``) or returns
+status "unknown", reported as ``{"status": "unknown"}``.
 
 The ``COMMANDS`` and ``GEN_FAMILIES`` tables are the whole grammar: the
 parser reads ``argv`` straight from them, and ``-h`` at any level prints
@@ -43,8 +44,9 @@ from pathlib import Path
 from types import ModuleType, SimpleNamespace
 
 from . import configs, density, discharging, fii, generators, starcolor
-from .graphs import (FORMATS, Graph, GraphError, parse_graph, serialize_graph,
-                     girth, classify_vertices, find_pendent_triangles, INFINITY)
+from .graphs import (FORMATS, BudgetExhausted, Graph, GraphError, parse_graph,
+                     serialize_graph, girth, classify_vertices,
+                     find_pendent_triangles, INFINITY)
 
 SCHEMA = 1
 
@@ -637,7 +639,7 @@ def main(argv: list[str] | None = None) -> int:
         code, detail = EXIT_USAGE, str(exc)
     except BrokenPipeError:
         return EXIT_USAGE
-    except fii.BudgetExhausted as exc:  # read only once a handler has raised
+    except BudgetExhausted as exc:
         return _emit(args, (EXIT_TIMEOUT, {"status": "unknown"}, f"unknown ({exc})"))
     except Exception as exc:  # a fault in starpart, never a verdict
         import traceback  # here, to keep it off every call's start-up time

@@ -11,13 +11,12 @@ that each one extends to the whole graph.
 
 from __future__ import annotations
 
-import time
 from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .graphs import (W23, W25, W235, W2345, Graph, GraphError, VertexClass,
-                     check_vertices, classify_vertices, double_triangle_edges,
-                     triangle_split)
+from .graphs import (W23, W25, W235, W2345, BudgetExhausted, Graph,
+                     GraphError, VertexClass, check_deadline, check_vertices,
+                     classify_vertices, double_triangle_edges, triangle_split)
 from . import density, fii
 
 ALL_CONFIG_IDS = (*(f"C{i}" for i in range(1, 11)), *(f"Cp{i}" for i in range(1, 6)))
@@ -50,8 +49,7 @@ def _all_cycles_within(g: Graph, allowed: set[int],
 
     A depth-first search from each start through larger vertices only; the
     stack holds one neighbour iterator per path vertex, so a long path costs
-    no recursion.  Past ``deadline`` (a ``time.monotonic()`` instant or
-    ``None``, read every 1024 steps) it raises ``fii.BudgetExhausted``."""
+    no recursion.  Every 1024 steps it calls ``check_deadline(deadline)``."""
     cycles: list[tuple[int, ...]] = []
     steps = 0
     adj = {v: [w for w in g.adj[v] if w in allowed] for v in allowed}
@@ -69,9 +67,8 @@ def _all_cycles_within(g: Graph, allowed: set[int],
                         cycles.append(tuple(path))
                 elif w > start and w not in seen:
                     steps += 1
-                    if not steps % 1024 and deadline is not None \
-                            and time.monotonic() > deadline:
-                        raise fii.BudgetExhausted("time budget ran out")
+                    if not steps % 1024:
+                        check_deadline(deadline)
                     seen.add(w)
                     path.append(w)
                     stack.append(iter(adj[w]))
@@ -208,7 +205,7 @@ def scan_configs(g: Graph, ids: Iterable[str] | None = None,
     4210 Cp1 matches at 96 vertices, 184105 at 144); ``ids`` can leave them
     out, ``cycle_cover`` gives the vertices they cover in linear time, and
     past ``deadline`` (a ``time.monotonic()`` instant or ``None``) they
-    raise ``fii.BudgetExhausted``."""
+    raise ``BudgetExhausted``."""
     want = tuple(ids) if ids is not None else ALL_CONFIG_IDS
     for cid in want:
         if cid not in ALL_CONFIG_IDS:
@@ -233,8 +230,9 @@ def scan_configs(g: Graph, ids: Iterable[str] | None = None,
 
 #: rho*(attachment point) needed for the attachment to preserve mad <= 8/3
 GADGET_BUDGET = {"triangle": 1, "j1": 1, "j2": 2}
-#: how many fields each gadget kind holds after its name
-_GADGET_FIELDS = {"triangle": 0, "j1": 0, "j2": 0, "edge": 1, "path2": 1}
+#: each gadget kind with the number of fields after its name; pairs, not a
+#: dict, so that a caller's kind is compared with the names and never hashed
+_GADGET_FIELDS = (("triangle", 0), ("j1", 0), ("j2", 0), ("edge", 1), ("path2", 1))
 
 
 def attach_gadget(g: Graph, at: int, gadget: tuple) -> Graph:
@@ -260,7 +258,7 @@ def attach_gadget(g: Graph, at: int, gadget: tuple) -> Graph:
     result to the original vertex set recovers ``g``.
     """
     check_vertices(g, (at,))
-    if not gadget or _GADGET_FIELDS.get(gadget[0]) != len(gadget) - 1:
+    if not gadget or (gadget[0], len(gadget) - 1) not in _GADGET_FIELDS:
         raise GraphError(f"unknown gadget {gadget!r}")
     n, kind = g.n, gadget[0]
     if kind == "triangle":
@@ -465,7 +463,7 @@ def verify_lemma_extension(g: Graph, match: ConfigMatch,
     the report is a vacuous pass, flagged as such.
     Both limits are budgets: more than ``max_partitions`` partitions of H, or
     a search past ``deadline`` (shared by the enumeration and every
-    extension search), raise ``fii.BudgetExhausted``.
+    extension search), raise ``BudgetExhausted``.
     """
     if plan is None:
         plan = reduction_plan(g, match)
@@ -477,7 +475,7 @@ def verify_lemma_extension(g: Graph, match: ConfigMatch,
     for part in fii.enumerate_fii(h, 2, deadline=deadline, own=own):
         h_partitions += 1
         if h_partitions > max_partitions:
-            raise fii.BudgetExhausted(f"reduced graph has more than "
+            raise BudgetExhausted(f"reduced graph has more than "
                                       f"{max_partitions} partitions")
         # the gadget vertices follow H's own, so the restriction is a prefix
         restricted = part.labels[:own]
@@ -488,7 +486,7 @@ def verify_lemma_extension(g: Graph, match: ConfigMatch,
                                fixed=dict(zip(keep, restricted)),
                                deadline=deadline)
             if res.status == "unknown":
-                raise fii.BudgetExhausted("time budget ran out")
+                raise BudgetExhausted("time budget ran out")
             ok = res.feasible
             if not ok and len(failures) < 5:
                 failures.append(restricted)

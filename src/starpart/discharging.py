@@ -337,9 +337,7 @@ def build_terminal_partition(g: Graph) -> TerminalResult:
             return TerminalResult(False, reason=exc.reason)
     partition = fii.FiiPartition(tuple(labels), 2)
     ok, witness = fii.verify_fii(g, partition)
-    if not ok:
-        return TerminalResult(False,
-                              reason=f"assembled partition failed: {witness}")
+    assert ok, f"assembled partition failed: {witness}"
     return TerminalResult(True, degenerate=tuple(sorted(set(degenerate))),
                           sets=TerminalSets(**{name: tuple(sorted(set(vs)))
                                                for name, vs in sets.items()}),

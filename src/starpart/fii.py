@@ -19,9 +19,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Iterator, NamedTuple
 
-from .graphs import (Graph, GraphError, balls2, bfs_order, forest_cycle,
-                     neighbor_sets, per_graph)
-from .starcolor import BudgetExhausted, Coloring, backtrack, is_star_coloring
+from .graphs import (BudgetExhausted, Graph, GraphError, balls2, bfs_order,
+                     forest_cycle, neighbor_sets, per_graph)
+from .starcolor import Coloring, backtrack, is_star_coloring
 from . import density
 
 F_LABEL = 0

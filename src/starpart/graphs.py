@@ -23,6 +23,7 @@ that read the taxonomy.
 from __future__ import annotations
 
 import re
+import time
 from collections import defaultdict, deque
 from enum import Enum
 from functools import wraps
@@ -40,8 +41,21 @@ MAX_VERTICES = 8_000_000
 class GraphError(ValueError):
     """Input that starpart rejects: a malformed or oversized graph, or an
     argument outside a function's domain.  The CLI reports it as a usage
-    error; any other exception but a timeout's ``BudgetExhausted`` is a
-    fault in starpart."""
+    error; any other exception but :class:`BudgetExhausted` is a fault in
+    starpart."""
+
+
+class BudgetExhausted(Exception):
+    """A search ran out of its time or node budget before it could answer;
+    the CLI reports it as ``{"status": "unknown"}``."""
+
+
+def check_deadline(deadline: float | None) -> None:
+    """Raise ``BudgetExhausted`` once ``time.monotonic()`` has passed
+    ``deadline``; ``None`` is no limit.  The one clock read of every search,
+    which calls it once per 1024 of its own steps."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise BudgetExhausted("time budget ran out")
 
 
 class ValidationError(GraphError):
@@ -73,6 +87,8 @@ def check_vertices(g: "Graph", vertices: Iterable[int],
     that is not, in their order, is named as ``what`` in a ``GraphError``."""
     vs = tuple(vertices)
     for v in vs:
+        if not isinstance(v, int):
+            raise GraphError(f"{what} {v!r} is not an integer")
         if not 0 <= v < g.n:
             raise GraphError(f"{what} {v} out of range 0..{g.n - 1}")
     return vs
@@ -164,9 +180,6 @@ class Graph:
         # each walk takes its component out of left
         return [sorted(bfs_order(self, s, left)) for s in sorted(left)
                 if s in left]
-
-    def is_forest(self) -> bool:
-        return forest_cycle(self, range(self.n)) is None
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Graph) and self.n == other.n

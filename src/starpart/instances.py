@@ -118,13 +118,9 @@ INSTANCES = {
 }
 
 
-def shipped_instance(config_id: str) -> tuple[Graph, dict]:
-    return INSTANCES[config_id]()
-
-
 def shipped_match(config_id: str):
     """The intended ConfigMatch on the shipped instance for ``config_id``."""
-    g, roles = shipped_instance(config_id)
+    g, roles = INSTANCES[config_id]()
     for match in scan_configs(g, (config_id,)):
         if all(match.role(k) == v for k, v in roles.items()):
             return g, match

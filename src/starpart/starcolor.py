@@ -9,10 +9,9 @@ two color classes induces a star forest.
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Iterator, NamedTuple
 
-from .graphs import Graph, GraphError
+from .graphs import Graph, GraphError, check_deadline
 
 DEFAULT_EXACT_CAP = 40
 
@@ -36,9 +35,6 @@ class Coloring(_ColoringFields):
     def _make(cls, iterable) -> Coloring:
         # through __new__, so that _make and _replace check the range too
         return cls(*iterable)
-
-    def used(self) -> int:
-        return len(set(self.colors))
 
 
 Violation = tuple[str, tuple[int, ...]]
@@ -128,10 +124,6 @@ def degeneracy_order(g: Graph) -> list[int]:
     return deletion
 
 
-class BudgetExhausted(Exception):
-    """A search ran out of its time or node budget before it could answer."""
-
-
 def backtrack(size: int, width: int, place: Callable[[int, int], bool],
               undo: Callable[[int], None],
               deadline: float | None = None) -> Iterator[None]:
@@ -141,8 +133,9 @@ def backtrack(size: int, width: int, place: Callable[[int, int], bool],
     and says whether the partial assignment still holds; ``undo(slot)``
     retracts the latest ``place`` at that slot, whether it held or not.
     Yields at every complete assignment, left in place until resumed.
-    Past ``deadline`` (a ``time.monotonic()`` instant or ``None``, read
-    every 1024 placements) it raises :class:`BudgetExhausted`.
+    Every 1024 placements it calls ``check_deadline(deadline)``, which
+    raises ``BudgetExhausted`` past ``deadline`` (a ``time.monotonic()``
+    instant or ``None``).
     """
     placed = 0
     choices = [0]  # one frame per open slot: the next choice to try there
@@ -157,10 +150,9 @@ def backtrack(size: int, width: int, place: Callable[[int, int], bool],
                 undo(slot - 1)
         else:
             choices[slot] = c + 1
-            if deadline is not None:
-                placed += 1
-                if not placed % 1024 and time.monotonic() > deadline:
-                    raise BudgetExhausted("time budget ran out")
+            placed += 1
+            if not placed % 1024:
+                check_deadline(deadline)
             if place(slot, c):
                 choices.append(0)
             else:
@@ -204,7 +196,7 @@ def star_chromatic_number(g: Graph, limit: int | None = None,
     Searches k = 1, 2, ... up to ``limit`` (default n); returns None when
     every k <= limit fails.  Refuses n > DEFAULT_EXACT_CAP unless ``force``.
     All the searches share ``deadline`` (a ``time.monotonic()`` instant or
-    ``None``); past it they raise :class:`BudgetExhausted`.
+    ``None``); past it they raise ``BudgetExhausted``.
     """
     if limit is None:
         limit = max(g.n, 1)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from starpart.graphs import Graph, parse_graph6
+from starpart.graphs import Graph, forest_cycle, parse_graph6
 from starpart.generators import (gen_complete, gen_corpus, gen_cycle,
                                  gen_g5n, gen_mad_bounded, gen_path,
                                  gen_star, gen_tree_random)
@@ -198,7 +198,7 @@ def test_criterion_7_discharging(bounded_corpus):
         assert table.total == 2 * g.edge_count, name
     flagged = 0
     for cid in ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9", "C10"):
-        g, _ = instances.shipped_instance(cid)
+        g, _ = instances.INSTANCES[cid]()
         table = run_discharging(g)
         assert table.total == 2 * g.edge_count
         report = audit_final_charges(g)
@@ -235,7 +235,7 @@ def test_criterion_9_boundary_experiments():
     rep0 = boundary_search(0, corpus0)
     for e in rep0.entries:
         g = dict(corpus0)[e.name]
-        assert (e.status == "feasible") == g.is_forest(), e
+        assert (e.status == "feasible") == (forest_cycle(g, range(g.n)) is None), e
     assert rep0.min_infeasible_mad == 2
 
     # k = 1: nothing below mad 5/2 is infeasible

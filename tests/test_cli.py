@@ -73,6 +73,12 @@ def test_rho_star_seed(capsys, g5_file):
     assert code == 0 and twice == {**doc, "seed": [0]}
 
 
+def test_rho_star_seed_that_is_not_a_vertex_list(capsys, g5_file):
+    code, doc = run_json(capsys, "rho-star", g5_file, "--seed", "1,x")
+    assert (code, doc) == (2, {"schema": 1, "error": "usage",
+                               "detail": "bad vertex list '1,x'"})
+
+
 def test_edge_list_stdin(capsys, monkeypatch):
     import io
     monkeypatch.setattr("sys.stdin", io.StringIO("0 1\n1 2\n2 0\n"))
@@ -229,7 +235,7 @@ _WRAPPED_ENGINE_CALLS = [
     ("configs", "attach_gadget", ["attach", "T", "--at", "0", "--gadget", "J1"],
      None),
     ("generators", "gen_cycle", ["gen", "cycle", "-n", "5"], None),
-    ("generators", "check_corpus_args",
+    ("generators", "gen_corpus",
      ["gen", "corpus", "--count", "1", "--out", "D"], None),
 ]
 
@@ -260,7 +266,7 @@ def test_internal_error_exit_4(capsys, monkeypatch, g5_file, tmp_path):
     paths = {"T": tmp_path / "t.el", "H": tmp_path / "c1.g6",
              "J": tmp_path / "doc.json", "D": tmp_path / "corpus"}
     paths["T"].write_text("0 1\n1 2\n0 2\n")
-    paths["H"].write_text(to_graph6(instances.shipped_instance("C1")[0]))
+    paths["H"].write_text(to_graph6(instances.INSTANCES["C1"]()[0]))
     for module, name, argv, doc in _WRAPPED_ENGINE_CALLS:
         paths["J"].write_text(json.dumps(doc))
         with monkeypatch.context() as m:
@@ -359,7 +365,7 @@ def test_input_an_engine_rejects_is_a_usage_error(capsys, tmp_path, argv, doc,
     paths["E"].write_text("?\n")
     paths["L"].write_bytes(b"\xff\xfe\n")
     paths["J"].write_text(doc if isinstance(doc, str) else json.dumps(doc))
-    paths["H"].write_text(to_graph6(instances.shipped_instance("C1")[0]))
+    paths["H"].write_text(to_graph6(instances.INSTANCES["C1"]()[0]))
     code, out = run_json(capsys, *(str(paths.get(a, a)) for a in argv))
     assert (code, out["error"]) == (2, "usage")
     assert detail in out["detail"]
@@ -375,7 +381,7 @@ def test_gen_json_one_document(capsys):
 
 def test_config_scan_and_lemma_check(capsys, tmp_path):
     from starpart import instances
-    g, _ = instances.shipped_instance("C5")
+    g, _ = instances.INSTANCES["C5"]()
     path = tmp_path / "c5inst.g6"
     path.write_text(to_graph6(g))
     code, doc = run_json(capsys, "config-scan", str(path), "--ids", "C5")
@@ -393,7 +399,7 @@ def test_config_scan_and_lemma_check(capsys, tmp_path):
 
 def test_lemma_check_match_index_out_of_range_exit_2(capsys, tmp_path):
     from starpart import instances
-    g, _ = instances.shipped_instance("C1")
+    g, _ = instances.INSTANCES["C1"]()
     path = tmp_path / "c1inst.g6"
     path.write_text(to_graph6(g))
     code, doc = run_json(capsys, "lemma-check", str(path), "--config", "C1",
@@ -535,7 +541,7 @@ _ENGINES = ((cli.configs, "scan_configs"), (cli.configs, "verify_lemma_extension
 def test_every_engine_call_reads_the_one_deadline(capsys, monkeypatch,
                                                   tmp_path, command):
     from starpart import instances
-    g, _ = instances.shipped_instance("C5")
+    g, _ = instances.INSTANCES["C5"]()
     host = tmp_path / "c5.g6"
     host.write_text(to_graph6(g))
     corpus = tmp_path / "corpus"

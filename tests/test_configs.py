@@ -9,8 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from starpart.graphs import (Graph, GraphError, VertexClass, balls2,
-                             classify_vertices, double_triangle_edges,
+from starpart.graphs import (BudgetExhausted, Graph, GraphError, VertexClass,
+                             balls2, classify_vertices, double_triangle_edges,
                              find_pendent_triangles, to_graph6, triangle_split)
 from starpart.generators import (gen_cycle, gen_g5n, gen_mad_bounded, gen_path,
                                  gen_star)
@@ -162,7 +162,7 @@ def test_scan_matches_naive_local():
         got = _matches_as_keys(scan_configs(g, local_ids))
         assert got == _naive_local(g)
     # structured graphs exercise the triangle-heavy configurations
-    for g, _ in (instances.shipped_instance(c) for c in ALL_CONFIG_IDS):
+    for g, _ in (instances.INSTANCES[c]() for c in ALL_CONFIG_IDS):
         got = _matches_as_keys(scan_configs(g, local_ids))
         assert got == _naive_local(g)
 
@@ -200,7 +200,7 @@ def _pin_host():
     n, edges = 0, []
     for _ in range(10):
         for cid in ALL_CONFIG_IDS:
-            g, _ = instances.shipped_instance(cid)
+            g, _ = instances.INSTANCES[cid]()
             edges += [(u + n, v + n) for u, v in g.edges()]
             n += g.n
     perm = list(range(n))
@@ -275,7 +275,7 @@ INSTANCES_PIN = "7894b2e781792102f6d48f188e62fcad5659d1bce38df06d79e2335f53d44e8
 
 def test_shipped_instances_pinned():
     graphs = [(g.n, sorted(g.edges()))
-              for g, _ in map(instances.shipped_instance, ALL_CONFIG_IDS)]
+              for g, _ in (instances.INSTANCES[cid]() for cid in ALL_CONFIG_IDS)]
     assert hashlib.sha256(repr(graphs).encode()).hexdigest() == INSTANCES_PIN
 
 
@@ -520,6 +520,22 @@ def test_lemma_extension_budgets_raise_budget_exhausted():
     assert time.monotonic() - start < 10
 
 
+def test_lemma_extension_raises_when_an_extension_search_runs_out(monkeypatch):
+    # the enumeration answers, but an extension search says "unknown": the
+    # verdict cannot be given, so the budget ran out, whichever search spent it
+    g, match = instances.shipped_match("C1")
+    calls = []
+
+    def unknown(*args, **kwargs):
+        calls.append(kwargs["deadline"])
+        return fii.FiiResult("unknown", None, 0, 0, False)
+
+    monkeypatch.setattr(fii, "find_fii", unknown)
+    with pytest.raises(BudgetExhausted, match="^time budget ran out$"):
+        verify_lemma_extension(g, match, deadline=time.monotonic() + 60)
+    assert len(calls) == 1
+
+
 def test_lemma_extension_memory_does_not_grow_with_the_partitions():
     # H, g5n(2) less a W2 pair, has no gadget vertex, so every H-partition
     # is its own restriction and none need be kept
@@ -595,7 +611,7 @@ _ALL_SHIPPED_MATCHES = (
 def test_lemma_extension_on_every_shipped_match():
     seen = []
     for cid in ALL_CONFIG_IDS:
-        g, _ = instances.shipped_instance(cid)
+        g, _ = instances.INSTANCES[cid]()
         for match in scan_configs(g):
             r = verify_lemma_extension(g, match)
             seen.append((cid, r.config_id, r.h_partitions, r.distinct_restrictions,
@@ -621,7 +637,7 @@ def test_reduced_graph_numbering():
     path = gen_path(60)
     c2 = next(m for m in scan_configs(path, ("C2",)) if m.role("u") == 29)
     cases = [(g, reduction_plan(g, m)) for cid in ALL_CONFIG_IDS
-             for g in [instances.shipped_instance(cid)[0]] for m in scan_configs(g)]
+             for g in [instances.INSTANCES[cid]()[0]] for m in scan_configs(g)]
     cases.append((path, reduction_plan(path, c2)))
     assert cases[-1][1].mods == (("triangle", 28),)
     assert {mod[0] for _, plan in cases for mod in plan.mods} == {"triangle", "edge"}
@@ -656,6 +672,18 @@ def test_a_mod_on_a_deleted_or_missing_vertex_is_a_graph_error():
     # is H's 3
     plan = configs.ReductionPlan((2, 3), (("edge", 0, 5),))
     assert configs.reduced_graph(g, plan)[0].has_edge(0, 3)
+
+
+def test_a_mod_of_the_wrong_type_is_a_graph_error():
+    # a bare kind for the mod tuple, and a kind that cannot be hashed
+    g, match = instances.shipped_match("C2")
+    for mods, detail in ((("triangle",), "mod vertex 'r' is not an integer"),
+                         (((["edge"], 0),), "unknown gadget (['edge'],)")):
+        plan = configs.ReductionPlan((2, 3), mods)
+        with pytest.raises(GraphError, match=f"^{re.escape(detail)}$"):
+            configs.reduced_graph(g, plan)
+        with pytest.raises(GraphError, match=f"^{re.escape(detail)}$"):
+            verify_lemma_extension(g, match, plan)
 
 
 def test_c8_plan_uses_triangle_mod():

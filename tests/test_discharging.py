@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 from fractions import Fraction
@@ -14,7 +15,7 @@ from starpart.discharging import (EIGHT_THIRDS, audit_final_charges,
 from starpart.fii import verify_fii
 from starpart.configs import (ALL_CONFIG_IDS, cycle_cover, reduction_plan,
                               scan_configs)
-from starpart import instances
+from starpart import fii, instances
 from starpart.density import mad, mad_le_8_3
 from oracles import random_graph
 from test_cli import _subdivided_prism
@@ -85,7 +86,7 @@ def test_w5_case_exact_charge():
 
 def test_audit_flags_expected_configuration():
     for cid in ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9", "C10"):
-        g, _ = instances.shipped_instance(cid)
+        g, _ = instances.INSTANCES[cid]()
         report = audit_final_charges(g)
         assert report.deficits, cid
         assert any(cid in d.nearby_configs for d in report.deficits), cid
@@ -105,7 +106,7 @@ def test_audit_free_standing_triangle():
 
 
 def test_audit_c3_vertex_below_threshold():
-    g, _ = instances.shipped_instance("C3")
+    g, _ = instances.INSTANCES["C3"]()
     report = audit_final_charges(g)
     center = next(d for d in report.deficits if d.vertex == 0)
     assert center.final == 2
@@ -122,7 +123,7 @@ def test_audit_identified_triangles_special():
 
 @pytest.mark.parametrize("graph, run", [
     (gen_g5n(3), audit_final_charges),
-    (instances.shipped_instance("C10")[0],
+    (instances.INSTANCES["C10"]()[0],
      lambda g: [reduction_plan(g, m) for m in scan_configs(g)]),
 ], ids=["audit", "scan-and-plans"])
 def test_pendent_cycles_walked_once(graph, run):
@@ -147,7 +148,7 @@ def test_audit_equals_one_built_from_every_listed_match():
     # the audit reads Cp1 and Cp2 through their cover; listing every cycle,
     # as scan_configs does, must give the same report
     graphs = [_subdivided_prism(k) for k in range(4, 9)]
-    graphs += [instances.shipped_instance(cid)[0] for cid in ALL_CONFIG_IDS]
+    graphs += [instances.INSTANCES[cid]()[0] for cid in ALL_CONFIG_IDS]
     for g in graphs:
         configs_at = {}
         for m in scan_configs(g):
@@ -241,7 +242,7 @@ def test_terminal_partition_y_split():
      '32], "T_beta": [22, 26, 30, 34], "W_X": [12, 13, 14, 15], '
      '"W_alpha": [], "W_beta": [], "X": [6, 7], "Y_alpha": [0], '
      '"Y_beta": [], "Z": []}}\n'),
-    ("discharge-audit", instances.shipped_instance("C9")[0], 1,
+    ("discharge-audit", instances.INSTANCES["C9"]()[0], 1,
      '{"command": "discharge-audit", "deficits": [{"final": 2, '
      '"nearby_configs": ["C2", "C9", "Cp5"], "special": null, "vertex": 0}, '
      '{"final": "7/3", "nearby_configs": ["C2", "C9", "Cp5"], '
@@ -293,6 +294,21 @@ def test_terminal_partition_forest_beside_constructed_component():
         assert res.applicable and res.degenerate == ("forest",)
         assert res.partition.labels == (0,) * tree.n + alone.partition.labels
         assert verify_fii(g, res.partition)[0]
+
+
+def test_a_failed_self_check_is_a_fault_not_a_verdict(capsys, monkeypatch,
+                                                     tmp_path):
+    # the assembled partition is checked with verify_fii; a partition that
+    # fails it is a fault in the construction, which exits 4, never 1
+    monkeypatch.setattr(fii, "verify_fii", lambda g, part:
+                        (False, ("cycle", (0, 1, 2))))
+    path = tmp_path / "tree.g6"
+    path.write_text(serialize_graph(gen_tree_random(9, 3), "graph6") + "\n")
+    assert main(["--json", "terminal-partition", str(path)]) == 4
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"schema": 1, "error": "internal",
+                   "detail": "AssertionError: assembled partition failed: "
+                             "('cycle', (0, 1, 2))"}
 
 
 def test_terminal_partition_identified_triangles():

@@ -181,6 +181,11 @@ def test_forcing_patterns_on_tightness_family():
     assert 2 in t2h and all(w in (1, 3) for w in t2h[2])
 
 
+def test_negative_k_is_a_graph_error():
+    with pytest.raises(GraphError, match="^k must be nonnegative$"):
+        find_fii(gen_cycle(3), -1)
+
+
 def test_k0_is_forest_test():
     assert find_fii(gen_tree_random(9, 4), 0).feasible
     res = find_fii(gen_cycle(6), 0)

@@ -10,8 +10,8 @@ from starpart.density import mad, mad_le, mad_le_8_3
 from starpart.generators import (gen_complete, gen_corpus, gen_cycle, gen_g5n,
                                  gen_mad_bounded, gen_path, gen_star,
                                  gen_tree_random)
-from starpart.graphs import (Graph, GraphError, girth, serialize_graph,
-                             to_graph6, INFINITY)
+from starpart.graphs import (Graph, GraphError, forest_cycle, girth,
+                             serialize_graph, to_graph6, INFINITY)
 import oracles
 
 
@@ -168,5 +168,5 @@ def test_simple_families():
     assert girth(gen_cycle(7)) == 7
     assert girth(gen_path(5)) == INFINITY
     t = gen_tree_random(20, 4)
-    assert t.is_forest() and t.edge_count == 19
+    assert forest_cycle(t, range(t.n)) is None and t.edge_count == 19
     assert gen_tree_random(20, 4) == t

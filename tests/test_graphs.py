@@ -1,13 +1,15 @@
 import hashlib
 import random
 import re
+import time
 import types
 
 import pytest
 
-from starpart.graphs import (FORMATS, Graph, GraphError, ParseError,
-                             ValidationError, VertexClass, INFINITY,
-                             check_vertices, classify_vertices, find_pendent_cycles,
+from starpart.graphs import (FORMATS, BudgetExhausted, Graph, GraphError,
+                             ParseError, ValidationError, VertexClass, INFINITY,
+                             check_deadline, check_vertices, classify_vertices,
+                             find_pendent_cycles,
                              forest_cycle,
                              find_pendent_triangles, girth, parse_edge_list,
                              parse_dimacs, parse_graph, parse_graph6,
@@ -32,6 +34,24 @@ def test_check_vertices_names_the_first_bad_vertex_in_order():
             check_vertices(g, vs, what)
     with pytest.raises(GraphError, match=r"^vertex 0 out of range 0\.\.-1$"):
         check_vertices(Graph(0, []), [0])
+
+
+def test_check_vertices_rejects_what_is_not_an_integer():
+    # named as it is, before any comparison with the range could raise
+    g = gen_cycle(3)
+    for vs, detail in ((["r"], "mod vertex 'r' is not an integer"),
+                       ([0, 1.0], "mod vertex 1.0 is not an integer"),
+                       ([1, None, 9], "mod vertex None is not an integer")):
+        with pytest.raises(GraphError, match=f"^{re.escape(detail)}$"):
+            check_vertices(g, vs, "mod vertex")
+
+
+def test_check_deadline():
+    check_deadline(None)
+    check_deadline(time.monotonic() + 60)
+    with pytest.raises(BudgetExhausted, match="^time budget ran out$"):
+        check_deadline(time.monotonic() - 1)
+    assert not issubclass(BudgetExhausted, GraphError)
 
 
 def test_simplicity_rejected():
@@ -235,6 +255,27 @@ def test_dimacs_round_trip():
     assert exc.value.edge == (1, 1)
 
 
+def test_dimacs_needs_exactly_one_p_line():
+    with pytest.raises(ParseError, match="^duplicate 'p' line at line 3$") as exc:
+        parse_dimacs("p edge 2 1\ne 1 2\np edge 2 1\n")
+    assert exc.value.offset == 3
+    for text in ("", "c a comment only\n\n"):
+        with pytest.raises(ParseError, match="^missing 'p edge' header$") as exc:
+            parse_dimacs(text)
+        assert exc.value.offset == 0
+
+
+def test_parse_graph_reads_bytes_as_utf8_text():
+    g = Graph(4, [(0, 1), (1, 2), (1, 3)])
+    for fmt in FORMATS:
+        text = serialize_graph(g, fmt)
+        for how in (fmt, "auto"):
+            assert parse_graph(text.encode(), how) == parse_graph(text, how) == g
+    # the names of an edge list are decoded too
+    named = parse_graph("\u00e9 b\n".encode(), "edgelist")
+    assert named.names == ("\u00e9", "b")
+
+
 def test_round_trip_all_formats():
     rng = random.Random(2)
     for _ in range(20):
@@ -373,7 +414,7 @@ def test_girth_two_cycles_joined_by_path():
 def test_girth_forest():
     rng = random.Random(6)
     forest = _with_pendant_trees(rng, Graph(3, []), 40)
-    assert forest.is_forest()
+    assert forest_cycle(forest, range(forest.n)) is None
     assert girth(forest) == INFINITY
 
 
@@ -482,8 +523,8 @@ def test_induced_and_components():
     sub, keep = g.induced([0, 1, 2])
     assert sub.n == 3 and sub.edge_count == 2 and keep == [0, 1, 2]
     assert g.components() == [[0, 1, 2], [3, 4], [5]]
-    assert g.is_forest()
-    assert not gen_cycle(4).is_forest()
+    assert forest_cycle(g, range(g.n)) is None
+    assert forest_cycle(gen_cycle(4), range(4)) is not None
 
 
 def _union_find_components(g, within):
@@ -513,7 +554,7 @@ def test_components_match_union_find():
             vs = range(g.n) if within is None else within
             assert g.components(within) == _union_find_components(g, set(vs))
         forest = g.edge_count + len(_union_find_components(g, set(range(g.n)))) == g.n
-        assert g.is_forest() == forest
+        assert (forest_cycle(g, range(g.n)) is None) == forest
     isolated = Graph(4, [(1, 2)])
     assert isolated.components([3, 0, 1]) == [[0], [1], [3]]
     assert isolated.components(iter([2, 1])) == [[1, 2]]

@@ -135,9 +135,9 @@ _BENCH_CALLS = {
 def _bench_argv(tmp_path, sub: str) -> list[str]:
     """``_BENCH_CALLS[sub]`` with ``G`` and ``D`` made under ``tmp_path``."""
     from starpart.graphs import serialize_graph
-    from starpart.instances import shipped_instance
+    from starpart.instances import INSTANCES
     graph = tmp_path / "c5.g6"
-    graph.write_text(serialize_graph(shipped_instance("C5")[0], "graph6") + "\n")
+    graph.write_text(serialize_graph(INSTANCES["C5"]()[0], "graph6") + "\n")
     (tmp_path / "corpus").mkdir()
     (tmp_path / "corpus" / "c5.g6").write_text(graph.read_text())
     paths = {"G": str(graph), "D": str(tmp_path / "corpus")}
@@ -170,11 +170,11 @@ _FRACTION_FREE_CALLS = {
 @pytest.mark.parametrize("sub", _FRACTION_FREE_CALLS)
 def test_fraction_free_call_imports_no_fractions(tmp_path, sub):
     from starpart.graphs import serialize_graph
-    from starpart.instances import shipped_instance
+    from starpart.instances import INSTANCES
     paths = {}
     for cid in ("C5", "C1"):
         paths["G" + cid[1:]] = path = tmp_path / f"{cid}.g6"
-        path.write_text(serialize_graph(shipped_instance(cid)[0], "graph6") + "\n")
+        path.write_text(serialize_graph(INSTANCES[cid]()[0], "graph6") + "\n")
     argv = [str(paths.get(a, a)) for a in _FRACTION_FREE_CALLS[sub]]
     proc = _python("-c", _UNEXECUTED, "--json", *argv)
     assert proc.returncode == 0, proc.stderr
@@ -362,6 +362,30 @@ def test_only_the_cli_makes_a_deadline():
                     and (reads_clock(node.left) or reads_clock(node.right)):
                 made.append(path.name)
     assert made == ["cli.py"]
+
+
+def test_only_check_deadline_reads_the_clock():
+    # one deadline check: every search calls graphs.check_deadline, the only
+    # code that compares the clock with a deadline, and cli.main reads the
+    # clock once more to make the deadline
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, ast.FunctionDef):
+            where = f"{where.partition(':')[0]}:{node.name}"
+        if isinstance(node, ast.Attribute) and node.attr == "monotonic" \
+                or isinstance(node, ast.Name) and node.id == "monotonic":
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(Path(SRC, "starpart").glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path.name)
+    assert found == ["cli.py:main", "graphs.py:check_deadline"]
+    # the exception lives beside GraphError; the names that reach it agree
+    assert starpart.BudgetExhausted is starpart.fii.BudgetExhausted \
+        is starpart.graphs.BudgetExhausted
+    assert starpart._OWNER["BudgetExhausted"] == "graphs"
 
 
 def test_only_graphs_spells_a_class_set():

@@ -96,7 +96,7 @@ def test_chi_s_complete_graphs():
     for n in range(1, 7):
         k, col = star_chromatic_number(gen_complete(n))
         assert k == n
-        assert col.used() == n
+        assert len(set(col.colors)) == n
 
 
 def test_chi_s_c5_is_4():
@@ -122,6 +122,10 @@ def test_chi_s_limit_and_errors():
         star_chromatic_number(Graph(45, []))
     k, _ = star_chromatic_number(Graph(45, []), force=True)
     assert k == 1
+
+
+def test_chi_s_of_the_graph_with_no_vertices_is_0():
+    assert star_chromatic_number(Graph(0, [])) == (0, Coloring((), 1))
 
 
 def test_chi_s_matches_oracle_small():
