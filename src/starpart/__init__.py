@@ -18,10 +18,9 @@ import sys
 #: submodule -> the names the package re-exports from it
 _EXPORTS = {
     "graphs": ("Graph", "GraphError", "BudgetExhausted", "ParseError",
-               "ValidationError",
-               "VertexClass", "classify_vertices", "find_pendent_cycles",
-               "find_pendent_triangles", "girth", "parse_graph",
-               "serialize_graph", "INFINITY"),
+               "ValidationError", "VertexClass", "classify_vertices",
+               "find_pendent_cycles", "find_pendent_triangles", "girth",
+               "parse_graph", "serialize_graph", "INFINITY"),
     "density": ("Density", "PotentialResult", "mad", "mad_le", "mad_le_8_3",
                 "rho", "rho_star"),
     "starcolor": ("Coloring", "is_star_coloring", "star_chromatic_number"),

@@ -476,7 +476,7 @@ def verify_lemma_extension(g: Graph, match: ConfigMatch,
         h_partitions += 1
         if h_partitions > max_partitions:
             raise BudgetExhausted(f"reduced graph has more than "
-                                      f"{max_partitions} partitions")
+                                  f"{max_partitions} partitions")
         # the gadget vertices follow H's own, so the restriction is a prefix
         restricted = part.labels[:own]
         if restricted != previous:

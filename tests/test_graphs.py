@@ -9,8 +9,7 @@ import pytest
 from starpart.graphs import (FORMATS, BudgetExhausted, Graph, GraphError,
                              ParseError, ValidationError, VertexClass, INFINITY,
                              check_deadline, check_vertices, classify_vertices,
-                             find_pendent_cycles,
-                             forest_cycle,
+                             find_pendent_cycles, forest_cycle,
                              find_pendent_triangles, girth, parse_edge_list,
                              parse_dimacs, parse_graph, parse_graph6,
                              serialize_graph, sniff_format, to_dimacs,
